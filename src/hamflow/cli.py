@@ -23,8 +23,9 @@ import numpy as np
 
 from . import __version__
 from .dichotomy import classify_family, detect_ed, nonoscillation_check
-from .errors import GoldenMismatch, ToolkitError, WeylNonexistence
-from .hamiltonian import CoefficientField, field_from_dict
+from .base_flow import make_flow
+from .errors import GoldenMismatch, SchemaError, ToolkitError, WeylNonexistence
+from .hamiltonian import CoefficientField, _block_from_json, field_from_dict
 from .lq_control import LQProblem, synthesize
 from .param_scan import (
     find_alpha_star,
@@ -78,10 +79,19 @@ def _load_lq(spec: str) -> LQProblem:
         return scalar_lq_problem()
     with open(spec) as fh:
         data = json.load(fh)
+    missing = [key for key in ("A", "B", "G") if key not in data]
+    if missing:
+        raise SchemaError(f"LQ problem file missing {', '.join(missing)}")
+    try:
+        B = np.atleast_2d(np.asarray(data["B"], dtype=float))
+    except (TypeError, ValueError) as e:
+        raise SchemaError("LQ problem file: 'B' must be a numeric matrix") from e
+    flow = make_flow(data.get("flow", "autonomous"))
+    n = B.shape[0]
+    A, G = (_block_from_json(data[key], n, flow.dim) for key in ("A", "G"))
     return LQProblem.from_data(
-        A=np.asarray(data["A"]), B=np.asarray(data["B"]),
-        G=np.asarray(data["G"]), g=data.get("g"), R=data.get("R"),
-        x0=data.get("x0"),
+        A=A, B=B, G=G, g=data.get("g"), R=data.get("R"), x0=data.get("x0"),
+        flow=flow,
     )
 
 

@@ -534,169 +534,148 @@ class AtkinsonReport:
         return json.dumps(self.to_dict(), **kw)
 
 
+def _chunks(prop: ChunkedPropagator, horizon: float, direction: str,
+            per_unit: int, refine: int = 1):
+    """Walk the chunks from t = 0 to +-horizon, the last one possibly
+    partial.  Yields (times, S): S[j] maps z at the chunk start to z at
+    times[j], with refine * max(2, ceil(length * per_unit)) intervals."""
+    sign = 1.0 if direction == "forward" else -1.0
+    t, j = 0.0, 0
+    while t < horizon - 1e-12:
+        L = min(prop.h, horizon - t)
+        m = refine * max(2, int(np.ceil(L * per_unit)))
+        k = j if sign > 0 else -(j + 1)
+        yield sign * (t + L * np.arange(m + 1) / m), prop.sampled(k, m, direction, L)
+        t += L
+        j += 1
+
+
+def _rows(n: int, rows: str | None) -> slice:
+    return {"z1": slice(None, n), "z2": slice(n, None), None: slice(None)}[rows]
+
+
+def _delta_at(prop: ChunkedPropagator, times: np.ndarray) -> np.ndarray:
+    """Delta at each sample time, or the constant Delta (which broadcasts
+    over the sample axis)."""
+    delta = prop.field.delta
+    if delta.is_constant:
+        return delta.const
+    return np.stack([prop.field.eval_delta(prop.omega, t) for t in times])
+
+
 def _raw_gram(
-    field: CoefficientField,
-    omega: BasePoint,
-    rows: str,
+    prop: ChunkedPropagator,
+    rows: str | None,
     horizon: float,
     growth_cap: float = 1e3,
     samples_per_unit: int = 8,
-    tol: float = 1e-10,
     use_delta: bool = True,
 ) -> tuple[np.ndarray, float]:
-    """G = integral over [-T, T] of (sel U(t))^T Delta^T Delta (sel U(t)) dt
+    """G = integral over [-T, T] of (sel U(t))^* Delta^* Delta (sel U(t)) dt
     with T <= horizon shrunk so that ||U|| stays below growth_cap (the
     integral only grows with T, so a capped T underestimates
-    conservatively).  rows selects z1 or z2 of the solution; with
-    use_delta=False the weight is the identity."""
-    n = field.n
-    dtype = complex if field.is_complex else float
-    G = np.zeros((2 * n, 2 * n), dtype=dtype)
+    conservatively).  rows selects z1, z2 or (None) all of the solution;
+    with use_delta=False the weight is the identity."""
+    n2 = 2 * prop.field.n
+    dtype = complex if prop.field.is_complex else float
+    sel = _rows(prop.field.n, rows)
+    G = np.zeros((n2, n2), dtype=dtype)
     T_eff = horizon
-    Hfun = field.H_of_t(omega)
-    for sign in (1.0, -1.0):
-        U = np.eye(2 * n, dtype=dtype)
-        t = 0.0
-        while t < horizon - 1e-12:
-            t1 = min(t + 1.0, horizon)
-            m = max(2, int(np.ceil((t1 - t) * samples_per_unit)))
-            ts = np.linspace(t, t1, 2 * m + 1)
-            sol = solve_ivp(
-                lambda s, y: (sign * Hfun(sign * s)
-                              @ y.reshape(2 * n, 2 * n)).reshape(-1),
-                (t, t1), U.astype(complex).reshape(-1) if dtype is complex
-                else U.reshape(-1),
-                method="DOP853", rtol=tol, atol=tol * 1e-2, t_eval=ts,
-            )
-            vals = []
-            for j, s in enumerate(ts):
-                Uj = sol.y[:, j].reshape(2 * n, 2 * n)
-                blk = Uj[:n, :] if rows == "z1" else Uj[n:, :]
-                K = field.eval_delta(omega, sign * s) @ blk if use_delta else blk
-                vals.append(K.conj().T @ K)
+    for direction in ("forward", "backward"):
+        U = np.eye(n2, dtype=dtype)
+        for ts, S in _chunks(prop, horizon, direction, samples_per_unit, refine=2):
+            Us = S @ U
+            K = Us[:, sel, :]
+            if use_delta:
+                K = _delta_at(prop, ts) @ K
             # composite Simpson on the uniform refinement
-            h = ts[1] - ts[0]
-            acc = vals[0] + vals[-1]
-            for j in range(1, 2 * m):
-                acc = acc + (4.0 if j % 2 else 2.0) * vals[j]
-            G = G + (h / 3.0) * acc
-            U = sol.y[:, -1].reshape(2 * n, 2 * n)
-            t = t1
+            w = np.ones(len(ts))
+            w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+            w *= abs(ts[1] - ts[0]) / 3.0
+            G = G + np.einsum("j,jki,jkl->il", w, K.conj(), K)
+            U = Us[-1]
             if np.linalg.norm(U, 2) > growth_cap:
-                T_eff = min(T_eff, t)
+                T_eff = min(T_eff, abs(ts[-1]))
                 break
     return np.real_if_close(G), T_eff
 
 
 def _surviving_subspace(
-    field: CoefficientField,
-    omega: BasePoint,
+    prop: ChunkedPropagator,
     rows: str,
     horizon: float,
     direction: str,
     res_tol: float = 1e-7,
     samples_per_unit: int = 8,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Directions z0 whose solutions keep Delta z_rows ~ 0 over the
     horizon, found by propagating a shrinking subspace with chunkwise
     renormalization (scale-free, so hyperbolic growth cannot mask a
     kernel).  Returns a 2n x c matrix of surviving directions at t = 0."""
-    n = field.n
-    dtype = complex if field.is_complex else float
-    F = np.eye(2 * n, dtype=dtype)
-    Mmap = np.eye(2 * n, dtype=dtype)
-    sign = 1.0 if direction == "forward" else -1.0
-    Hfun = field.H_of_t(omega)
-    t = 0.0
-    while t < horizon - 1e-12 and F.shape[1] > 0:
-        t1 = min(t + 1.0, horizon)
-        m = max(2, int(np.ceil((t1 - t) * samples_per_unit)))
-        ts = np.linspace(t, t1, m + 1)
+    n2 = 2 * prop.field.n
+    dtype = complex if prop.field.is_complex else float
+    sel = _rows(prop.field.n, rows)
+    F = np.eye(n2, dtype=dtype)
+    Mmap = np.eye(n2, dtype=dtype)
+    for ts, S in _chunks(prop, horizon, direction, samples_per_unit):
         c = F.shape[1]
-        sol = solve_ivp(
-            lambda s, y: (sign * Hfun(sign * s)
-                          @ y.reshape(2 * n, c)).reshape(-1),
-            (t, t1), F.astype(complex).reshape(-1) if dtype is complex
-            else F.reshape(-1),
-            method="DOP853", rtol=tol, atol=tol * 1e-2, t_eval=ts,
-        )
-        rows_stack = []
-        for j, s in enumerate(ts):
-            Fj = sol.y[:, j].reshape(2 * n, c)
-            D = field.eval_delta(omega, sign * s)
-            blk = Fj[:n, :] if rows == "z1" else Fj[n:, :]
-            rows_stack.append(D @ blk)
-        S = np.vstack(rows_stack)
+        Fs = S @ F
+        res = (_delta_at(prop, ts) @ Fs[:, sel, :]).reshape(-1, c)
         # directions with visible residual get eliminated
-        _, sv, Vh = np.linalg.svd(S, full_matrices=True)
+        _, sv, Vh = np.linalg.svd(res, full_matrices=True)
         keep = np.ones(c, dtype=bool)
         keep[: len(sv)] = sv <= res_tol * np.sqrt(len(ts))
         V_keep = Vh.conj().T[:, keep]
-        F_end = sol.y[:, -1].reshape(2 * n, c) @ V_keep
+        F_end = Fs[-1] @ V_keep
         Mmap = Mmap @ V_keep
         if F_end.shape[1] == 0:
-            return np.zeros((2 * n, 0), dtype=dtype)
+            return np.zeros((n2, 0), dtype=dtype)
         Q, R = np.linalg.qr(F_end)
         F = Q
         Mmap = np.linalg.solve(R.T, Mmap.T).T
         nm = np.linalg.norm(Mmap)
         if nm > 0:
             Mmap = Mmap / nm
-        t = t1
     if Mmap.shape[1] == 0:
-        return np.zeros((2 * n, 0), dtype=dtype)
+        return np.zeros((n2, 0), dtype=dtype)
     Q, _ = np.linalg.qr(Mmap)
     return Q
 
 
 def _witness_residual(
-    field: CoefficientField,
-    omega: BasePoint,
-    z0: np.ndarray,
+    prop: ChunkedPropagator,
+    Z0: np.ndarray,
     rows: str,
     horizon: float,
     samples_per_unit: int = 8,
-    tol: float = 1e-10,
     use_delta: bool = True,
-) -> tuple[float, float]:
-    """Max over |t| <= horizon of ||Delta z_rows(t)|| for the (renormalized)
-    solution through z0, in raw scale via log bookkeeping.  Also returns
-    the max log10 growth of ||z(t)||/||z0||."""
-    n = field.n
-    max_log_res = -np.inf
-    max_log_growth = 0.0
-    Hfun = field.H_of_t(omega)
-    for sign in (1.0, -1.0):
-        z = np.array(z0, dtype=complex if field.is_complex else float)
-        z = z / np.linalg.norm(z)
-        log_scale = 0.0
-        t = 0.0
-        while t < horizon - 1e-12:
-            t1 = min(t + 1.0, horizon)
-            ts = np.linspace(t, t1, samples_per_unit + 1)
-            sol = solve_ivp(
-                lambda s, y: sign * Hfun(sign * s) @ y,
-                (t, t1), z, method="DOP853", rtol=tol, atol=tol * 1e-2,
-                t_eval=ts,
-            )
-            for j, s in enumerate(ts):
-                zj = sol.y[:, j]
-                blk = zj[:n] if rows == "z1" else zj[n:]
-                if use_delta:
-                    blk = field.eval_delta(omega, sign * s) @ blk
-                r = np.linalg.norm(blk)
-                if r > 0:
-                    max_log_res = max(max_log_res, np.log10(r) + log_scale)
-                max_log_growth = max(
-                    max_log_growth, np.log10(max(np.linalg.norm(zj), 1e-300)) + log_scale
-                )
-            z = sol.y[:, -1]
-            nz = np.linalg.norm(z)
-            log_scale += np.log10(max(nz, 1e-300))
-            z = z / nz
-            t = t1
-    return 10.0 ** max_log_res if np.isfinite(max_log_res) else 0.0, max_log_growth
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per column z0 of Z0: max over |t| <= horizon of ||Delta z_rows(t)||
+    for the (renormalized) solution through z0, in raw scale via log
+    bookkeeping, and the max log10 growth of ||z(t)||/||z0||."""
+    sel = _rows(prop.field.n, rows)
+    c = Z0.shape[1]
+    max_log_res = np.full(c, -np.inf)
+    max_log_growth = np.zeros(c)
+    for direction in ("forward", "backward"):
+        Z = Z0 / np.linalg.norm(Z0, axis=0)
+        log_scale = np.zeros(c)
+        for ts, S in _chunks(prop, horizon, direction, samples_per_unit):
+            Zs = S @ Z
+            blk = Zs[:, sel, :]
+            if use_delta:
+                blk = _delta_at(prop, ts) @ blk
+            with np.errstate(divide="ignore"):
+                log_res = np.log10(np.linalg.norm(blk, axis=1)).max(axis=0)
+            max_log_res = np.maximum(max_log_res, log_res + log_scale)
+            log_norm = np.log10(np.maximum(np.linalg.norm(Zs, axis=1), 1e-300))
+            max_log_growth = np.maximum(max_log_growth, log_norm.max(axis=0) + log_scale)
+            Z = Zs[-1]
+            nz = np.linalg.norm(Z, axis=0)
+            log_scale += np.log10(np.maximum(nz, 1e-300))
+            Z = Z / nz
+    res = np.where(np.isfinite(max_log_res), 10.0 ** max_log_res, 0.0)
+    return res, max_log_growth
 
 
 def atkinson_check(
@@ -727,7 +706,8 @@ def atkinson_check(
     witness = None
     undetermined = False
     for omega in grid:
-        G, _ = _raw_gram(field, omega, "z2", horizon)
+        prop = ChunkedPropagator(field, omega, h=1.0)
+        G, _ = _raw_gram(prop, "z2", horizon)
         lmin = float(np.linalg.eigvalsh(0.5 * (G + G.conj().T)).min())
         if z0_grid is not None:
             for z0 in np.atleast_2d(z0_grid):
@@ -737,11 +717,11 @@ def atkinson_check(
         worst_lmin = min(worst_lmin, lmin)
         if lmin > pos_tol:
             continue
-        V = _surviving_subspace(field, omega, "z2", 2.0 * horizon, "forward")
-        W = _surviving_subspace(field, omega, "z2", 2.0 * horizon, "backward")
+        V = _surviving_subspace(prop, "z2", 2.0 * horizon, "forward")
+        W = _surviving_subspace(prop, "z2", 2.0 * horizon, "backward")
         z0 = _common_direction(V, W)
         if z0 is not None:
-            res, _ = _witness_residual(field, omega, z0, "z2", 2.0 * horizon)
+            res = _witness_residual(prop, z0[:, None], "z2", 2.0 * horizon)[0][0]
             if res <= zero_tol:
                 witness = {"omega": omega, "z0": z0, "max_residual": float(res)}
                 continue
@@ -791,24 +771,6 @@ class WitnessReport:
         }
 
 
-def _max_growth(
-    field: CoefficientField,
-    omega: BasePoint,
-    z0: np.ndarray,
-    T: float,
-    shape_rows: str | None,
-    tol: float = 1e-9,
-) -> tuple[float, float]:
-    """(max |t|<=T growth of ||z||/||z0|| in log10, max shape residual)."""
-    off_shape_rows = "z2" if shape_rows == "(z1,0)" else "z1"
-    res, growth = _witness_residual(
-        field, omega, z0, off_shape_rows, T, use_delta=False, tol=tol
-    )
-    if shape_rows is None:
-        return growth, 0.0
-    return growth, res
-
-
 def bounded_solution_witness(
     field: CoefficientField,
     omega: BasePoint,
@@ -823,9 +785,10 @@ def bounded_solution_witness(
 
     Candidates come from the smallest eigenvectors of the two-sided
     growth Gram (the exact sphere minimizer of the summed squared norms)
-    plus a seeded random grid; the best candidate is re-scored at 2T.
-    shape restricts initial data to (z1, 0) or (0, z2) and reports the
-    worst off-shape component along the orbit.
+    plus a seeded random grid, all scored on one shared propagation; the
+    best candidate is re-scored at 2T.  shape restricts initial data to
+    (z1, 0) or (0, z2) and reports the worst off-shape component along
+    the orbit.
     """
     if shape not in ("any", "(z1,0)", "(0,z2)"):
         raise ValueError(f"unknown shape {shape!r}")
@@ -838,10 +801,10 @@ def bounded_solution_witness(
     else:
         lift = np.eye(2 * n)
     dim = lift.shape[1]
+    prop = ChunkedPropagator(field, omega, h=1.0)
     # growth Gram: integral of ||z(t)||^2 over [-T0, T0] with a capped T0
-    G, _ = _raw_gram(field, omega, "z1", min(T, 6.0), use_delta=False)
-    G2, _ = _raw_gram(field, omega, "z2", min(T, 6.0), use_delta=False)
-    Gs = lift.conj().T @ (G + G2) @ lift
+    G, _ = _raw_gram(prop, None, min(T, 6.0), use_delta=False)
+    Gs = lift.conj().T @ G @ lift
     w, V = np.linalg.eigh(0.5 * (Gs + Gs.conj().T))
     candidates = [lift @ V[:, j] for j in range(min(2, dim))]
     for _ in range(n_grid):
@@ -849,26 +812,25 @@ def bounded_solution_witness(
         if field.is_complex:
             v = v + 1j * rng.standard_normal(dim)
         candidates.append(lift @ (v / np.linalg.norm(v)))
-    best = None
-    shape_arg = shape if shape != "any" else None
-    for z0 in candidates:
-        g, res = _max_growth(field, omega, z0, T, shape_arg, tol=3e-7)
-        if best is None or g < best[1]:
-            best = (z0, g, res)
-    assert best is not None
-    z0, g, res = best
-    g, res = _max_growth(field, omega, z0, T, shape_arg)
+    shaped = shape != "any"
+    # log10 growth of ||z|| and the largest off-shape component
+    off_shape = "z2" if shape == "(z1,0)" else "z1"
+    res, g = _witness_residual(prop, np.column_stack(candidates), off_shape, T,
+                               use_delta=False)
+    best = int(np.argmin(g))
+    z0, g, res = candidates[best], float(g[best]), float(res[best])
     if 10.0 ** g <= bound:
-        g2, res2 = _max_growth(field, omega, z0, 2.0 * T, shape_arg)
+        res2, g2 = (float(x[0]) for x in _witness_residual(
+            prop, z0[:, None], off_shape, 2.0 * T, use_delta=False))
         if 10.0 ** g2 <= bound:
             return WitnessReport(
                 found=True, z0=z0 / np.linalg.norm(z0), growth_ratio=10.0 ** g2,
                 shape=shape, T=2.0 * T, bound=bound,
-                shape_residual=res2 if shape_arg else None,
+                shape_residual=res2 if shaped else None,
             )
     return WitnessReport(
         found=False, z0=None, growth_ratio=10.0 ** g, shape=shape, T=T,
-        bound=bound, shape_residual=res if shape_arg else None,
+        bound=bound, shape_residual=res if shaped else None,
     )
 
 

@@ -488,13 +488,19 @@ def _block_from_json(obj, n: int, flow_dim: int) -> BlockMap:
         const = np.zeros((n, n))
         terms: list[TrigTerm] = []
         for entry in obj:
-            k = tuple(int(x) for x in entry["k"])
+            try:
+                k = tuple(int(x) for x in entry["k"])
+                cosM = _matrix_from_json(entry["cos"]) if "cos" in entry else None
+                sinM = _matrix_from_json(entry["sin"]) if "sin" in entry else None
+            except (KeyError, TypeError, ValueError) as e:
+                raise SchemaError(
+                    "trig term needs an integer index 'k' and numeric "
+                    "'cos'/'sin' matrices"
+                ) from e
             if len(k) != flow_dim:
                 raise SchemaError(
                     f"trig index length {len(k)} != flow dimension {flow_dim}"
                 )
-            cosM = _matrix_from_json(entry["cos"]) if "cos" in entry else None
-            sinM = _matrix_from_json(entry["sin"]) if "sin" in entry else None
             if all(x == 0 for x in k):
                 if cosM is not None:
                     const = const + cosM

@@ -9,9 +9,9 @@ exponential fast path; it is validated against the adaptive route in the
 test suite, never the other way around.
 
 Long-time frame work never holds raw products: the chunked propagator
-caches transfer matrices over unit time chunks, and frame chains are
-re-orthonormalized after every chunk with the change of basis recorded,
-so only the plane (and the determinant sign of the top block, needed by
+caches transfer matrices over unit time chunks (and sampled inside
+them), and frame chains are re-orthonormalized after every chunk, so
+only the plane (and the determinant sign of the top block, needed by
 disconjugacy tests) survives, not the overflow.
 """
 
@@ -84,18 +84,12 @@ class CocycleValue:
 
 @dataclass(frozen=True, eq=False)
 class SolutionFrame:
-    """A 2n x n solution frame [[L1], [L2]] at a time along an orbit.
-
-    ``basis_change`` records C with  F_returned = F_exact_solution @ C
-    whenever internal re-orthonormalization replaced the raw columns
-    (C = identity means the columns are honest solutions).
-    """
+    """A 2n x n solution frame [[L1], [L2]] at a time along an orbit."""
 
     L1: np.ndarray
     L2: np.ndarray
     t: float
     omega: BasePoint
-    basis_change: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -125,11 +119,9 @@ class SolutionFrame:
         return np.linalg.solve(self.L1.T, self.L2.T).T
 
     @staticmethod
-    def from_stacked(F: np.ndarray, t: float, omega: BasePoint,
-                     basis_change: np.ndarray | None = None) -> "SolutionFrame":
+    def from_stacked(F: np.ndarray, t: float, omega: BasePoint) -> "SolutionFrame":
         n = F.shape[1]
-        return SolutionFrame(L1=F[:n, :], L2=F[n:, :], t=t, omega=omega,
-                             basis_change=basis_change)
+        return SolutionFrame(L1=F[:n, :], L2=F[n:, :], t=t, omega=omega)
 
 
 def _integrate_matrix(
@@ -138,9 +130,11 @@ def _integrate_matrix(
     t0: float,
     t1: float,
     tol: float,
+    t_eval: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Solve Y' = H(t) Y from t0 to t1 (either direction) with DOP853."""
-    if t1 == t0:
+    """Solve Y' = H(t) Y from t0 to t1 (either direction) with DOP853.
+    Returns Y(t1), or the stack of Y at each time of ``t_eval``."""
+    if t1 == t0 and t_eval is None:
         return Y0.copy()
     shape = Y0.shape
 
@@ -155,13 +149,16 @@ def _integrate_matrix(
         method="DOP853",
         rtol=tol,
         atol=tol * 1e-2,
+        t_eval=t_eval,
         dense_output=False,
     )
     if not sol.success:
         raise StiffnessError(
             f"integration stalled: {sol.message}", t_reached=float(sol.t[-1])
         )
-    return sol.y[:, -1].reshape(shape)
+    if t_eval is None:
+        return sol.y[:, -1].reshape(shape)
+    return np.moveaxis(sol.y, -1, 0).reshape(-1, *shape)
 
 
 def transfer_matrix(
@@ -197,30 +194,14 @@ def fundamental_matrix(
     t: float,
     tol: float = 1e-10,
     method: str = "auto",
-    resymplectify: bool = False,
     defect_tol: float = _DEFECT_TOL,
 ) -> CocycleValue:
     """U(t, omega): solution of U' = H(omega . s) U, U(0) = I."""
     U = transfer_matrix(field, omega, 0.0, t, tol=tol, method=method)
-    if resymplectify and not np.iscomplexobj(U):
-        U = _resymplectify(U)
     defect = symplectic_defect(U)
     degraded = bool(np.isfinite(defect) and defect > defect_tol)
     return CocycleValue(U=U, t=float(t), omega=omega,
                         symplectic_defect=defect, degraded=degraded)
-
-
-def _resymplectify(U: np.ndarray) -> np.ndarray:
-    """One correction step shrinking the symplectic defect quadratically.
-
-    With E = J^{-1} U^T J U (identity for exact symplectic U), replace
-    U <- U (I + (E - I)/2)^{-1}; accurate for small defects only.
-    """
-    n = U.shape[0] // 2
-    J = J_matrix(n)
-    E = np.linalg.solve(J, U.T @ J @ U)
-    I = np.eye(2 * n)
-    return U @ np.linalg.inv(I + 0.5 * (E - I))
 
 
 def propagate_frame(
@@ -241,8 +222,7 @@ def propagate_frame(
         F1 = expm(t * field.constant_matrix()) @ F0
     else:
         F1 = _integrate_matrix(field.H_of_t(frame.omega), F0, t0, t1, tol)
-    return SolutionFrame.from_stacked(F1, t=t1, omega=frame.omega,
-                                      basis_change=frame.basis_change)
+    return SolutionFrame.from_stacked(F1, t=t1, omega=frame.omega)
 
 
 def cocycle_check(
@@ -292,6 +272,8 @@ class ChunkedPropagator:
     [k h, (k+1) h] as well (so chunk -1 is [-h, 0]).  ``forward(k)``
     maps z(k h) to z((k+1) h); ``backward(k)`` is its inverse, computed
     by integrating in reverse rather than by matrix inversion.
+    ``sampled`` adds the transfer matrices to points inside a chunk, so
+    one propagation serves every initial condition as a product U(t) X.
     """
 
     def __init__(self, field: CoefficientField, omega: BasePoint,
@@ -303,6 +285,7 @@ class ChunkedPropagator:
         self._fwd: dict[int, np.ndarray] = {}
         self._bwd: dict[int, np.ndarray] = {}
         self._expm_cache: dict[float, np.ndarray] = {}
+        self._sampled: dict[tuple, np.ndarray] = {}
 
     def _expm_step(self, dt: float) -> np.ndarray:
         E = self._expm_cache.get(dt)
@@ -334,6 +317,34 @@ class ChunkedPropagator:
                                     method="adaptive")
             self._bwd[k] = M
         return M
+
+    def sampled(self, k: int, m: int, direction: str = "forward",
+                length: float | None = None) -> np.ndarray:
+        """Transfer matrices from the start of chunk k, traversed in
+        ``direction``, to m + 1 equally spaced points over its first
+        ``length`` (default h; less for a partial last chunk): an
+        (m + 1, 2n, 2n) stack whose first entry is the identity.  Forward
+        chunks start at k h, backward ones at (k + 1) h.
+
+        Constant fields take expm(tau H), cached per offset tau; other
+        fields one adaptive integration of the identity per chunk."""
+        L = self.h if length is None else float(length)
+        sign = 1.0 if direction == "forward" else -1.0
+        auto = self.field.is_autonomous
+        key = (None if auto else k, sign, m, L)
+        S = self._sampled.get(key)
+        if S is None:
+            taus = sign * L * np.arange(m + 1) / m
+            if auto:
+                S = np.stack([self._expm_step(tau) for tau in taus])
+            else:
+                t0 = (k if sign > 0 else k + 1) * self.h
+                dtype = complex if self.field.is_complex else float
+                I = np.eye(2 * self.field.n, dtype=dtype)
+                S = _integrate_matrix(self.field.H_of_t(self.omega), I, t0,
+                                      t0 + taus[-1], self.tol, t_eval=t0 + taus)
+            self._sampled[key] = S
+        return S
 
     def frame_chain(
         self,

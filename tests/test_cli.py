@@ -167,3 +167,34 @@ def test_problem_file_roundtrip_through_cli(tmp_path):
     _, rows = read_rows(tmp_path / "weyl.csv")
     plus = [r for r in rows if r[1] == "M+"][0]
     assert abs(float(plus[2])) <= 1e-8
+
+
+PERIODIC_LQ = {
+    "A": [{"k": [0], "cos": [[-0.5]]}, {"k": [1], "cos": [[0.3]]}],
+    "B": [[1.0]], "G": [[1.0]], "x0": [1.0],
+    "flow": {"kind": "periodic", "period": 4.0},
+}
+
+
+def test_periodic_lq_file_loads_time_varying_blocks(tmp_path):
+    from hamflow.base_flow import advance
+    from hamflow.cli import _load_lq
+
+    path = tmp_path / "lq.json"
+    path.write_text(json.dumps(PERIODIC_LQ))
+    p = _load_lq(str(path))
+    assert p.flow.kind == "periodic" and p.flow.period == 4.0
+    for t in (0.0, 0.7, 1.9, 3.3):
+        theta = advance(p.flow, p.flow.origin(), t).as_array()
+        want = -0.5 + 0.3 * np.cos(2.0 * np.pi * t / 4.0)
+        assert abs(p.A(theta)[0, 0] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("A", [{"oops": 1}, [{"k": [0], "cos": [[-0.5]]}, {"cos": [[0.3]]}]])
+def test_malformed_lq_block_is_an_error(tmp_path, capsys, A):
+    path = tmp_path / "lq.json"
+    path.write_text(json.dumps({**PERIODIC_LQ, "A": A}))
+    assert main(["lq", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err

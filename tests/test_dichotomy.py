@@ -11,10 +11,18 @@ from hamflow.dichotomy import (
     principal_angle,
     uwd_test,
 )
-from hamflow.hamiltonian import constant_field, perturb_h2
+from hamflow.base_flow import advance, make_flow
+from hamflow.hamiltonian import (
+    BlockMap,
+    CoefficientField,
+    TrigTerm,
+    constant_field,
+    perturb_h2,
+)
 from hamflow.riccati_weyl import weyl_minus, weyl_plus
 
 from conftest import random_spn_field
+from oracles import ivp_transfer
 
 
 def test_hyperbolic_constant_field_is_ed():
@@ -154,3 +162,65 @@ def test_classify_ex1_is_definite_case(ex1):
     rep = classify_family(ex1, which="H3")
     assert rep.alternative == "O1"
     assert rep.which == "H3"
+
+
+def _oracle_gram(field, omega, horizon, per_unit=16, growth_cap=1e3):
+    """Two-sided Gram of Delta z2 by composite Simpson over unit pieces,
+    each sample from an independent dense IVP solve, stopping after the
+    piece where ||U|| first exceeds growth_cap."""
+    n = field.n
+    w = np.ones(per_unit + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w /= 3.0 * per_unit
+    G = np.zeros((2 * n, 2 * n))
+    for sign in (1.0, -1.0):
+        U = np.eye(2 * n)
+        for k in range(int(horizon)):
+            start = advance(field.flow, omega, sign * k)
+            for j in range(per_unit + 1):
+                Uj = ivp_transfer(field, start, sign * j / per_unit) @ U
+                K = field.eval_delta(omega, sign * (k + j / per_unit)) @ Uj[n:, :]
+                G += w[j] * K.T @ K
+            U = Uj
+            if np.linalg.norm(U, 2) > growth_cap:
+                break
+    return G
+
+
+def test_atkinson_gram_matches_dense_ivp_on_torus_field(torus_demo):
+    om = torus_demo.flow.origin()
+    rep = atkinson_check(torus_demo, om, horizon=8.0)
+    want = np.linalg.eigvalsh(_oracle_gram(torus_demo, om, 8.0)).min()
+    assert rep.satisfied
+    assert abs(rep.lambda_min - want) <= 1e-8 * abs(want)
+
+
+def test_bounded_witness_on_periodic_field():
+    # z2' = 0 and z1' = a(t) z2: (1, 0) is a constant solution, every
+    # other one grows linearly
+    flow = make_flow({"kind": "periodic", "period": 3.0})
+    h3 = BlockMap(n=1, const=np.array([[1.0]]),
+                  terms=(TrigTerm(k=(1,), cos=np.array([[0.5]]), sin=None),))
+    zero = BlockMap.constant(np.zeros((1, 1)))
+    f = CoefficientField(n=1, flow=flow, H1=zero, H2=zero, H3=h3)
+    rep = bounded_solution_witness(f, f.flow.origin(), T=8.0, shape="(z1,0)")
+    assert rep.found
+    assert rep.shape_residual == 0.0
+    assert abs(rep.growth_ratio - 1.0) <= 1e-8
+    free = bounded_solution_witness(f, f.flow.origin(), T=8.0)
+    assert abs(abs(free.z0[0]) - 1.0) <= 1e-6
+
+
+def test_constant_field_classification_makes_no_integrator_call(abnormal, monkeypatch):
+    import hamflow.dichotomy
+    import hamflow.propagator
+
+    calls = []
+    for mod in (hamflow.dichotomy, hamflow.propagator):
+        def counting(*args, _orig=mod.solve_ivp, **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(mod, "solve_ivp", counting)
+    rep = classify_family(abnormal, probes=(0.0, 1j))
+    assert rep.alternative == "O2"
+    assert len(calls) == 0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamflow.base_flow import advance
 from hamflow.hamiltonian import J_matrix, constant_field
 from hamflow.presets import get_preset
 from hamflow.propagator import (
@@ -90,3 +91,40 @@ def test_chunked_propagator_exponents_on_hyperbolic_field():
     prop = ChunkedPropagator(f, f.flow.origin(), h=1.0, tol=1e-10)
     chi = prop.qr_exponents(16.0)
     np.testing.assert_allclose(sorted(chi), [-1.0, 1.0], atol=1e-8)
+
+
+def _rel_err(got, want):
+    return np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2)
+
+
+# (chunk index, direction, length): forward, backward and partial chunks
+SAMPLED_CHUNKS = [(0, "forward", None), (3, "forward", None), (-1, "backward", None),
+                  (-4, "backward", None), (5, "forward", 0.37), (-2, "backward", 0.37)]
+
+
+@pytest.mark.parametrize("k,direction,length", SAMPLED_CHUNKS)
+def test_sampled_chunk_matches_matrix_exponential(ex2, k, direction, length):
+    prop = ChunkedPropagator(ex2, ex2.flow.origin())
+    m = 8
+    S = prop.sampled(k, m, direction, length)
+    assert S.shape == (m + 1, 2, 2)
+    L = 1.0 if length is None else length
+    sign = 1.0 if direction == "forward" else -1.0
+    for j in range(m + 1):
+        assert _rel_err(S[j], expm_transfer(ex2, sign * L * j / m)) <= 1e-8
+
+
+@pytest.mark.parametrize("k,direction,length", SAMPLED_CHUNKS)
+def test_sampled_chunk_matches_dense_ivp_on_torus_field(torus_demo, k, direction, length):
+    om = torus_demo.flow.origin()
+    prop = ChunkedPropagator(torus_demo, om)
+    m = 4
+    S = prop.sampled(k, m, direction, length)
+    L = 1.0 if length is None else length
+    sign = 1.0 if direction == "forward" else -1.0
+    start = advance(torus_demo.flow, om, float(k if sign > 0 else k + 1))
+    for j in range(m + 1):
+        want = ivp_transfer(torus_demo, start, sign * L * j / m)
+        assert _rel_err(S[j], want) <= 1e-8
+    # the chunk is integrated once and then served from the cache
+    assert prop.sampled(k, m, direction, length) is S
