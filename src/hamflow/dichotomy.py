@@ -30,6 +30,7 @@ from .hamiltonian import (
     swap_variables,
 )
 from .propagator import ChunkedPropagator, SolutionFrame, _positive_qr
+from .riccati_weyl import plane_distance
 
 __all__ = [
     "EDThresholds",
@@ -205,7 +206,7 @@ def _analyze_point(
             )
             m_ext_prev = m_ext
             last_agree = max(
-                _plane_dist(prev["lp"], lp), _plane_dist(prev["lm"], lm)
+                plane_distance(prev["lp"], lp), plane_distance(prev["lm"], lm)
             )
             last_angle = principal_angle(lp, lm)
             if (
@@ -254,10 +255,6 @@ def _analyze_point(
         principal_angle=last_angle, T_used=history[-1][0],
         l_plus=None, l_minus=None, reason=reason,
     )
-
-
-def _plane_dist(F: np.ndarray, G: np.ndarray) -> float:
-    return float(np.linalg.norm(F @ F.conj().T - G @ G.conj().T, 2))
 
 
 def _eta_estimate(

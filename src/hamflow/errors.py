@@ -73,10 +73,6 @@ class WeylNonexistence(ToolkitError):
         self.smallest_singular_value = float(smallest_singular_value)
 
 
-# Alias used by callers that phrase the failure as a nonoscillation issue.
-NCFailure = WeylNonexistence
-
-
 class NonInvertibleTopBlock(ToolkitError):
     """Finite-horizon principal-frame top block is singular at readback time."""
 
@@ -87,20 +83,6 @@ class DivergentLimit(ToolkitError):
 
 class UnwrapFailure(ToolkitError):
     """Argument tracking could not keep |increment| < pi/2 at the smallest dt."""
-
-
-class PredicateInconclusive(ToolkitError):
-    """A three-valued bisection predicate returned neither pass nor fail.
-
-    Attributes
-    ----------
-    at : float
-        Parameter value where the predicate was inconclusive.
-    """
-
-    def __init__(self, message: str, at: float):
-        super().__init__(message)
-        self.at = float(at)
 
 
 class SignViolation(ToolkitError):
@@ -126,12 +108,6 @@ class GoldenMismatch(ToolkitError):
     def __init__(self, message: str, diffs):
         super().__init__(message)
         self.diffs = list(diffs)
-
-    def table(self) -> str:
-        lines = ["quantity            computed        expected        tol"]
-        for name, got, want, tol in self.diffs:
-            lines.append(f"{name:<20}{got!s:<16}{want!s:<16}{tol:g}")
-        return "\n".join(lines)
 
 
 class SchemaError(ToolkitError):

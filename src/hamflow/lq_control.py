@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
+# Phases per period of the M+ table on periodic flows.
+_PERIOD_PHASES = 16
 
 
 def _as_block(M, n: int, what: str) -> BlockMap:
@@ -249,17 +251,22 @@ def synthesize(
     # flow is the same instability (M+ attracts backward, not forward).
     # Instead M+ is evaluated per time point, and only the n-dimensional
     # closed-loop state is integrated, pinned to the graph y = M x.
-    if field.H1.is_constant and field.H2.is_constant and field.H3.is_constant:
+    def M_at(tg):
+        return np.real(weyl_plus(field, advance(flow, omega, tg), lam=0.0,
+                                 family=None, tol=min(tol, 1e-9)).M)
+
+    if field.is_autonomous:
         def M_of_t(t):
             return M
+    elif flow.kind == "periodic":
+        # M+ repeats with the base point: one table over a period, closed
+        # by M+(0) and extrapolated periodically.
+        grid = np.linspace(0.0, flow.period, _PERIOD_PHASES + 1)
+        Ms = np.array([M] + [M_at(tg) for tg in grid[1:-1]] + [M])
+        M_of_t = CubicSpline(grid, Ms, axis=0, bc_type="periodic")
     else:
         grid = np.linspace(0.0, T_report, max(17, int(2.0 * T_report) + 1))
-        Ms = np.array([
-            np.real(weyl_plus(field, advance(flow, omega, tg), lam=0.0,
-                              family=None, tol=min(tol, 1e-9)).M)
-            for tg in grid
-        ])
-        M_of_t = CubicSpline(grid, Ms, axis=0)
+        M_of_t = CubicSpline(grid, np.array([M_at(tg) for tg in grid]), axis=0)
 
     def rhs(t, state):
         x = state[:-1]

@@ -5,10 +5,13 @@ The Weyl functions are computed as graph representations of limiting
 Lagrange planes: a seed plane is carried backward from a large horizon T
 to time 0 (for M+; forward from -T for M-) with per-chunk
 re-orthonormalization, and the horizon is doubled until successive
-estimates agree.  The Riccati flow itself blows up in finite time exactly
-where the graph representation degenerates, so the plane route is the
-primary one; direct Riccati stepping is provided separately and the two
-are cross-checked in the test suite.
+estimates agree.  Constant fields take the stable/unstable eigenspace of
+H instead, and periodic ones the stable/unstable subspace of the
+one-period monodromy matrix; both fall back to horizon doubling when
+their spectral split is not clean.  The Riccati flow itself blows up in
+finite time exactly where the graph representation degenerates, so the
+plane route is the primary one; direct Riccati stepping is provided
+separately and the two are cross-checked in the test suite.
 
 The spectral parameter enters through the perturbation families: by
 default lambda shifts the lower-left block (H2 -> H2 - lambda Delta), the
@@ -24,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import schur
 
 from .base_flow import BasePoint
 from .errors import (
@@ -35,8 +39,8 @@ from .errors import (
     ToolkitError,
     WeylNonexistence,
 )
-from .hamiltonian import CoefficientField, perturb_h2, perturb_h3
-from .propagator import ChunkedPropagator, SolutionFrame
+from .hamiltonian import CoefficientField, J_matrix, perturb_h2, perturb_h3
+from .propagator import ChunkedPropagator, transfer_matrix
 
 __all__ = [
     "WeylMatrix",
@@ -50,6 +54,14 @@ __all__ = [
 
 _TOP_BLOCK_TOL = 1e-8
 _SYMMETRY_TOL = 1e-9
+# Integration tolerance of chunk transfer matrices and of the one-period
+# monodromy matrix.
+_PROPAGATION_TOL = 1e-11
+# Smallest gap in log|multiplier| between the decaying and the growing
+# halves that counts as a clean Floquet split.  Multipliers on the unit
+# circle come out off it by the integration error, or by its square root
+# for a Jordan block, both far below this.
+_FLOQUET_MARGIN = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,18 +207,20 @@ def _limit_plane(
     T0: float,
     max_doublings: int,
     min_comparisons: int = 3,
-    chunk_tol: float = 1e-11,
+    prop: ChunkedPropagator | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Carry the seed plane from horizon +-T to 0, doubling T until the
     plane at 0 stabilizes.
 
     side "plus": seed sits at +T, carried backward (the forward-decaying
     plane is backward-dominant, so generic seeds converge to it).
-    side "minus": seed at -T, carried forward.
+    side "minus": seed at -T, carried forward.  ``prop`` lets several
+    seeds share one chunk cache; by default a fresh one is built.
 
     Returns (orthonormal frame at 0, last increment, T used).
     """
-    prop = ChunkedPropagator(field, omega, h=1.0, tol=chunk_tol)
+    if prop is None:
+        prop = ChunkedPropagator(field, omega, h=1.0, tol=_PROPAGATION_TOL)
     m0 = max(2, int(np.ceil(T0)))
 
     def plane_at_zero(m: int) -> np.ndarray:
@@ -254,6 +268,42 @@ def _eig_plane(field: CoefficientField, side: str) -> tuple[np.ndarray, float]:
     F = _orthonormal_frame(V[:, sel])
     cond = np.linalg.cond(V)
     return F, float(1e-15 * cond / max(gap, 1e-15))
+
+
+def _floquet_plane(
+    field: CoefficientField, omega: BasePoint, side: str, tol: float
+) -> tuple[np.ndarray, float]:
+    """Stable (side plus) / unstable (side minus) subspace frame of the
+    one-period monodromy matrix of a periodic field, from an ordered Schur
+    form; raises if the split at the unit circle is not clean or the
+    subspace error bound exceeds ``tol``."""
+    n = field.n
+    Phi = transfer_matrix(field, omega, 0.0, field.flow.period,
+                          tol=_PROPAGATION_TOL, method="adaptive")
+    if not np.all(np.isfinite(Phi)):
+        raise ToolkitError("monodromy matrix is not finite")
+    T, Z, sdim = schur(Phi, output="complex" if np.iscomplexobj(Phi) else "real",
+                       sort="iuc" if side == "plus" else "ouc")
+    if sdim != n:
+        raise ToolkitError(f"{sdim} of {2 * n} Floquet multipliers on the {side} side")
+    T11, T22 = T[:n, :n], T[n:, n:]
+    lead = np.log(np.abs(np.linalg.eigvals(T11)))
+    rest = np.log(np.abs(np.linalg.eigvals(T22)))
+    margin = rest.min() - lead.max() if side == "plus" else lead.min() - rest.max()
+    if not margin > _FLOQUET_MARGIN:
+        raise ToolkitError("no clean Floquet split at the unit circle")
+    # Phi is symplectic (Phi^T J Phi = J, also for complex lambda), so its
+    # defect measures the integration error a posteriori.  An error E moves
+    # the invariant subspace by at most 2 ||E|| / sep(T11, T22) (Stewart).
+    scale = float(np.linalg.norm(Phi, 2))
+    J = J_matrix(n)
+    rel = max(_PROPAGATION_TOL, float(np.linalg.norm(Phi.T @ J @ Phi - J, 2)) / scale ** 2)
+    I = np.eye(n)
+    sep = float(np.linalg.svd(np.kron(I, T11) - np.kron(T22.T, I), compute_uv=False)[-1])
+    err = 2.0 * rel * scale / sep if sep > 0.0 else float("inf")
+    if not err <= tol:
+        raise ToolkitError(f"Floquet subspace error bound {err:.3g} above {tol:g}")
+    return Z[:, :n], err
 
 
 def _frame_to_weyl(
@@ -306,18 +356,24 @@ def _weyl(
     role = "M+" if side == "plus" else "M-"
     if method not in ("auto", "frame", "eig"):
         raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "eig") and fam_field.is_autonomous:
+    if method == "eig" and not fam_field.is_autonomous:
+        raise ValueError("eig route requires a constant-coefficient field")
+    if method != "frame" and (fam_field.is_autonomous
+                              or fam_field.flow.kind == "periodic"):
         try:
-            F, err = _eig_plane(fam_field, side)
-            return _frame_to_weyl(F, role, omega, lam, err, float("inf"))
+            if fam_field.is_autonomous:
+                F, err = _eig_plane(fam_field, side)
+                T_used = float("inf")
+            else:
+                F, err = _floquet_plane(fam_field, omega, side, tol)
+                T_used = fam_field.flow.period
+            return _frame_to_weyl(F, role, omega, lam, err, T_used)
         except WeylNonexistence:
             raise
         except ToolkitError:
             if method == "eig":
                 raise
             # fall through to the frame route
-    elif method == "eig":
-        raise ValueError("eig route requires a constant-coefficient field")
 
     n = field.n
     if T0 is None:
@@ -339,10 +395,12 @@ def _weyl(
         seed_list = [np.asarray(seed)]
     frames: list[tuple[np.ndarray, float, float]] = []
     last_exc: ToolkitError | None = None
+    prop = ChunkedPropagator(fam_field, omega, h=1.0, tol=_PROPAGATION_TOL)
     for s in seed_list:
         try:
             frames.append(_limit_plane(
-                fam_field, omega, _seed_frame(n, s), side, tol, T0, max_doublings
+                fam_field, omega, _seed_frame(n, s), side, tol, T0, max_doublings,
+                prop=prop,
             ))
         except NoConvergence as exc:
             last_exc = exc
@@ -382,9 +440,12 @@ def weyl_plus(
     """M+(omega, lam): graph of the forward-decaying plane.
 
     Computed by carrying a seed plane backward from horizon T with
-    T-doubling agreement; ``method="eig"`` uses the stable eigenspace of
-    a constant field instead (cross-checked against the frame route in
-    tests).  Raises WeylNonexistence when the plane is vertical-degenerate
+    T-doubling agreement (``method="frame"``).  Under ``method="auto"`` a
+    constant field takes the stable eigenspace of H (also selectable as
+    ``method="eig"``) and a periodic one the stable subspace of its
+    one-period monodromy matrix, each falling back to the frame route
+    when the split is not clean; tests check both against the frame
+    route.  Raises WeylNonexistence when the plane is vertical-degenerate
     and NoConvergence when doubling never settles (no dichotomy nearby).
     """
     return _weyl(field, omega, lam, "plus", tol, family, seed, method,

@@ -49,3 +49,30 @@ def random_spn_field(rng: np.random.Generator, n: int = 2,
         return 0.5 * (S + S.T)
 
     return constant_field(A, sym(h2_pos), sym(h3_pos))
+
+
+def random_periodic_field(rng: np.random.Generator, n: int, period: float):
+    """A random hyperbolic field with one-harmonic periodic blocks
+    (H1 near -0.8 I, H2 and H3 near positive definite) and Delta = I."""
+    from hamflow.base_flow import make_flow
+    from hamflow.hamiltonian import BlockMap, CoefficientField, TrigTerm
+
+    def sym(scale):
+        A = rng.standard_normal((n, n))
+        return scale * 0.5 * (A + A.T)
+
+    def periodic(const, harmonic):
+        return BlockMap(n=n, const=const,
+                        terms=(TrigTerm(k=(1,), cos=harmonic(), sin=harmonic()),))
+
+    def definite():
+        S = rng.standard_normal((n, n))
+        return periodic(0.2 * S @ S.T + 0.5 * np.eye(n), lambda: sym(0.2))
+
+    H1 = periodic(-0.8 * np.eye(n) + 0.2 * rng.standard_normal((n, n)),
+                  lambda: 0.3 * rng.standard_normal((n, n)))
+    return CoefficientField(
+        n=n, flow=make_flow({"kind": "periodic", "period": period}),
+        H1=H1, H2=definite(), H3=definite(),
+        delta=BlockMap.constant(np.eye(n)), name="random-periodic",
+    )

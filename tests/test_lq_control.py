@@ -124,6 +124,7 @@ def test_periodic_problem_synthesizes_a_feasible_feedback():
     assert s.feasible
     assert s.state_residual <= 1e-6
     assert s.value > 0
+    assert abs(s.value - s.closed_form_value()) <= 1e-9
     rng = np.random.default_rng(17)
     for _ in range(5):
         a, w = rng.uniform(0.05, 0.3), rng.uniform(0.3, 2.0)

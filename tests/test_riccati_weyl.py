@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from hamflow.base_flow import advance
-from hamflow.errors import NoConvergence, WeylNonexistence
-from hamflow.hamiltonian import constant_field, perturb_h2
+import hamflow.propagator as propagator
+import hamflow.riccati_weyl as riccati_weyl
+from hamflow.base_flow import BasePoint, advance, make_flow
+from hamflow.errors import NoConvergence, ToolkitError, WeylNonexistence
+from hamflow.hamiltonian import BlockMap, CoefficientField, TrigTerm, constant_field, perturb_h2
 from hamflow.riccati_weyl import (
     apply_family,
     boundary_limit,
@@ -14,7 +16,7 @@ from hamflow.riccati_weyl import (
     weyl_plus,
 )
 
-from conftest import random_spn_field
+from conftest import random_periodic_field, random_spn_field
 from oracles import schur_stable_weyl, schur_unstable_weyl
 
 
@@ -62,6 +64,71 @@ def test_eig_and_frame_routes_agree_on_random_hyperbolic_fields():
         np.testing.assert_allclose(a.M, b.M, atol=1e-7)
         np.testing.assert_allclose(np.real(a.M), schur_stable_weyl(H), atol=1e-8)
         done += 1
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _graph_frame(M):
+    n = M.shape[0]
+    return np.linalg.qr(np.vstack([np.eye(n), M]))[0]
+
+
+@pytest.mark.parametrize("n, period", [(1, 0.7), (1, 5.0), (2, 2.0), (2, 5.0)])
+def test_floquet_and_frame_routes_agree_on_random_periodic_fields(monkeypatch, n, period):
+    rng = np.random.default_rng(100 * n + int(10 * period))
+    f = random_periodic_field(rng, n, period)
+    om = BasePoint((float(rng.uniform()),))
+    for lam in (0.0, 0.5 + 1j, -0.3 + 0.2j):
+        for weyl in (weyl_plus, weyl_minus):
+            b = weyl(f, om, lam=lam, method="frame")
+            integrations = _counting(monkeypatch, riccati_weyl, "transfer_matrix")
+            doublings = _counting(monkeypatch, riccati_weyl, "_limit_plane")
+            a = weyl(f, om, lam=lam)
+            monkeypatch.undo()
+            assert (len(integrations), len(doublings)) == (1, 0)
+            assert a.T_used == period
+            np.testing.assert_allclose(a.M, b.M, atol=1e-9, rtol=0)
+            dist = plane_distance(_graph_frame(a.M), _graph_frame(b.M))
+            assert dist <= a.convergence_error + b.convergence_error
+
+
+@pytest.mark.parametrize("stiffness", [[1.0], [1.0, 4.0]])
+def test_floquet_route_falls_back_on_unit_circle_multipliers(stiffness):
+    # x'' = -K (1 + 0.1 cos(2 pi t)) x is elliptic: every multiplier sits
+    # on the unit circle, there is no decaying plane, and the Floquet route
+    # must hand over to horizon doubling, which reports the failure.  With
+    # two oscillators an elliptic pair is itself a clean invariant plane.
+    n = len(stiffness)
+    K = np.diag(stiffness)
+    f = CoefficientField(
+        n=n, flow=make_flow({"kind": "periodic", "period": 1.0}),
+        H1=BlockMap.zero(n),
+        H2=BlockMap(n=n, const=-K, terms=(TrigTerm(k=(1,), cos=-0.1 * K, sin=None),)),
+        H3=BlockMap.constant(np.eye(n)),
+    )
+    errors = []
+    for method in ("frame", "auto"):
+        with pytest.raises(ToolkitError) as info:
+            weyl_plus(f, lam=0.0, family=None, method=method, max_doublings=3)
+        errors.append(type(info.value))
+    assert errors[0] is errors[1]
+
+
+def test_weyl_seeds_share_one_chunk_cache(monkeypatch, torus_demo):
+    # two random seeds, T doubled to 64: one integration per chunk
+    integrations = _counting(monkeypatch, propagator, "transfer_matrix")
+    W = weyl_plus(torus_demo, torus_demo.flow.origin(), lam=0.0)
+    assert W.T_used == 64.0
+    assert len(integrations) == 64
 
 
 def test_weyl_minus_matches_unstable_schur_oracle():
