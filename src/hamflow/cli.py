@@ -181,11 +181,16 @@ def cmd_examples(cfg: RunConfig) -> int:
 
     weyl_rows = []
     for lam in preset.weyl_lambdas:
-        W = weyl_plus(field, lam=lam, family=None if lam == 0.0 else "H2")
+        family = None if lam == 0.0 else "H2"
+        W = weyl_plus(field, lam=lam, family=family)
         got = complex(W.M[0, 0]) if field.n == 1 else np.nan
         if preset.weyl_plus_law is not None and field.n == 1:
             want = complex(preset.weyl_plus_law(lam))
             checks.append((f"M_plus({lam:g})", abs(got - want), 0.0, 1e-6))
+        if preset.weyl_minus_law is not None and field.n == 1:
+            got_minus = complex(weyl_minus(field, lam=lam, family=family).M[0, 0])
+            want = complex(preset.weyl_minus_law(lam))
+            checks.append((f"M_minus({lam:g})", abs(got_minus - want), 0.0, 1e-6))
         weyl_rows.append((lam, got.real, got.imag, W.convergence_error))
     m_minus_note = ""
     if not preset.m_minus_exists:

@@ -2,7 +2,10 @@
 the Atkinson positivity check, and the O1/O2 classification of
 perturbation families.
 
-Dichotomy detection is finite-time: exponents come from a chunked QR
+On constant and periodic fields, dichotomy detection first reads the
+multipliers of the one-period monodromy matrix: ED holds exactly when
+none lies on the unit circle.  Where that split is not clear, and on
+torus fields, detection is finite-time: exponents come from a chunked QR
 decomposition of the transfer operators at horizon T, and the decaying
 planes from carrying a generic seed plane in from +-T.  Both are doubled
 in T until they stabilize, and the verdict is three-valued because a
@@ -18,19 +21,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .base_flow import BasePoint
-from .errors import InvalidCoefficients
+from .errors import InvalidCoefficients, ToolkitError
 from .hamiltonian import (
-    BlockMap,
     CoefficientField,
+    _with_delta,
     perturb_h2,
     perturb_h3,
     swap_variables,
 )
-from .propagator import ChunkedPropagator, SolutionFrame, _positive_qr
-from .riccati_weyl import plane_distance
+from .propagator import ChunkedPropagator, SolutionFrame, _positive_qr, transfer_matrix
+from .riccati_weyl import _PROPAGATION_TOL, _floquet_split, plane_distance
 
 __all__ = [
     "EDThresholds",
@@ -162,8 +164,68 @@ def _analyze_point(
 ) -> PointEvidence:
     if th.T0 > T_max:
         raise ValueError("T0 exceeds T_max")
-    prop = ChunkedPropagator(field, omega, h=1.0, tol=1e-11)
-    n = field.n
+    prop = ChunkedPropagator(field, omega, h=1.0, tol=_PROPAGATION_TOL)
+    return _spectral_point(prop, th) or _doubling_point(prop, T_max, th)
+
+
+def _spectral_point(prop: ChunkedPropagator, th: EDThresholds) -> PointEvidence | None:
+    """Verdict from the multipliers of the one-period monodromy matrix
+    (one chunk's expm for a constant field, which is periodic with any
+    period): a multiplier on the unit circle rules ED out, and a clean
+    split off it with transversal, well-conditioned invariant subspaces
+    is ED with the exact rate.  None when neither is clear, and on torus
+    flows, which have no period."""
+    field, omega = prop.field, prop.omega
+    if field.is_autonomous:
+        Phi, period = prop.forward(0), prop.h
+    elif field.flow.kind == "periodic":
+        period = field.flow.period
+        Phi = transfer_matrix(field, omega, 0.0, period, tol=_PROPAGATION_TOL,
+                              method="adaptive")
+    else:
+        return None
+    if not np.all(np.isfinite(Phi)):
+        return None
+    chi = np.sort(np.log(np.abs(np.linalg.eigvals(Phi))) / period)[::-1]
+    beta = float(np.min(np.abs(chi)))
+    history = ((float(period), beta),)
+    if beta < min(1e-6, 0.5 * th.beta_min):
+        return PointEvidence(
+            omega=omega, verdict="noED", exponents=tuple(chi),
+            margin_history=history, frame_agreement=float("inf"),
+            principal_angle=0.0, T_used=float(period), l_plus=None, l_minus=None,
+            reason="Floquet multiplier on the unit circle",
+        )
+    if beta < th.beta_min:
+        return None
+    try:
+        lp, err_p, _ = _floquet_split(Phi, "plus")
+        lm, err_m, _ = _floquet_split(Phi, "minus")
+    except ToolkitError:
+        return None
+    agree = max(err_p, err_m)
+    angle = principal_angle(lp, lm)
+    if not (agree <= th.agreement and angle >= th.angle_min):
+        return None
+    # eta walks the planes over 8 chunks, as after a horizon-16 ED verdict
+    # of the doubling route
+    return PointEvidence(
+        omega=omega, verdict="ED", exponents=tuple(chi), margin_history=history,
+        frame_agreement=agree, principal_angle=angle, T_used=float(period),
+        l_plus=SolutionFrame.from_stacked(lp, 0.0, omega),
+        l_minus=SolutionFrame.from_stacked(lm, 0.0, omega),
+        reason="Floquet multipliers split off the unit circle",
+        beta_point=beta, eta_point=_eta_estimate(prop, lp, lm, beta, 16),
+    )
+
+
+def _doubling_point(
+    prop: ChunkedPropagator, T_max: float, th: EDThresholds
+) -> PointEvidence:
+    """Verdict by horizon doubling of QR exponents and carried planes; the
+    route for torus fields, and the reference for the spectral one."""
+    omega = prop.omega
+    n = prop.field.n
     seed = _generic_seed(2 * n, n)
     T = max(2.0, th.T0)
     history: list[tuple[float, float]] = []
@@ -293,7 +355,10 @@ def detect_ed(
 ) -> DichotomyReport:
     """Three-valued exponential-dichotomy detector.
 
-    Per sampled base point: chunked-QR exponents at horizon T give the
+    Per sampled base point of a constant or periodic field, the Floquet
+    multipliers decide when they are clearly on the unit circle (noED) or
+    clearly split off it (ED, with beta the smallest |Floquet exponent|).
+    Otherwise, and on torus fields, chunked-QR exponents at horizon T give the
     contraction margin, and generic planes carried in from +-T estimate
     the decaying/growing bundles.  T doubles until either the margin
     extrapolates to zero (noED), or it stays above beta_min while the
@@ -429,9 +494,11 @@ def uwd_test(
     """Uniform weak disconjugacy probe: propagate the vertical plane and
     track the determinant of its top block.
 
-    The frame is re-orthonormalized chunkwise with a positive-diagonal QR,
-    which rescales the determinant by a positive factor and so preserves
-    its zeros and (real case) sign changes.  Suspects are sign changes and
+    The plane is carried by one sampled chunk propagator per base point
+    (the cached matrix exponential on constant fields) and is
+    re-orthonormalized chunkwise with a positive-diagonal QR, which
+    rescales the determinant by a positive factor and so preserves its
+    zeros and (real case) sign changes.  Suspects are sign changes and
     near-zero dips; the verdict is true when the final half of [0, t_max]
     is clean, and t0_hat is the last suspect time.
     """
@@ -444,38 +511,32 @@ def uwd_test(
     profile: list[tuple[float, float]] = []
     samples_per_chunk = max(2, int(round(1.0 / dt)))
     for omega in grid:
-        Hfun = field.H_of_t(omega)
+        prop = ChunkedPropagator(field, omega, h=1.0, tol=tol)
         F = np.vstack([np.zeros((n, n)), np.eye(n)])
-        t0 = 0.0
+        t0, k = 0.0, 0
         prev_det = None
-        chunk = 1.0
         while t0 < t_max - 1e-12:
-            t1 = min(t0 + chunk, t_max)
-            ts = np.linspace(t0, t1, samples_per_chunk + 1)
-            sol = solve_ivp(
-                lambda s, y: (Hfun(s) @ y.reshape(2 * n, n)).reshape(-1),
-                (t0, t1), F.reshape(-1), method="DOP853",
-                rtol=tol, atol=tol * 1e-2, t_eval=ts, dense_output=True,
-            )
-            if not sol.success:
-                raise InvalidCoefficients(f"frame integration failed: {sol.message}")
-            for j, t in enumerate(ts[1:], start=1):
-                d = float(np.linalg.det(sol.y[:, j].reshape(2 * n, n)[:n, :]))
+            L = min(prop.h, t_max - t0)
+            ts = t0 + L * np.arange(samples_per_chunk + 1) / samples_per_chunk
+            Fs = prop.sampled(k, samples_per_chunk, "forward", L) @ F
+            dets = np.linalg.det(Fs[:, :n, :])
+            for j in range(1, len(ts)):
+                t, d = float(ts[j]), float(dets[j])
                 if prev_det is not None:
                     if prev_det * d < 0.0:
-                        all_suspects.append(_refine_crossing(sol, ts[j - 1], t, n))
+                        all_suspects.append(_refine_crossing(
+                            field, omega, Fs[j - 1], ts[j - 1], t, tol))
                     elif abs(d) < det_tol:
-                        all_suspects.append(float(t))
+                        all_suspects.append(t)
                 elif abs(d) < det_tol and t > 2.0 * dt:
-                    all_suspects.append(float(t))
+                    all_suspects.append(t)
                 prev_det = d
-                profile.append((float(t), d))
-            F_end = sol.y[:, -1].reshape(2 * n, n)
-            Q, R = _positive_qr(F_end)
+                profile.append((t, d))
+            Q, _ = _positive_qr(Fs[-1])
             F = Q
             # positive det(R): rescaling keeps the tracked sign meaningful
-            prev_det = float(np.linalg.det(F[:n, :]))
-            t0 = t1
+            prev_det = _top_det(F)
+            t0, k = t0 + L, k + 1
     all_suspects.sort()
     t0_hat = all_suspects[-1] if all_suspects else 0.0
     verdict = not any(s > 0.5 * t_max for s in all_suspects)
@@ -489,19 +550,27 @@ def uwd_test(
     )
 
 
-def _refine_crossing(sol, ta: float, tb: float, n: int) -> float:
-    det = lambda t: float(np.linalg.det(sol.sol(t).reshape(2 * n, n)[:n, :]))
-    fa = det(ta)
+def _top_det(F: np.ndarray) -> float:
+    return float(np.linalg.det(F[: F.shape[1], :]))
+
+
+def _refine_crossing(field: CoefficientField, omega: BasePoint, F_a: np.ndarray,
+                     ta: float, tb: float, tol: float) -> float:
+    """Bisect a sign change of det(top block) between ta and tb, carrying
+    the frame F_a at ta by one transfer matrix per probe."""
+    det = lambda t: _top_det(transfer_matrix(field, omega, ta, t, tol=tol) @ F_a)
+    fa = _top_det(F_a)
+    t_lo = ta
     for _ in range(40):
-        tm = 0.5 * (ta + tb)
+        tm = 0.5 * (t_lo + tb)
         fm = det(tm)
         if fa * fm <= 0.0:
             tb = tm
         else:
-            ta, fa = tm, fm
-        if tb - ta < 1e-9:
+            t_lo, fa = tm, fm
+        if tb - t_lo < 1e-9:
             break
-    return 0.5 * (ta + tb)
+    return 0.5 * (t_lo + tb)
 
 
 @dataclass(frozen=True, eq=False)
@@ -872,15 +941,7 @@ def classify_family(
     """
     if which not in ("H3", "H2"):
         raise ValueError("which must be 'H3' or 'H2'")
-    if delta is not None:
-        if not isinstance(delta, BlockMap):
-            delta = BlockMap.constant(np.atleast_2d(np.asarray(delta, dtype=float)))
-        field = CoefficientField(
-            n=field.n, flow=field.flow, H1=field.H1, H2=field.H2, H3=field.H3,
-            delta=delta, flags=field.flags, tags=field.tags, name=field.name,
-        )
-    if field.delta is None:
-        raise InvalidCoefficients("classify_family needs a perturbation direction")
+    field = _with_delta(field, delta)
     if omega is None:
         omega = field.flow.origin()
     if probes is None:

@@ -394,6 +394,19 @@ def perturb_h2(field: CoefficientField, lam: complex) -> CoefficientField:
     )
 
 
+def _with_delta(field: CoefficientField, delta=None) -> CoefficientField:
+    """The field with perturbation direction ``delta`` (a BlockMap or a
+    constant matrix) attached; with delta None, the field itself, which
+    must then carry a Delta."""
+    if delta is None:
+        if field.delta is None:
+            raise InvalidCoefficients("a perturbation direction Delta is required")
+        return field
+    if not isinstance(delta, BlockMap):
+        delta = BlockMap.constant(np.atleast_2d(np.asarray(delta, dtype=float)))
+    return replace(field, delta=delta)
+
+
 def regularize(field: CoefficientField, eps: float) -> CoefficientField:
     """H3 -> H3 + eps * I.  Negative eps is allowed but flagged."""
     if eps == 0:

@@ -24,7 +24,7 @@ from scipy.integrate import quad_vec
 from .base_flow import BasePoint
 from .dichotomy import detect_ed, nonoscillation_check, uwd_test
 from .errors import DivergentLimit, SignViolation, ToolkitError
-from .hamiltonian import BlockMap, CoefficientField, perturb_h2, regularize
+from .hamiltonian import CoefficientField, _with_delta, perturb_h2, regularize
 from .riccati_weyl import weyl_minus, weyl_plus
 
 __all__ = [
@@ -96,19 +96,6 @@ class MonotonicityCertificate:
             "passed": self.passed,
             "n_points": self.n_points,
         }
-
-
-def _with_delta(field: CoefficientField, delta) -> CoefficientField:
-    if delta is None:
-        if field.delta is None:
-            raise ToolkitError("a perturbation direction Delta is required")
-        return field
-    if not isinstance(delta, BlockMap):
-        delta = BlockMap.constant(np.atleast_2d(np.asarray(delta, dtype=float)))
-    return CoefficientField(
-        n=field.n, flow=field.flow, H1=field.H1, H2=field.H2, H3=field.H3,
-        delta=delta, flags=field.flags, tags=field.tags, name=field.name,
-    )
 
 
 def _check_delta_pd(field: CoefficientField) -> None:

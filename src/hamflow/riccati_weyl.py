@@ -270,16 +270,13 @@ def _eig_plane(field: CoefficientField, side: str) -> tuple[np.ndarray, float]:
     return F, float(1e-15 * cond / max(gap, 1e-15))
 
 
-def _floquet_plane(
-    field: CoefficientField, omega: BasePoint, side: str, tol: float
-) -> tuple[np.ndarray, float]:
-    """Stable (side plus) / unstable (side minus) subspace frame of the
-    one-period monodromy matrix of a periodic field, from an ordered Schur
-    form; raises if the split at the unit circle is not clean or the
-    subspace error bound exceeds ``tol``."""
-    n = field.n
-    Phi = transfer_matrix(field, omega, 0.0, field.flow.period,
-                          tol=_PROPAGATION_TOL, method="adaptive")
+def _floquet_split(Phi: np.ndarray, side: str) -> tuple[np.ndarray, float, float]:
+    """Invariant subspace of a monodromy matrix Phi for its multipliers
+    inside (side plus) / outside (side minus) the unit circle, from an
+    ordered Schur form.  Returns (orthonormal frame, error bound, gap in
+    log|multiplier| between the two halves); raises if Phi is not finite
+    or that side does not hold exactly half of the multipliers."""
+    n = Phi.shape[0] // 2
     if not np.all(np.isfinite(Phi)):
         raise ToolkitError("monodromy matrix is not finite")
     T, Z, sdim = schur(Phi, output="complex" if np.iscomplexobj(Phi) else "real",
@@ -290,8 +287,6 @@ def _floquet_plane(
     lead = np.log(np.abs(np.linalg.eigvals(T11)))
     rest = np.log(np.abs(np.linalg.eigvals(T22)))
     margin = rest.min() - lead.max() if side == "plus" else lead.min() - rest.max()
-    if not margin > _FLOQUET_MARGIN:
-        raise ToolkitError("no clean Floquet split at the unit circle")
     # Phi is symplectic (Phi^T J Phi = J, also for complex lambda), so its
     # defect measures the integration error a posteriori.  An error E moves
     # the invariant subspace by at most 2 ||E|| / sep(T11, T22) (Stewart).
@@ -301,9 +296,24 @@ def _floquet_plane(
     I = np.eye(n)
     sep = float(np.linalg.svd(np.kron(I, T11) - np.kron(T22.T, I), compute_uv=False)[-1])
     err = 2.0 * rel * scale / sep if sep > 0.0 else float("inf")
+    return Z[:, :n], err, float(margin)
+
+
+def _floquet_plane(
+    field: CoefficientField, omega: BasePoint, side: str, tol: float
+) -> tuple[np.ndarray, float]:
+    """Stable (side plus) / unstable (side minus) subspace frame of the
+    one-period monodromy matrix of a periodic field; raises if the split
+    at the unit circle is not clean or the subspace error bound exceeds
+    ``tol``."""
+    Phi = transfer_matrix(field, omega, 0.0, field.flow.period,
+                          tol=_PROPAGATION_TOL, method="adaptive")
+    F, err, margin = _floquet_split(Phi, side)
+    if not margin > _FLOQUET_MARGIN:
+        raise ToolkitError("no clean Floquet split at the unit circle")
     if not err <= tol:
         raise ToolkitError(f"Floquet subspace error bound {err:.3g} above {tol:g}")
-    return Z[:, :n], err
+    return F, err
 
 
 def _frame_to_weyl(

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 
 from .base_flow import BasePoint
 from .errors import InvalidCoefficients, StiffnessError, UnwrapFailure
-from .hamiltonian import BlockMap, CoefficientField, perturb_h2
+from .hamiltonian import CoefficientField, _with_delta, perturb_h2
 from .propagator import _positive_qr
 
 __all__ = [
@@ -246,15 +246,7 @@ def rotation_profile(
     alphas = [float(a) for a in alpha_grid]
     if sorted(alphas) != alphas:
         raise ValueError("alpha_grid must be nondecreasing")
-    if delta is not None:
-        if not isinstance(delta, BlockMap):
-            delta = BlockMap.constant(np.atleast_2d(np.asarray(delta, dtype=float)))
-        field = CoefficientField(
-            n=field.n, flow=field.flow, H1=field.H1, H2=field.H2, H3=field.H3,
-            delta=delta, flags=field.flags, tags=field.tags, name=field.name,
-        )
-    if field.delta is None:
-        raise InvalidCoefficients("rotation_profile needs a perturbation direction")
+    field = _with_delta(field, delta)
     estimates = []
     for a in alphas:
         f_a = perturb_h2(field, a) if a != 0.0 else field

@@ -76,3 +76,40 @@ def random_periodic_field(rng: np.random.Generator, n: int, period: float):
         H1=H1, H2=definite(), H3=definite(),
         delta=BlockMap.constant(np.eye(n)), name="random-periodic",
     )
+
+
+def count_solve_ivp_calls(monkeypatch) -> list:
+    """Route the solve_ivp of every hamflow module that imports it through
+    a counter; the returned list grows by one entry per call."""
+    import sys
+
+    calls: list = []
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hamflow") and hasattr(mod, "solve_ivp"):
+            def counting(*args, _orig=mod.solve_ivp, **kwargs):
+                calls.append(1)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(mod, "solve_ivp", counting)
+    return calls
+
+
+def near_jordan_field(n: int, betas, scales, shears):
+    """A constant field with eigenvalues +-beta_i close to a Jordan block:
+    per degree of freedom the generator [[0, s], [beta^2 / s, 0]] with
+    s >> beta, conjugated by a shear and a diagonal scaling (both
+    symplectic), the n = 2 case also by a symplectic mix of the two
+    degrees of freedom."""
+    from hamflow.hamiltonian import constant_field
+
+    H = np.zeros((2 * n, 2 * n))
+    for i, (beta, s, (a, b, c)) in enumerate(zip(betas, scales, shears)):
+        P = (np.array([[a, 0.0], [0.0, 1.0 / a]]) @ np.array([[1.0, 0.0], [c, 1.0]])
+             @ np.array([[1.0, b], [0.0, 1.0]]))
+        B = P @ np.array([[0.0, s], [beta ** 2 / s, 0.0]]) @ np.linalg.inv(P)
+        H[np.ix_([i, n + i], [i, n + i])] = B
+    if n == 2:
+        A = np.array([[1.0, 0.3], [-0.2, 1.1]])
+        S = np.block([[A, np.zeros((2, 2))], [np.zeros((2, 2)), np.linalg.inv(A).T]])
+        H = S @ H @ np.linalg.inv(S)
+    sym = lambda M: 0.5 * (M + M.T)
+    return constant_field(H[:n, :n], sym(H[n:, :n]), sym(H[:n, n:]))

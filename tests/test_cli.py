@@ -151,6 +151,20 @@ def test_console_script_entry_point(tmp_path):
     assert (tmp_path / "weyl.csv").exists()
 
 
+def test_examples_checks_the_m_minus_law(tmp_path):
+    assert main(["examples", "ex3", "--out", str(tmp_path)]) == 0
+    diffs = json.loads((tmp_path / "examples_ex3.json").read_text())["golden_diffs"]
+    minus = {d["label"]: d for d in diffs if d["label"].startswith("M_minus")}
+    assert sorted(minus) == ["M_minus(-4)", "M_minus(0)", "M_minus(0.9)"]
+    assert all(d["passed"] and d["tol"] == 1e-6 for d in minus.values())
+
+
+def test_scan_without_delta_is_an_error(tmp_path):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"n": 1, "H1": -1.0, "H2": 0.0, "H3": 1.0}))
+    assert main(["scan", str(path), "--out", str(tmp_path)]) == 1
+
+
 def test_problem_file_roundtrip_through_cli(tmp_path):
     problem = {
         "n": 1,

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamflow.dichotomy import (
     EDThresholds,
+    _doubling_point,
+    _spectral_point,
     atkinson_check,
     bounded_solution_witness,
     classify_family,
@@ -18,10 +22,19 @@ from hamflow.hamiltonian import (
     TrigTerm,
     constant_field,
     perturb_h2,
+    perturb_h3,
+    regularize,
 )
-from hamflow.riccati_weyl import weyl_minus, weyl_plus
+from hamflow.presets import get_preset
+from hamflow.propagator import ChunkedPropagator, _positive_qr
+from hamflow.riccati_weyl import plane_distance, weyl_minus, weyl_plus
 
-from conftest import random_spn_field
+from conftest import (
+    count_solve_ivp_calls,
+    near_jordan_field,
+    random_periodic_field,
+    random_spn_field,
+)
 from oracles import ivp_transfer
 
 
@@ -212,15 +225,113 @@ def test_bounded_witness_on_periodic_field():
 
 
 def test_constant_field_classification_makes_no_integrator_call(abnormal, monkeypatch):
-    import hamflow.dichotomy
-    import hamflow.propagator
-
-    calls = []
-    for mod in (hamflow.dichotomy, hamflow.propagator):
-        def counting(*args, _orig=mod.solve_ivp, **kwargs):
-            calls.append(1)
-            return _orig(*args, **kwargs)
-        monkeypatch.setattr(mod, "solve_ivp", counting)
+    calls = count_solve_ivp_calls(monkeypatch)
     rep = classify_family(abnormal, probes=(0.0, 1j))
     assert rep.alternative == "O2"
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("eps", [2.9996, 2.99995])
+def test_near_jordan_regularized_ex2_is_ed(ex2, eps):
+    # eigenvalues +-sqrt(3 - eps)/2 = 0.01 and 0.0035, next to the Jordan
+    # block at eps = 3, where horizon doubling read the t-growth as decay
+    rep = detect_ed(regularize(perturb_h2(ex2, 0.25), eps), T_max=1024.0)
+    assert rep.verdict == "ED"
+    assert abs(rep.beta_hat - np.sqrt(3.0 - eps) / 2.0) <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(0.1, 0.9), beta=st.floats(2e-3, 0.05))
+def test_regularized_ex2_family_near_its_jordan_block_is_never_no_ed(ex2, alpha, beta):
+    # H3 + eps I with eps chosen so that the eigenvalues are +-beta
+    eps = (1.0 - beta ** 2) / alpha - 1.0
+    rep = detect_ed(regularize(perturb_h2(ex2, alpha), eps))
+    assert rep.verdict == "ED"
+    assert abs(rep.beta_hat - beta) <= 1e-9
+
+
+_near_jordan_dof = st.tuples(
+    st.floats(2e-3, 0.05),                    # beta
+    st.floats(0.5, 4.0),                      # s: beta / s down to 5e-4
+    st.tuples(st.floats(0.7, 1.4), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dofs=st.lists(_near_jordan_dof, min_size=1, max_size=2))
+def test_near_jordan_hyperbolic_fields_are_never_no_ed(dofs):
+    betas, scales, shears = zip(*dofs)
+    f = near_jordan_field(len(dofs), betas, scales, shears)
+    rep = detect_ed(f)
+    assert rep.verdict != "noED"
+    if rep.verdict == "ED":
+        assert abs(rep.beta_hat - min(betas)) <= 1e-9
+
+
+def _routes(field, omega=None):
+    omega = field.flow.origin() if omega is None else omega
+    th = EDThresholds()
+    spectral = _spectral_point(ChunkedPropagator(field, omega, tol=1e-11), th)
+    doubling = _doubling_point(ChunkedPropagator(field, omega, tol=1e-11), 512.0, th)
+    return spectral, doubling
+
+
+def _assert_routes_agree(spectral, doubling):
+    assert spectral is not None
+    assert spectral.verdict == doubling.verdict
+    if spectral.verdict != "ED":
+        return
+    (_, m_prev), (_, m_last) = doubling.margin_history[-2:]
+    slack = max(1e-5 * spectral.beta_point, abs(m_last - m_prev))
+    assert abs(spectral.beta_point - doubling.beta_point) <= slack
+    for a, b in ((spectral.l_plus, doubling.l_plus), (spectral.l_minus, doubling.l_minus)):
+        assert plane_distance(a.stacked, b.stacked) <= 1e-6
+
+
+_CONSTANT_CASES = [(name, 0.0) for name in ("ex1", "ex2", "ex3", "ex4")] + [
+    ("abnormal", lam) for lam in (0.0, 1.0, 1j, 1 + 1j)]
+
+
+@pytest.mark.parametrize("name,lam", _CONSTANT_CASES)
+def test_spectral_route_matches_doubling_on_constant_presets(name, lam):
+    spectral, doubling = _routes(perturb_h3(get_preset(name).field, lam))
+    _assert_routes_agree(spectral, doubling)
+
+
+def test_spectral_route_matches_doubling_on_random_fields():
+    rng = np.random.default_rng(2024)
+    fields = [random_periodic_field(rng, 1, 2.0), random_periodic_field(rng, 2, 0.7)]
+    while len(fields) < 5:
+        f = random_spn_field(rng, n=1 + len(fields) % 2)
+        if np.abs(np.linalg.eigvals(f.constant_matrix()).real).min() >= 0.2:
+            fields.append(f)
+    for f in fields:
+        spectral, doubling = _routes(f)
+        assert spectral is not None and spectral.beta_point >= 0.2
+        _assert_routes_agree(spectral, doubling)
+
+
+def test_uwd_suspects_of_the_elliptic_field_are_its_zeros():
+    # z1 = sin t through the vertical plane: zeros at k pi
+    rep = uwd_test(constant_field([[0.0]], [[-1.0]], [[1.0]]))
+    assert len(rep.suspects) == 12
+    assert np.max(np.abs(np.array(rep.suspects) - np.pi * np.arange(1, 13))) <= 1e-8
+    assert abs(rep.t0_hat - 12.0 * np.pi) <= 1e-8
+    assert rep.verdict is False
+
+
+def test_uwd_profile_matches_dense_ivp_on_torus_field(torus_demo):
+    om = torus_demo.flow.origin()
+    rep = uwd_test(torus_demo, om, t_max=20.0)
+    F0 = np.array([[0.0], [1.0]])
+    for i in (7, 95, 200, 333, 399):
+        t, d = rep.min_det_profile[i]
+        # the tracked frame is renormalized at the start of t's chunk
+        k = int(np.ceil(t - 1e-9)) - 1
+        _, R = _positive_qr(ivp_transfer(torus_demo, om, float(k)) @ F0)
+        want = (ivp_transfer(torus_demo, om, t) @ F0)[0, 0] / R[0, 0]
+        assert abs(d - want) <= 1e-8 * abs(want), (t, d, want)
+
+
+def test_uwd_holds_near_the_regularization_boundary(ex2):
+    assert uwd_test(regularize(perturb_h2(ex2, 0.25), 2.9)).verdict is True

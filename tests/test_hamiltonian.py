@@ -9,6 +9,7 @@ from hamflow.base_flow import make_flow
 from hamflow.errors import InvalidCoefficients, SchemaError
 from hamflow.hamiltonian import (
     BlockMap,
+    _with_delta,
     J_matrix,
     TrigTerm,
     constant_field,
@@ -151,3 +152,20 @@ def test_general_perturb_rejects_asymmetric_gamma(ex3):
             ((np.array([[0.2]]), np.array([[0.1]])),
              (np.array([[0.4]]), np.array([[0.3]]))),
         )
+
+
+def test_attaching_delta_keeps_the_blocks_and_requires_a_direction(ex2):
+    from hamflow.dichotomy import classify_family
+    from hamflow.param_scan import find_alpha_star, rho_curve
+    from hamflow.rotation import rotation_profile
+
+    g = _with_delta(ex2, 2.0)
+    om = g.flow.origin()
+    np.testing.assert_array_equal(g.eval_delta(om), [[2.0]])
+    np.testing.assert_array_equal(eval_H(g, om), eval_H(ex2, om))
+    assert g.name == ex2.name and _with_delta(ex2) is ex2
+    bare = constant_field([[-1.0]], [[0.0]], [[1.0]])
+    for call in (_with_delta, find_alpha_star, rho_curve, rotation_profile,
+                 classify_family):
+        with pytest.raises(InvalidCoefficients):
+            call(bare)

@@ -16,6 +16,7 @@ from hamflow.param_scan import (
     weyl_sampler,
 )
 
+from conftest import count_solve_ivp_calls
 from oracles import point_mass_sampler, sqrt_density_mass
 
 
@@ -132,3 +133,32 @@ def test_weakstar_convergence_of_moving_point_masses():
     assert all(b <= a + 1e-9 for a, b in zip(defects, defects[1:]))
     assert out["tail_max"] <= defects[0]
     assert defects[-1] <= 0.1
+
+
+def test_rho_curve_uncertainty_covers_the_closed_form(ex2):
+    row = rho_curve(ex2, alpha_grid=[0.25], eps_bracket=(1e-4, 1e3), tol=2e-4,
+                    T_max=1024).rho_table[0]
+    assert row["verdict"] == "ok"
+    assert abs(row["rho"] - 3.0) <= row["uncertainty"]
+
+
+def test_alpha_star_on_a_constant_field_doubles_no_horizon(ex2, monkeypatch):
+    from hamflow.propagator import ChunkedPropagator
+
+    calls = {"qr_exponents": 0, "frame_chain": 0}
+    for name in calls:
+        def counting(self, *args, _orig=getattr(ChunkedPropagator, name), _name=name,
+                     **kwargs):
+            calls[_name] += 1
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(ChunkedPropagator, name, counting)
+    res = find_alpha_star(ex2)
+    assert abs(res.alpha_star - 1.0) <= 1e-3
+    assert calls == {"qr_exponents": 0, "frame_chain": 0}
+
+
+def test_rho_curve_on_a_constant_field_makes_no_integrator_call(ex2, monkeypatch):
+    calls = count_solve_ivp_calls(monkeypatch)
+    row = rho_curve(ex2, alpha_grid=[0.5]).rho_table[0]
+    assert abs(row["rho"] - 1.0) <= 1e-3
+    assert len(calls) == 0
