@@ -28,9 +28,11 @@ __all__ = [
 ]
 
 # Largest |integer| tried per coordinate when searching for a resonance
-# k . nu = 0; chosen so the total search stays below ~10^3 candidates for
-# the dimensions in scope (d <= 3).
+# k . nu = 0.
 _RESONANCE_ORDER = 10
+# Largest torus dimension: the search passes (2 * order + 1)^d candidates,
+# about 8.6e7 at d = 6 (a fraction of a second) and 1.8e9 at d = 7.
+_MAX_TORUS_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -98,14 +100,21 @@ class BaseFlow:
 def _has_small_integer_relation(nu: Sequence[float], order: int) -> bool:
     """Exhaustively check whether k . nu = 0 for a nonzero integer vector
     with |k_i| <= order.  Exact zero is required up to roundoff scaled by
-    the magnitudes involved."""
+    the magnitudes involved.  The last (up to four) coordinates are
+    searched as one numpy block per choice of the leading ones."""
     nu = np.asarray(nu, dtype=float)
-    scale = np.max(np.abs(nu)) * order
-    ranges = [range(-order, order + 1)] * len(nu)
-    for k in product(*ranges):
-        if all(ki == 0 for ki in k):
-            continue
-        if abs(float(np.dot(k, nu))) <= 1e-12 * max(scale, 1.0):
+    thresh = 1e-12 * max(np.max(np.abs(nu)) * order, 1.0)
+    ks = np.arange(-order, order + 1)
+    lead = max(0, len(nu) - 4)
+    block = np.zeros(1)
+    for x in nu[lead:]:
+        block = (block[:, None] + ks * x).ravel()
+    zero = len(block) // 2  # the block entry with every k_i = 0
+    for head in product(ks.tolist(), repeat=lead):
+        hits = np.abs(float(np.dot(head, nu[:lead])) + block) <= thresh
+        if not any(head):
+            hits[zero] = False
+        if hits.any():
             return True
     return False
 
@@ -134,6 +143,10 @@ def make_flow(spec: dict | str) -> BaseFlow:
             raise SchemaError("torus flow requires a nonempty frequency vector")
         if not all(np.isfinite(nu)) or any(x == 0.0 for x in nu):
             raise SchemaError("torus frequencies must be finite and nonzero")
+        if len(nu) > _MAX_TORUS_DIM:
+            raise SchemaError(
+                f"torus dimension {len(nu)} above {_MAX_TORUS_DIM}: the resonance "
+                f"search would pass {2 * _RESONANCE_ORDER + 1}^{len(nu)} candidates")
         incom = not _has_small_integer_relation(nu, _RESONANCE_ORDER)
         return BaseFlow(kind="torus", nu=nu, incommensurate=incom)
     raise SchemaError(f"unknown flow kind: {kind!r}")

@@ -180,8 +180,7 @@ def _spectral_point(prop: ChunkedPropagator, th: EDThresholds) -> PointEvidence 
         Phi, period = prop.forward(0), prop.h
     elif field.flow.kind == "periodic":
         period = field.flow.period
-        Phi = transfer_matrix(field, omega, 0.0, period, tol=_PROPAGATION_TOL,
-                              method="adaptive")
+        Phi = transfer_matrix(field, omega, 0.0, period, tol=_PROPAGATION_TOL)
     else:
         return None
     if not np.all(np.isfinite(Phi)):

@@ -18,7 +18,8 @@ Perturbations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -277,19 +278,35 @@ class CoefficientField:
     def H_of_t(self, omega: BasePoint) -> Callable[[float], np.ndarray]:
         """The matrix-valued map t -> H(omega . t)."""
 
-        n = self.n
+        dtype = complex if self.is_complex else float
 
         def H(t: float) -> np.ndarray:
-            H1, H2, H3 = self.eval_blocks(omega, t)
-            dtype = complex if self.is_complex else float
-            out = np.zeros((2 * n, 2 * n), dtype=dtype)
-            out[:n, :n] = H1
-            out[:n, n:] = H3
-            out[n:, :n] = H2
-            out[n:, n:] = -H1.T
-            return out
+            return _assemble(*self.eval_blocks(omega, t), dtype)
 
         return H
+
+    @cached_property
+    def compiled(self) -> CompiledField:
+        """The assembled matrix as one trigonometric polynomial, built once
+        per field."""
+        return CompiledField.of(self)
+
+    def H_at(self, omega: BasePoint, ts) -> np.ndarray:
+        """H(omega . t) at every time of the array ``ts``, stacked to shape
+        ts.shape + (2n, 2n), from the compiled coefficients.  ``H_of_t``
+        is the reference."""
+        c = self.compiled
+        ts = np.asarray(ts, dtype=float)
+        if len(c.K) == 0:
+            return np.broadcast_to(c.H0, ts.shape + c.H0.shape)
+        if self.flow.kind == "periodic":
+            nu = np.array([1.0 / self.flow.period])
+        else:
+            nu = np.asarray(self.flow.nu)
+        # the phase is reduced mod 1 before it is scaled by 2 pi
+        phase = 2.0 * np.pi * ((c.K @ omega.as_array() + np.multiply.outer(ts, c.K @ nu)) % 1.0)
+        return (c.H0 + np.einsum("...k,kij->...ij", np.cos(phase), c.C)
+                + np.einsum("...k,kij->...ij", np.sin(phase), c.S))
 
     def constant_matrix(self) -> np.ndarray:
         """The assembled matrix of an autonomous field."""
@@ -349,6 +366,61 @@ class CoefficientField:
         if self.name:
             out["name"] = self.name
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledField:
+    """The assembled 2n x 2n matrix of a field as H0 + sum_j cos(2 pi K_j .
+    theta) C_j + sin(2 pi K_j . theta) S_j.  Terms of the three blocks
+    with equal frequency, or opposite ones, are merged into one row of the
+    integer frequency matrix K (first nonzero entry positive), so repeated
+    perturbation does not add rows."""
+
+    H0: np.ndarray
+    K: np.ndarray
+    C: np.ndarray
+    S: np.ndarray
+
+    @staticmethod
+    def of(field: CoefficientField) -> "CompiledField":
+        n = field.n
+        dtype = complex if field.is_complex else float
+        blocks = (field.H1, field.H2, field.H3)
+        const = np.array([bm.const for bm in blocks], dtype=dtype)
+        # frequency -> (cos, sin) x (H1, H2, H3) coefficient blocks
+        coef: dict[tuple[int, ...], np.ndarray] = {}
+        for b, bm in enumerate(blocks):
+            for term in bm.terms:
+                k = np.asarray(term.k, dtype=int)
+                nonzero = np.flatnonzero(k)
+                if len(nonzero) == 0:
+                    if term.cos is not None:  # sin(0) vanishes
+                        const[b] += term.cos
+                    continue
+                flip = -1 if k[nonzero[0]] < 0 else 1
+                parts = coef.setdefault(tuple(int(x) for x in flip * k),
+                                        np.zeros((2, 3, n, n), dtype=dtype))
+                if term.cos is not None:
+                    parts[0, b] += term.cos
+                if term.sin is not None:
+                    parts[1, b] += flip * term.sin
+        keys = sorted(coef)
+        CS = np.array([[_assemble(*coef[k][j], dtype) for j in (0, 1)] for k in keys],
+                      dtype=dtype).reshape(len(keys), 2, 2 * n, 2 * n)
+        return CompiledField(H0=_assemble(*const, dtype),
+                             K=np.array(keys, dtype=int).reshape(len(keys), field.flow.dim),
+                             C=CS[:, 0], S=CS[:, 1])
+
+
+def _assemble(H1, H2, H3, dtype) -> np.ndarray:
+    """[[H1, H3], [H2, -H1^T]]."""
+    n = H1.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=dtype)
+    out[:n, :n] = H1
+    out[:n, n:] = H3
+    out[n:, :n] = H2
+    out[n:, n:] = -H1.T
+    return out
 
 
 def eval_H(field: CoefficientField, omega: BasePoint) -> np.ndarray:

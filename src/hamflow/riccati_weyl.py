@@ -306,8 +306,7 @@ def _floquet_plane(
     one-period monodromy matrix of a periodic field; raises if the split
     at the unit circle is not clean or the subspace error bound exceeds
     ``tol``."""
-    Phi = transfer_matrix(field, omega, 0.0, field.flow.period,
-                          tol=_PROPAGATION_TOL, method="adaptive")
+    Phi = transfer_matrix(field, omega, 0.0, field.flow.period, tol=_PROPAGATION_TOL)
     F, err, margin = _floquet_split(Phi, side)
     if not margin > _FLOQUET_MARGIN:
         raise ToolkitError("no clean Floquet split at the unit circle")

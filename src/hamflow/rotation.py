@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .base_flow import BasePoint
-from .errors import InvalidCoefficients, StiffnessError, UnwrapFailure
+from .errors import InvalidCoefficients, UnwrapFailure
 from .hamiltonian import CoefficientField, _with_delta, perturb_h2
-from .propagator import _positive_qr
+from .propagator import ChunkedPropagator, _positive_qr
 
 __all__ = [
     "RotationEstimate",
@@ -72,7 +70,8 @@ class RotationProfile:
 
 class _ArgTracker:
     """Carries U(t, omega) chunk by chunk, accumulating the unwrapped
-    argument of det(U1 - i U2) at sample resolution dt."""
+    argument of det(U1 - i U2) at sample resolution dt.  The samples of a
+    chunk are one ``ChunkedPropagator.sampled`` stack times U."""
 
     def __init__(
         self,
@@ -84,80 +83,30 @@ class _ArgTracker:
     ):
         if field.is_complex:
             raise InvalidCoefficients("rotation_number requires a real field")
-        self.field = field
-        self.omega = omega
+        self.prop = ChunkedPropagator(field, omega, h=chunk, tol=tol)
         self.dt0 = dt
-        self.chunk = chunk
-        self.tol = tol
         self.n = field.n
         self.U = np.eye(2 * self.n)
+        self.k = 0
         self.t = 0.0
         self.arg = 0.0
         self.steps = 0
         self.history: list[tuple[float, float]] = [(0.0, 0.0)]
-        self._autonomous = field.is_autonomous
-        self._H = field.constant_matrix() if self._autonomous else None
-        self._expm_cache: dict[float, np.ndarray] = {}
-
-    def _det(self, U: np.ndarray) -> complex:
-        n = self.n
-        return complex(np.linalg.det(U[:n, :n] - 1j * U[n:, :n]))
-
-    def _samples_autonomous(self, offsets: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for s in offsets:
-            key = round(float(s), 12)
-            if key not in self._expm_cache:
-                self._expm_cache[key] = expm(self._H * float(s))
-            out.append(self._expm_cache[key] @ self.U)
-        return out
-
-    def _samples_general(self, offsets: np.ndarray) -> list[np.ndarray]:
-        n2 = 2 * self.n
-        Hfun = self.field.H_of_t(self.omega)
-        t0 = self.t
-        sol = solve_ivp(
-            lambda s, y: (Hfun(s) @ y.reshape(n2, n2)).reshape(-1),
-            (t0, t0 + offsets[-1]), self.U.reshape(-1),
-            method="DOP853", rtol=self.tol, atol=self.tol * 1e-2,
-            t_eval=t0 + offsets, dense_output=False,
-        )
-        if not sol.success:
-            raise StiffnessError(
-                f"propagation failed in rotation tracking: {sol.message}",
-                t_reached=float(sol.t[-1]),
-            )
-        return [sol.y[:, j].reshape(n2, n2) for j in range(len(offsets))]
 
     def advance_chunk(self) -> None:
-        h = self.chunk
+        h, n = self.prop.h, self.n
         dt = min(self.dt0, h)
-        d_prev = self._det(self.U)
-        for halving in range(_MAX_DT_HALVINGS + 1):
+        for _ in range(_MAX_DT_HALVINGS + 1):
             m = max(1, int(np.ceil(h / dt)))
-            offsets = np.linspace(h / m, h, m)
-            mats = (
-                self._samples_autonomous(offsets)
-                if self._autonomous
-                else self._samples_general(offsets)
-            )
-            incs = []
-            ok = True
-            d0 = d_prev
-            for U in mats:
-                d1 = self._det(U)
-                step = float(np.angle(d1 * np.conj(d0)))
-                if abs(step) >= 0.5 * np.pi:
-                    ok = False
-                    break
-                incs.append(step)
-                d0 = d1
-            if ok:
-                self.arg += sum(incs)
-                self.steps += len(incs)
-                U_end = mats[-1]
-                Q, _ = _positive_qr(U_end)
+            mats = self.prop.sampled(self.k, m) @ self.U
+            dets = np.linalg.det(mats[:, :n, :n] - 1j * mats[:, n:, :n])
+            incs = np.angle(dets[1:] * np.conj(dets[:-1]))
+            if np.all(np.abs(incs) < 0.5 * np.pi):
+                self.arg += sum(incs.tolist())
+                self.steps += m
+                Q, _ = _positive_qr(mats[-1])
                 self.U = Q
+                self.k += 1
                 self.t += h
                 self.history.append((self.t, self.arg))
                 return

@@ -55,26 +55,36 @@ def random_periodic_field(rng: np.random.Generator, n: int, period: float):
     """A random hyperbolic field with one-harmonic periodic blocks
     (H1 near -0.8 I, H2 and H3 near positive definite) and Delta = I."""
     from hamflow.base_flow import make_flow
+
+    return random_trig_field(rng, n, make_flow({"kind": "periodic", "period": period}))
+
+
+def random_trig_field(rng: np.random.Generator, n: int, flow):
+    """A random hyperbolic field over a periodic or torus flow, with one
+    harmonic per base frequency in every block (H1 near -0.8 I, H2 and H3
+    near positive definite) and Delta = I."""
     from hamflow.hamiltonian import BlockMap, CoefficientField, TrigTerm
+
+    units = [tuple(int(i == j) for i in range(flow.dim)) for j in range(flow.dim)]
 
     def sym(scale):
         A = rng.standard_normal((n, n))
         return scale * 0.5 * (A + A.T)
 
-    def periodic(const, harmonic):
+    def trig(const, harmonic):
         return BlockMap(n=n, const=const,
-                        terms=(TrigTerm(k=(1,), cos=harmonic(), sin=harmonic()),))
+                        terms=tuple(TrigTerm(k=k, cos=harmonic(), sin=harmonic())
+                                    for k in units))
 
     def definite():
         S = rng.standard_normal((n, n))
-        return periodic(0.2 * S @ S.T + 0.5 * np.eye(n), lambda: sym(0.2))
+        return trig(0.2 * S @ S.T + 0.5 * np.eye(n), lambda: sym(0.2))
 
-    H1 = periodic(-0.8 * np.eye(n) + 0.2 * rng.standard_normal((n, n)),
-                  lambda: 0.3 * rng.standard_normal((n, n)))
+    H1 = trig(-0.8 * np.eye(n) + 0.2 * rng.standard_normal((n, n)),
+              lambda: 0.3 * rng.standard_normal((n, n)))
     return CoefficientField(
-        n=n, flow=make_flow({"kind": "periodic", "period": period}),
-        H1=H1, H2=definite(), H3=definite(),
-        delta=BlockMap.constant(np.eye(n)), name="random-periodic",
+        n=n, flow=flow, H1=H1, H2=definite(), H3=definite(),
+        delta=BlockMap.constant(np.eye(n)), name="random-trig",
     )
 
 

@@ -71,3 +71,35 @@ def test_sample_orbit_lands_on_the_flow():
 def test_unknown_flow_kind_is_rejected():
     with pytest.raises(SchemaError):
         make_flow({"kind": "banana"})
+
+
+def _has_relation_by_loop(nu, order):
+    """The resonance search as one Python loop over every integer vector."""
+    from itertools import product
+
+    nu = np.asarray(nu, dtype=float)
+    scale = np.max(np.abs(nu)) * order
+    for k in product(range(-order, order + 1), repeat=len(nu)):
+        if any(k) and abs(float(np.dot(k, nu))) <= 1e-12 * max(scale, 1.0):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_incommensurability_matches_the_exhaustive_loop(d):
+    rng = np.random.default_rng(40 + d)
+    cases = [list(rng.uniform(-2.0, 2.0, d)) for _ in range(3)]
+    if d > 1:
+        # resonant: the last frequency a small integer combination of the others
+        head = rng.uniform(0.3, 2.0, d - 1)
+        cases.append(list(head) + [float(np.array([2, -1, 3][:d - 1]) @ head)])
+        cases.append([1.0, 2.0, 0.5, 3.0][:d])
+    for nu in cases:
+        flow = make_flow({"kind": "torus", "nu": nu})
+        assert flow.incommensurate == (not _has_relation_by_loop(nu, 10)), nu
+
+
+def test_torus_dimension_above_the_search_bound_is_rejected():
+    make_flow({"kind": "torus", "nu": list(np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0]))})
+    with pytest.raises(SchemaError):
+        make_flow({"kind": "torus", "nu": list(np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0]))})

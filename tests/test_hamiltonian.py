@@ -169,3 +169,79 @@ def test_attaching_delta_keeps_the_blocks_and_requires_a_direction(ex2):
                  classify_family):
         with pytest.raises(InvalidCoefficients):
             call(bare)
+
+
+def _random_block(rng, n, d, n_terms):
+    """A random symmetric trig block whose indices repeat, change sign and
+    include zero, so the compiler has terms to merge."""
+    def sym():
+        A = rng.standard_normal((n, n))
+        return 0.5 * (A + A.T)
+
+    terms = []
+    for _ in range(n_terms):
+        k = tuple(int(x) for x in rng.integers(-2, 3, size=d))
+        parts = rng.integers(1, 4)  # cos, sin or both
+        terms.append(TrigTerm(k=k, cos=sym() if parts & 1 else None,
+                              sin=sym() if parts & 2 else None))
+        if rng.uniform() < 0.3:
+            terms.append(TrigTerm(k=tuple(-x for x in k), cos=sym(), sin=sym()))
+    return BlockMap(n=n, const=sym(), terms=tuple(terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2]),
+       flow_dim=st.sampled_from([0, 1, 2, 3]), nonreal=st.booleans())
+def test_compiled_coefficients_match_blockmap_assembly(seed, n, flow_dim, nonreal):
+    # flow_dim 0 stands for a periodic flow, 1-3 for a torus of that dimension
+    from hamflow.base_flow import BasePoint
+    from hamflow.hamiltonian import CoefficientField
+
+    rng = np.random.default_rng(seed)
+    if flow_dim == 0:
+        flow = make_flow({"kind": "periodic", "period": float(rng.uniform(0.5, 5.0))})
+    else:
+        flow = make_flow({"kind": "torus", "nu": list(rng.uniform(0.2, 1.5, flow_dim))})
+    d = flow.dim
+    H1 = _random_block(rng, n, d, 3)
+    H1 = BlockMap(n=n, const=H1.const + rng.standard_normal((n, n)), terms=H1.terms)
+    f = CoefficientField(
+        n=n, flow=flow, H1=H1,
+        H2=_random_block(rng, n, d, 3), H3=_random_block(rng, n, d, 2),
+        delta=_random_block(rng, n, d, 2),
+    )
+    if nonreal:
+        f = perturb_h2(f, complex(rng.uniform(-1, 1), rng.uniform(0.1, 2)))
+    omega = BasePoint(tuple(rng.uniform(0.0, 1.0, d)))
+    ts = rng.uniform(-2.0, 2.0, 7)
+    got = f.H_at(omega, ts)
+    assert got.dtype == (complex if nonreal else float)
+    for t, H in zip(ts, got):
+        want = f.H_of_t(omega)(t)
+        assert np.max(np.abs(H - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    # one row of K per frequency up to sign, its first nonzero entry positive
+    def canonical(k):
+        lead = next(x for x in k if x)
+        return k if lead > 0 else tuple(-x for x in k)
+    want_K = {canonical(t.k) for bm in (f.H1, f.H2, f.H3) for t in bm.terms if any(t.k)}
+    assert sorted(map(tuple, f.compiled.K.tolist())) == sorted(want_K)
+
+
+def test_repeated_perturbation_keeps_the_compiled_frequency_count():
+    f = get_preset("torus-demo").field
+    assert len(f.compiled.K) == 3
+    # with a trigonometric Delta every perturbation appends block terms;
+    # the compiler merges them into the existing frequencies
+    trig = BlockMap(n=1, const=np.array([[1.0]]),
+                    terms=(TrigTerm(k=(1, -1), cos=np.array([[0.1]]), sin=None),
+                           TrigTerm(k=(-1, 1), cos=None, sin=np.array([[0.05]]))))
+    for delta in (None, trig):
+        g = f if delta is None else _with_delta(f, delta)
+        for j in range(10):
+            g = perturb_h2(g, 0.1 * (j + 1))
+        assert len(g.compiled.K) == 3
+        om = g.flow.origin()
+        ts = np.array([-2.3, 0.0, 1.7])
+        for t, H in zip(ts, g.H_at(om, ts)):
+            np.testing.assert_allclose(H, g.H_of_t(om)(t), rtol=0, atol=1e-13)
+    assert len(g.H2.terms) == 21

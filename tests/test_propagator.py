@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamflow.base_flow import advance
+from hamflow.base_flow import BasePoint, advance
 from hamflow.hamiltonian import J_matrix, constant_field
 from hamflow.presets import get_preset
 from hamflow.propagator import (
@@ -128,3 +128,113 @@ def test_sampled_chunk_matches_dense_ivp_on_torus_field(torus_demo, k, direction
         assert _rel_err(S[j], want) <= 1e-8
     # the chunk is integrated once and then served from the cache
     assert prop.sampled(k, m, direction, length) is S
+
+
+def _kernel_fields():
+    """torus-demo, a random n = 2 torus field and torus-demo at the
+    nonreal spectral parameter 0.5 + 1i."""
+    from hamflow.base_flow import make_flow
+    from hamflow.hamiltonian import perturb_h2
+
+    from conftest import random_trig_field
+
+    demo = get_preset("torus-demo").field
+    pair = random_trig_field(np.random.default_rng(7), 2,
+                             make_flow({"kind": "torus", "nu": [1.0, np.sqrt(2.0)]}))
+    return {"torus-demo": demo, "n2": pair, "complex": perturb_h2(demo, 0.5 + 1.0j)}
+
+
+KERNEL_FIELDS = _kernel_fields()
+KERNEL_OMEGA = BasePoint((0.3, 0.8))
+
+
+def _defect(U):
+    """||U^T J U - J|| / max(1, ||U||^2), also for complex U: the transfer
+    matrices of complex lambda are complex symplectic."""
+    J = J_matrix(U.shape[0] // 2)
+    return np.linalg.norm(U.T @ J @ U - J, 2) / max(1.0, np.linalg.norm(U, 2) ** 2)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+@pytest.mark.parametrize("k,direction,length", SAMPLED_CHUNKS)
+def test_kernel_chunks_match_the_adaptive_reference(name, k, direction, length):
+    f = KERNEL_FIELDS[name]
+    prop = ChunkedPropagator(f, KERNEL_OMEGA, tol=1e-11)
+    m = 5
+    S = prop.sampled(k, m, direction, length)
+    L = 1.0 if length is None else length
+    sign = 1.0 if direction == "forward" else -1.0
+    t0 = float(k if sign > 0 else k + 1)
+    for j in range(1, m + 1):
+        want = transfer_matrix(f, KERNEL_OMEGA, t0, t0 + sign * L * j / m, tol=1e-13,
+                               method="adaptive")
+        assert _rel_err(S[j], want) <= 1e-10
+    whole = prop.forward(k) if sign > 0 else prop.backward(k)
+    want = transfer_matrix(f, KERNEL_OMEGA, t0, t0 + sign, tol=1e-13, method="adaptive")
+    assert _rel_err(whole, want) <= 1e-10
+    assert whole.dtype == (complex if name == "complex" else float)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_kernel_transfer_over_long_spans_matches_the_adaptive_reference(name):
+    f = KERNEL_FIELDS[name]
+    for t0, t1 in ((0.0, 3.6), (2.5, -1.2)):
+        got = transfer_matrix(f, KERNEL_OMEGA, t0, t1, tol=1e-11)
+        want = transfer_matrix(f, KERNEL_OMEGA, t0, t1, tol=1e-13, method="adaptive")
+        assert _rel_err(got, want) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_kernel_symplectic_defect_is_no_worse_than_the_adaptive_route(name):
+    f = KERNEL_FIELDS[name]
+    spans = [(0.0, 1.0), (3.0, 4.0), (1.0, 0.0), (-2.0, -2.6), (0.0, 6.0)]
+    kernel = [_defect(transfer_matrix(f, KERNEL_OMEGA, a, b)) for a, b in spans]
+    adaptive = [_defect(transfer_matrix(f, KERNEL_OMEGA, a, b, method="adaptive"))
+                for a, b in spans]
+    assert max(kernel) <= max(adaptive)
+    assert max(kernel) <= 1e-14
+
+
+def test_kernel_sample_counts_need_not_divide_the_step_count(torus_demo):
+    om = torus_demo.flow.origin()
+    prop = ChunkedPropagator(torus_demo, om, tol=1e-11)
+    for m in (3, 7, 20):
+        S = prop.sampled(2, m)
+        assert S.shape == (m + 1, 2, 2)
+        np.testing.assert_array_equal(S[0], np.eye(2))
+        want = transfer_matrix(torus_demo, om, 2.0, 2.0 + 2.0 / m, tol=1e-13,
+                               method="adaptive")
+        assert _rel_err(S[2], want) <= 1e-10
+
+
+def test_kernel_raises_stiffness_past_its_step_cap():
+    # an oscillator of frequency 2e4 needs far more steps per unit time
+    # than the kernel's cap allows
+    from hamflow.base_flow import make_flow
+    from hamflow.errors import StiffnessError
+    from hamflow.hamiltonian import BlockMap, CoefficientField, TrigTerm
+
+    w = 2e4
+    f = CoefficientField(
+        n=1, flow=make_flow({"kind": "periodic", "period": 1.0}),
+        H1=BlockMap.zero(1),
+        H2=BlockMap(n=1, const=np.array([[-w]]),
+                    terms=(TrigTerm(k=(1,), cos=np.array([[-0.5 * w]]), sin=None),)),
+        H3=BlockMap.constant(np.array([[w]])),
+    )
+    with pytest.raises(StiffnessError):
+        transfer_matrix(f, f.flow.origin(), 0.0, 1.0)
+
+
+def test_torus_answers_make_no_integrator_call(torus_demo, monkeypatch):
+    from hamflow import detect_ed, rotation_number, weyl_minus, weyl_plus
+
+    from conftest import count_solve_ivp_calls
+
+    calls = count_solve_ivp_calls(monkeypatch)
+    om = torus_demo.flow.origin()
+    assert detect_ed(torus_demo, om).verdict == "ED"
+    weyl_plus(torus_demo, om, lam=0.0)
+    weyl_minus(torus_demo, om, lam=0.0)
+    rotation_number(torus_demo, om, T=16.0)
+    assert len(calls) == 0

@@ -124,8 +124,8 @@ def test_floquet_route_falls_back_on_unit_circle_multipliers(stiffness):
 
 
 def test_weyl_seeds_share_one_chunk_cache(monkeypatch, torus_demo):
-    # two random seeds, T doubled to 64: one integration per chunk
-    integrations = _counting(monkeypatch, propagator, "transfer_matrix")
+    # two random seeds, T doubled to 64: one kernel integration per chunk
+    integrations = _counting(monkeypatch, propagator, "_magnus_chunk")
     W = weyl_plus(torus_demo, torus_demo.flow.origin(), lam=0.0)
     assert W.T_used == 64.0
     assert len(integrations) == 64
