@@ -176,14 +176,6 @@ def sample_orbit(flow: BaseFlow, omega0: BasePoint, N: int, dt: float) -> list[B
     return [advance(flow, omega0, k * dt) for k in range(N)]
 
 
-def orbit_angles(flow: BaseFlow, omega: BasePoint, t: float) -> np.ndarray:
-    """Phases of omega . t as a float array (empty for autonomous).
-
-    Convenience used by coefficient evaluation along orbits.
-    """
-    return advance(flow, omega, t).as_array()
-
-
 def grid_sample(flow: BaseFlow, count: int, seed: int = 0) -> list[BasePoint]:
     """A deterministic spread of base points used for 'for all omega' checks.
 

@@ -2,7 +2,7 @@
 
 Subcommands dispatch one toolkit operation each and write deterministic
 CSV/JSON results: CSV bodies are byte-identical across runs with the
-same config and seed, timestamps live only in `#` header comments, and
+same config, timestamps live only in `#` header comments, and
 every output embeds the run configuration and toolkit version.
 
 Exit codes: 0 success, 2 mathematically inconclusive (detector or scan
@@ -15,17 +15,18 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dichotomy import classify_family, detect_ed, nonoscillation_check
+from ._json import Encodable, jsonable
+from .dichotomy import classify_family, detect_ed
 from .base_flow import make_flow
 from .errors import GoldenMismatch, SchemaError, ToolkitError, WeylNonexistence
-from .hamiltonian import CoefficientField, _block_from_json, field_from_dict
+from .hamiltonian import CoefficientField, _block_from_json, field_from_dict, perturb_h2
 from .lq_control import LQProblem, synthesize
 from .param_scan import (
     find_alpha_star,
@@ -44,7 +45,7 @@ EXIT_INCONCLUSIVE = 2
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Encodable):
     command: str
     input: str
     out: str
@@ -52,15 +53,11 @@ class RunConfig:
     grid: tuple[float, ...]
     T: float
     bracket: tuple[float, float]
-    seed: int
     jobs: int
 
     def __post_init__(self):
         if self.tol <= 0.0 or self.T <= 0.0:
             raise ToolkitError("tolerances and horizons must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -116,18 +113,8 @@ def _write_csv(path: Path, cfg: RunConfig, columns: list[str], rows) -> None:
 
 
 def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
-    out = {"version": __version__, "config": cfg.to_dict(), **payload}
-    path.write_text(json.dumps(out, sort_keys=True, indent=2, default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"not serializable: {type(obj)}")
+    out = jsonable({"version": __version__, "config": cfg, **payload})
+    path.write_text(json.dumps(out, sort_keys=True, indent=2) + "\n")
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -246,7 +233,7 @@ def cmd_examples(cfg: RunConfig) -> int:
                                    abs(row["rho"] - want), 0.0, preset.rho_tol))
 
     for (a, want_ed) in preset.ed_verdicts:
-        r = detect_ed(perturbed(field, a), T_max=2 * cfg.T)
+        r = detect_ed(perturb_h2(field, a), T_max=2 * cfg.T)
         got_ed = r.verdict == "ED"
         if r.verdict == "inconclusive":
             inconclusive = True
@@ -291,11 +278,6 @@ def cmd_examples(cfg: RunConfig) -> int:
         )
     print(f"{preset.name}: {len(diff_table)} golden checks passed")
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
-
-
-def perturbed(field: CoefficientField, alpha: float) -> CoefficientField:
-    from .hamiltonian import perturb_h2
-    return perturb_h2(field, alpha) if alpha != 0.0 else field
 
 
 def _extra_value(label: str, field: CoefficientField) -> float:
@@ -443,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time horizon / report horizon")
         p.add_argument("--bracket", type=str, default="0,1000",
                        help="lo,hi bracket (scan) or window (herglotz)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default="hamflow-out")
         p.add_argument("--jobs", type=int, default=1)
     return ap
@@ -461,7 +442,7 @@ def main(argv=None) -> int:
         cfg = RunConfig(
             command=args.command, input=args.input, out=args.out,
             tol=args.tol, grid=_parse_floats(args.grid), T=args.T,
-            bracket=(bracket[0], bracket[1]), seed=args.seed, jobs=args.jobs,
+            bracket=(bracket[0], bracket[1]), jobs=args.jobs,
         )
         return _COMMANDS[args.command](cfg)
     except GoldenMismatch as exc:

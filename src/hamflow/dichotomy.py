@@ -16,12 +16,12 @@ was judged against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from ._json import Encodable
 from .base_flow import BasePoint
 from .errors import InvalidCoefficients, ToolkitError
 from .hamiltonian import (
@@ -53,16 +53,8 @@ __all__ = [
 ]
 
 
-def _listify(x):
-    if isinstance(x, np.ndarray):
-        if np.iscomplexobj(x):
-            return {"re": x.real.tolist(), "im": x.imag.tolist()}
-        return x.tolist()
-    return x
-
-
 @dataclass(frozen=True)
-class EDThresholds:
+class EDThresholds(Encodable):
     """Decision thresholds for detect_ed; all configurable."""
 
     beta_min: float = 1e-3
@@ -72,19 +64,9 @@ class EDThresholds:
     shrink_factor: float = 0.7
     margin_drift: float = 0.3
 
-    def to_dict(self) -> dict:
-        return {
-            "beta_min": self.beta_min,
-            "angle_min": self.angle_min,
-            "agreement": self.agreement,
-            "T0": self.T0,
-            "shrink_factor": self.shrink_factor,
-            "margin_drift": self.margin_drift,
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class PointEvidence:
+class PointEvidence(Encodable):
     """Per-base-point evidence backing a dichotomy verdict."""
 
     omega: BasePoint
@@ -100,27 +82,9 @@ class PointEvidence:
     beta_point: float = 0.0
     eta_point: float = 1.0
 
-    def to_dict(self) -> dict:
-        return {
-            "omega": list(self.omega.coordinates),
-            "verdict": self.verdict,
-            "exponents": list(self.exponents),
-            "margin_history": [list(p) for p in self.margin_history],
-            "frame_agreement": self.frame_agreement,
-            "principal_angle": self.principal_angle,
-            "T_used": self.T_used,
-            "l_plus": None if self.l_plus is None else {
-                "L1": _listify(self.l_plus.L1), "L2": _listify(self.l_plus.L2)},
-            "l_minus": None if self.l_minus is None else {
-                "L1": _listify(self.l_minus.L1), "L2": _listify(self.l_minus.L2)},
-            "reason": self.reason,
-            "beta_point": self.beta_point,
-            "eta_point": self.eta_point,
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class DichotomyReport:
+class DichotomyReport(Encodable):
     verdict: str
     beta_hat: float
     eta_hat: float | None
@@ -129,18 +93,7 @@ class DichotomyReport:
     T_max: float
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "beta_hat": self.beta_hat,
-            "eta_hat": self.eta_hat,
-            "n_samples": len(self.samples),
-            "samples": [s.to_dict() for s in self.samples],
-            "thresholds": self.thresholds.to_dict(),
-            "T_max": self.T_max,
-        }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
+        return {**super().to_dict(), "n_samples": len(self.samples)}
 
 
 def principal_angle(F: np.ndarray, G: np.ndarray) -> float:
@@ -402,34 +355,22 @@ def _as_grid(field: CoefficientField, omega_grid) -> list[BasePoint]:
 
 
 @dataclass(frozen=True, eq=False)
-class NonoscillationReport:
+class NonoscillationReport(Encodable):
     holds: bool
     M_plus_samples: tuple[np.ndarray, ...]
     smallest_top_singular_value: float
     threshold: float
 
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "M_plus_samples": [_listify(M) for M in self.M_plus_samples],
-            "smallest_top_singular_value": self.smallest_top_singular_value,
-            "threshold": self.threshold,
-        }
-
 
 def nonoscillation_check(
-    field: CoefficientField,
-    report: DichotomyReport,
-    omega_grid: Sequence[BasePoint] | None = None,
-    sv_threshold: float = 1e-8,
+    report: DichotomyReport, sv_threshold: float = 1e-8
 ) -> NonoscillationReport:
-    """Nonoscillation on top of a verified dichotomy: every sampled l+
-    frame must admit a graph representation (invertible top block), and
-    the Weyl samples M+ = L2 L1^{-1} are returned.
+    """Nonoscillation on top of a verified dichotomy: every l+ frame
+    sampled in the report must admit a graph representation (invertible
+    top block), and the Weyl samples M+ = L2 L1^{-1} are returned.
     """
     if report.verdict != "ED":
         raise ValueError("nonoscillation_check requires an ED verdict")
-    del field, omega_grid  # frames already sampled in the report
     samples = []
     smin_all = float("inf")
     holds = True
@@ -450,7 +391,7 @@ def nonoscillation_check(
 
 
 @dataclass(frozen=True, eq=False)
-class UWDReport:
+class UWDReport(Encodable):
     verdict: bool
     t0_hat: float
     min_det_profile: tuple[tuple[float, float], ...]
@@ -458,20 +399,6 @@ class UWDReport:
     det_tol: float
     t_max: float
     h3_flagged: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "t0_hat": self.t0_hat,
-            "min_det_profile": [list(p) for p in self.min_det_profile],
-            "suspects": list(self.suspects),
-            "det_tol": self.det_tol,
-            "t_max": self.t_max,
-            "h3_flagged": self.h3_flagged,
-        }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _h3_psd_spotcheck(field: CoefficientField, omega: BasePoint) -> bool:
@@ -508,16 +435,12 @@ def uwd_test(
     n = field.n
     all_suspects: list[float] = []
     profile: list[tuple[float, float]] = []
-    samples_per_chunk = max(2, int(round(1.0 / dt)))
     for omega in grid:
         prop = ChunkedPropagator(field, omega, h=1.0, tol=tol)
         F = np.vstack([np.zeros((n, n)), np.eye(n)])
-        t0, k = 0.0, 0
         prev_det = None
-        while t0 < t_max - 1e-12:
-            L = min(prop.h, t_max - t0)
-            ts = t0 + L * np.arange(samples_per_chunk + 1) / samples_per_chunk
-            Fs = prop.sampled(k, samples_per_chunk, "forward", L) @ F
+        for ts, S in _chunks(prop, t_max, "forward", round(1.0 / dt)):
+            Fs = S @ F
             dets = np.linalg.det(Fs[:, :n, :])
             for j in range(1, len(ts)):
                 t, d = float(ts[j]), float(dets[j])
@@ -535,7 +458,6 @@ def uwd_test(
             F = Q
             # positive det(R): rescaling keeps the tracked sign meaningful
             prev_det = _top_det(F)
-            t0, k = t0 + L, k + 1
     all_suspects.sort()
     t0_hat = all_suspects[-1] if all_suspects else 0.0
     verdict = not any(s > 0.5 * t_max for s in all_suspects)
@@ -573,30 +495,13 @@ def _refine_crossing(field: CoefficientField, omega: BasePoint, F_a: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class AtkinsonReport:
+class AtkinsonReport(Encodable):
     satisfied: bool | None
     lambda_min: float
     witness: dict | None
     horizon: float
     pos_tol: float
     zero_tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "satisfied": self.satisfied,
-            "lambda_min": self.lambda_min,
-            "witness": None if self.witness is None else {
-                "omega": list(self.witness["omega"].coordinates),
-                "z0": _listify(self.witness["z0"]),
-                "max_residual": self.witness["max_residual"],
-            },
-            "horizon": self.horizon,
-            "pos_tol": self.pos_tol,
-            "zero_tol": self.zero_tol,
-        }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _chunks(prop: ChunkedPropagator, horizon: float, direction: str,
@@ -815,7 +720,7 @@ def _common_direction(V: np.ndarray, W: np.ndarray, cos_tol: float = 1.0 - 1e-8)
 
 
 @dataclass(frozen=True, eq=False)
-class WitnessReport:
+class WitnessReport(Encodable):
     found: bool
     z0: np.ndarray | None
     growth_ratio: float
@@ -823,17 +728,6 @@ class WitnessReport:
     T: float
     bound: float
     shape_residual: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "z0": None if self.z0 is None else _listify(self.z0),
-            "growth_ratio": self.growth_ratio,
-            "shape": self.shape,
-            "T": self.T,
-            "bound": self.bound,
-            "shape_residual": self.shape_residual,
-        }
 
 
 def bounded_solution_witness(
@@ -900,25 +794,11 @@ def bounded_solution_witness(
 
 
 @dataclass(frozen=True, eq=False)
-class ClassificationReport:
+class ClassificationReport(Encodable):
     alternative: str
     probe_results: tuple[dict, ...]
     witness: WitnessReport | None
     which: str
-
-    def to_dict(self) -> dict:
-        return {
-            "alternative": self.alternative,
-            "probe_results": [
-                {**r, "lam": [complex(r["lam"]).real, complex(r["lam"]).imag]}
-                for r in self.probe_results
-            ],
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "which": self.which,
-        }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 def classify_family(
@@ -949,11 +829,8 @@ def classify_family(
     results = []
     any_ed = False
     for lam in probes:
-        lam_c = complex(lam)
-        lam_use = lam_c.real if lam_c.imag == 0 else lam_c
-        f_lam = perturb(field, lam_use)
-        rep = detect_ed(f_lam, omega, T_max=T_max)
-        results.append({"lam": lam_c, "ed": rep.verdict, "beta_hat": rep.beta_hat})
+        rep = detect_ed(perturb(field, lam), omega, T_max=T_max)
+        results.append({"lam": complex(lam), "ed": rep.verdict, "beta_hat": rep.beta_hat})
         if rep.verdict == "ED":
             any_ed = True
     if any_ed:
@@ -965,9 +842,7 @@ def classify_family(
     witness_ok = True
     last_witness = None
     for lam, res in zip(probes, results):
-        lam_c = complex(lam)
-        lam_use = lam_c.real if lam_c.imag == 0 else lam_c
-        f_lam = perturb(field, lam_use)
+        f_lam = perturb(field, lam)
         probe_field = swap_variables(f_lam) if which == "H2" else f_lam
         wit = bounded_solution_witness(probe_field, omega, T=witness_T, shape=shape)
         res["witness_found"] = wit.found

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._json import jsonable
 from .base_flow import BaseFlow, BasePoint, advance, make_flow
 from .errors import InvalidCoefficients, SchemaError
 
@@ -170,31 +171,22 @@ class BlockMap:
 
     def to_dict(self) -> list | dict:
         if self.is_constant:
-            return _matrix_to_json(self.const)
+            return jsonable(self.const)
         out = []
         if np.any(self.const != 0):
-            out.append({"k": [0] * _klen(self), "cos": _matrix_to_json(self.const)})
+            out.append({"k": [0] * _klen(self), "cos": jsonable(self.const)})
         for t in self.terms:
             entry: dict = {"k": list(t.k)}
             if t.cos is not None:
-                entry["cos"] = _matrix_to_json(t.cos)
+                entry["cos"] = jsonable(t.cos)
             if t.sin is not None:
-                entry["sin"] = _matrix_to_json(t.sin)
+                entry["sin"] = jsonable(t.sin)
             out.append(entry)
         return out
 
 
 def _klen(bm: BlockMap) -> int:
     return len(bm.terms[0].k) if bm.terms else 0
-
-
-def _matrix_to_json(M: np.ndarray):
-    if np.iscomplexobj(M):
-        return {
-            "re": np.real(M).tolist(),
-            "im": np.imag(M).tolist(),
-        }
-    return M.tolist()
 
 
 def _matrix_from_json(obj) -> np.ndarray:
@@ -223,7 +215,7 @@ class PerturbationTag:
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
         if self.lam is not None:
-            out["lambda"] = [float(np.real(self.lam)), float(np.imag(self.lam))]
+            out["lambda"] = jsonable(complex(self.lam))
         if self.eps is not None:
             out["eps"] = float(self.eps)
         if self.gamma is not None:

@@ -16,13 +16,13 @@ each other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
+from ._json import Encodable, jsonable
 from .base_flow import BaseFlow, advance, make_flow
 from .dichotomy import DichotomyReport, detect_ed, nonoscillation_check
 from .errors import InvalidCoefficients, NotSolvable, SingularR
@@ -141,14 +141,14 @@ def solvability_check(
         return out
     if rep.verdict != "ED":
         return out
-    nc = nonoscillation_check(field, rep)
+    nc = nonoscillation_check(rep)
     out["nc_report"] = nc
     out["solvable"] = bool(nc.holds)
     return out
 
 
 @dataclass(frozen=True, eq=False)
-class LQSolution:
+class LQSolution(Encodable):
     feasible: bool
     M_plus: WeylMatrix
     value: float
@@ -183,16 +183,13 @@ class LQSolution:
             "value": self.value,
             "truncation_bound": self.truncation_bound,
             "closed_form_value": self.closed_form_value(),
-            "value_matrix": self.value_matrix.tolist(),
+            "value_matrix": jsonable(self.value_matrix),
             "decay_margin": self.decay_margin,
             "state_residual": self.state_residual,
             "beta_hat": self.beta_hat,
             "eta_hat": self.eta_hat,
             "n_samples": int(self.t.size),
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _feedback_maps(problem: LQProblem) -> tuple[np.ndarray, np.ndarray]:

@@ -14,13 +14,13 @@ reports +inf, which is a legitimate answer, not a failure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad_vec
 
+from ._json import Encodable
 from .base_flow import BasePoint
 from .dichotomy import detect_ed, nonoscillation_check, uwd_test
 from .errors import DivergentLimit, SignViolation, ToolkitError
@@ -46,7 +46,7 @@ Sampler = Callable[[complex], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
-class ScanResult:
+class ScanResult(Encodable):
     """Outcome of the alpha* search and/or the rho(alpha) trace."""
 
     alpha_star: float
@@ -58,21 +58,6 @@ class ScanResult:
     tol: float
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_star": self.alpha_star,
-            "alpha_uncertainty": self.alpha_uncertainty,
-            "rho_table": list(self.rho_table),
-            "monotonicity_certificate": self.monotonicity_certificate,
-            "boundary_behavior": self.boundary_behavior,
-            "bracket": list(self.bracket),
-            "tol": self.tol,
-            "flags": list(self.flags),
-        }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
-
     def csv_rows(self) -> list[tuple[float, float, str]]:
         """(alpha, rho, verdict) rows for serialization."""
         return [
@@ -81,21 +66,12 @@ class ScanResult:
 
 
 @dataclass(frozen=True, eq=False)
-class MonotonicityCertificate:
+class MonotonicityCertificate(Encodable):
     min_eigenvalue: float
     alpha1: float
     alpha2: float
     passed: bool
     n_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "min_eigenvalue": self.min_eigenvalue,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "passed": self.passed,
-            "n_points": self.n_points,
-        }
 
 
 def _check_delta_pd(field: CoefficientField) -> None:
@@ -114,7 +90,7 @@ def _ed_nc_predicate(
         return False
     if rep.verdict != "ED":
         return None
-    return nonoscillation_check(field, rep).holds
+    return nonoscillation_check(rep).holds
 
 
 def _ed_uwd_predicate(
@@ -189,8 +165,7 @@ def find_alpha_star(
 
     def pred(a: float) -> bool | None:
         if a not in cache:
-            cache[a] = _ed_nc_predicate(perturb_h2(field, a) if a != 0.0 else field,
-                                        T_max)
+            cache[a] = _ed_nc_predicate(perturb_h2(field, a), T_max)
         return cache[a]
 
     if pred(lo) is not True:
@@ -248,7 +223,7 @@ def rho_curve(
     eps_lo0, eps_hi = float(eps_bracket[0]), float(eps_bracket[1])
     rows: list[dict] = []
     for a in alpha_grid:
-        f_a = perturb_h2(field, float(a)) if a != 0.0 else field
+        f_a = perturb_h2(field, float(a))
         cache: dict[float, bool | None] = {}
 
         def pred(eps: float, _f=f_a) -> bool | None:
@@ -340,14 +315,14 @@ def left_halfline_check(
     ok = True
     prev_M = None
     for a in alphas:
-        f_a = perturb_h2(field, a) if a != 0.0 else field
+        f_a = perturb_h2(field, a)
         rep = detect_ed(f_a, T_max=T_max)
         entry = {"alpha": a, "ed": rep.verdict}
         if rep.verdict != "ED":
             ok = False
             per_alpha.append(entry)
             continue
-        nc = nonoscillation_check(f_a, rep)
+        nc = nonoscillation_check(rep)
         entry["nc"] = nc.holds
         M = weyl_plus(f_a, omega, lam=0.0, family=None).M
         entry["M_plus_max_eig"] = float(np.linalg.eigvalsh(np.real(M)).max())
@@ -366,7 +341,7 @@ def left_halfline_check(
 
 
 @dataclass(frozen=True, eq=False)
-class StieltjesMass:
+class StieltjesMass(Encodable):
     """Two-sided Stieltjes limit over a window: interior mass plus half
     of each endpoint atom, with the atoms estimated separately."""
 
@@ -376,35 +351,14 @@ class StieltjesMass:
     convergence_error: float
     window: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "mass": np.real(self.mass).tolist(),
-            "atom_lower": np.real(self.atom_lower).tolist(),
-            "atom_upper": np.real(self.atom_upper).tolist(),
-            "convergence_error": self.convergence_error,
-            "window": list(self.window),
-        }
-
 
 @dataclass(frozen=True, eq=False)
-class HerglotzData:
+class HerglotzData(Encodable):
     L: np.ndarray
     K: np.ndarray
     measure_samples: tuple[StieltjesMass, ...]
     K_min_eig: float
     sign_defect: float
-
-    def to_dict(self) -> dict:
-        return {
-            "L": np.real(self.L).tolist(),
-            "K": np.real(self.K).tolist(),
-            "measure_samples": [m.to_dict() for m in self.measure_samples],
-            "K_min_eig": self.K_min_eig,
-            "sign_defect": self.sign_defect,
-        }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), **kw)
 
 
 def _neville_halving(values: list[np.ndarray], order: int = 2) -> tuple[np.ndarray, float]:

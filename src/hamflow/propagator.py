@@ -103,19 +103,9 @@ class SolutionFrame:
         return np.vstack([self.L1, self.L2])
 
     @property
-    def smallest_singular_value(self) -> float:
-        return float(np.linalg.svd(self.stacked, compute_uv=False)[-1])
-
-    @property
     def degenerate(self) -> bool:
         s = np.linalg.svd(self.stacked, compute_uv=False)
         return bool(s[-1] <= 1e-12 * max(1.0, s[0]))
-
-    def lagrange_defect(self) -> float:
-        """||L1^T L2 - L2^T L1|| relative to the frame scale; zero on
-        Lagrange planes of real systems."""
-        raw = np.linalg.norm(self.L1.T @ self.L2 - self.L2.T @ self.L1, 2)
-        return _rel(raw, np.linalg.norm(self.stacked, 2) ** 2)
 
     def weyl_matrix(self) -> np.ndarray:
         """Graph representation L2 L1^{-1}."""
@@ -240,15 +230,13 @@ def transfer_matrix(
     """The operator mapping z(t0) to z(t1) along the orbit of omega.
 
     method: "auto" (matrix exponential when the field is constant, the
-    Magnus kernel over pieces of at most unit length otherwise),
+    Magnus kernel over pieces of at most unit length otherwise) or
     "adaptive" (DOP853, the reference the tests check the others
-    against), or "expm" (constant fields only).
+    against).
     """
-    if method not in ("auto", "adaptive", "expm"):
+    if method not in ("auto", "adaptive"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "expm" and not field.is_autonomous:
-        raise ValueError("expm route requires a constant-coefficient field")
-    if field.is_autonomous and method in ("auto", "expm"):
+    if field.is_autonomous and method == "auto":
         return expm((t1 - t0) * field.constant_matrix())
     dtype = complex if field.is_complex else float
     U = np.eye(2 * field.n, dtype=dtype)

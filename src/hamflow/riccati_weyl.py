@@ -183,19 +183,10 @@ def _orthonormal_frame(F: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _seed_frame(n: int, seed) -> np.ndarray:
-    """Seed plane as a stacked 2n x n frame.  ``seed`` is either an n x n
-    matrix M0 (plane = graph of M0) or a full 2n x n array."""
-    seed = np.asarray(seed)
-    if seed.ndim == 0:
-        seed = seed * np.eye(n)
-    if seed.shape == (n, n):
-        F = np.vstack([np.eye(n, dtype=seed.dtype), seed])
-    elif seed.shape == (2 * n, n):
-        F = seed
-    else:
-        raise ValueError(f"seed shape {seed.shape} unusable for n = {n}")
-    return _orthonormal_frame(F)
+def _seed_frame(M0: np.ndarray) -> np.ndarray:
+    """The graph plane [[I], [M0]] of an n x n seed as an orthonormal
+    2n x n frame."""
+    return _orthonormal_frame(np.vstack([np.eye(M0.shape[0], dtype=M0.dtype), M0]))
 
 
 def _limit_plane(
@@ -206,11 +197,10 @@ def _limit_plane(
     tol: float,
     T0: float,
     max_doublings: int,
-    min_comparisons: int = 3,
     prop: ChunkedPropagator | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Carry the seed plane from horizon +-T to 0, doubling T until the
-    plane at 0 stabilizes.
+    plane at 0 stabilizes over three successive doublings.
 
     side "plus": seed sits at +T, carried backward (the forward-decaying
     plane is backward-dominant, so generic seeds converge to it).
@@ -239,7 +229,7 @@ def _limit_plane(
         cur = plane_at_zero(m)
         last = plane_distance(prev, cur)
         comparisons += 1
-        if last <= tol and comparisons >= min_comparisons:
+        if last <= tol and comparisons >= 3:
             return cur, last, float(m)
         prev = cur
     raise NoConvergence(
@@ -353,22 +343,17 @@ def _weyl(
     side: str,
     tol: float,
     family: str | None,
-    seed,
     method: str,
-    T0: float | None,
-    beta_hat: float | None,
     max_doublings: int,
 ) -> WeylMatrix:
     if omega is None:
         omega = field.flow.origin()
     fam_field = apply_family(field, lam, family)
     role = "M+" if side == "plus" else "M-"
-    if method not in ("auto", "frame", "eig"):
+    if method not in ("auto", "frame"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "eig" and not fam_field.is_autonomous:
-        raise ValueError("eig route requires a constant-coefficient field")
-    if method != "frame" and (fam_field.is_autonomous
-                              or fam_field.flow.kind == "periodic"):
+    if method == "auto" and (fam_field.is_autonomous
+                             or fam_field.flow.kind == "periodic"):
         try:
             if fam_field.is_autonomous:
                 F, err = _eig_plane(fam_field, side)
@@ -380,35 +365,27 @@ def _weyl(
         except WeylNonexistence:
             raise
         except ToolkitError:
-            if method == "eig":
-                raise
-            # fall through to the frame route
+            pass  # fall through to the frame route
 
     n = field.n
-    if T0 is None:
-        T0 = 8.0 if not beta_hat else min(64.0, max(4.0, 8.0 / beta_hat))
-    im = complex(lam).imag
-    if seed is None:
-        if im != 0:
-            # Transversal to the opposite plane by the sign structure of
-            # its imaginary part; the mirrored sign can become tangent.
-            seed_list = [(1j if side == "plus" else -1j) * np.eye(n)]
-        else:
-            # A fixed seed can coincide with the complementary invariant
-            # plane (a repelling fixed point of the doubling map), which
-            # "converges" instantly to the wrong limit.  Two independent
-            # random seeds agreeing certifies the plane is attracting.
-            rng = np.random.default_rng(7)
-            seed_list = [_random_symmetric(rng, n), _random_symmetric(rng, n)]
+    if complex(lam).imag != 0:
+        # Transversal to the opposite plane by the sign structure of
+        # its imaginary part; the mirrored sign can become tangent.
+        seed_list = [(1j if side == "plus" else -1j) * np.eye(n)]
     else:
-        seed_list = [np.asarray(seed)]
+        # A fixed seed can coincide with the complementary invariant
+        # plane (a repelling fixed point of the doubling map), which
+        # "converges" instantly to the wrong limit.  Two independent
+        # random seeds agreeing certifies the plane is attracting.
+        rng = np.random.default_rng(7)
+        seed_list = [_random_symmetric(rng, n), _random_symmetric(rng, n)]
     frames: list[tuple[np.ndarray, float, float]] = []
     last_exc: ToolkitError | None = None
     prop = ChunkedPropagator(fam_field, omega, h=1.0, tol=_PROPAGATION_TOL)
     for s in seed_list:
         try:
             frames.append(_limit_plane(
-                fam_field, omega, _seed_frame(n, s), side, tol, T0, max_doublings,
+                fam_field, omega, _seed_frame(s), side, tol, 8.0, max_doublings,
                 prop=prop,
             ))
         except NoConvergence as exc:
@@ -440,25 +417,21 @@ def weyl_plus(
     lam: complex = 0.0,
     tol: float = 1e-8,
     family: str | None = "H2",
-    seed=None,
     method: str = "auto",
-    T0: float | None = None,
-    beta_hat: float | None = None,
     max_doublings: int = 12,
 ) -> WeylMatrix:
     """M+(omega, lam): graph of the forward-decaying plane.
 
     Computed by carrying a seed plane backward from horizon T with
     T-doubling agreement (``method="frame"``).  Under ``method="auto"`` a
-    constant field takes the stable eigenspace of H (also selectable as
-    ``method="eig"``) and a periodic one the stable subspace of its
-    one-period monodromy matrix, each falling back to the frame route
-    when the split is not clean; tests check both against the frame
-    route.  Raises WeylNonexistence when the plane is vertical-degenerate
-    and NoConvergence when doubling never settles (no dichotomy nearby).
+    constant field takes the stable eigenspace of H and a periodic one
+    the stable subspace of its one-period monodromy matrix, each falling
+    back to the frame route when the split is not clean; tests check
+    both against the frame route.  Raises WeylNonexistence when the
+    plane is vertical-degenerate and NoConvergence when doubling never
+    settles (no dichotomy nearby).
     """
-    return _weyl(field, omega, lam, "plus", tol, family, seed, method,
-                 T0, beta_hat, max_doublings)
+    return _weyl(field, omega, lam, "plus", tol, family, method, max_doublings)
 
 
 def weyl_minus(
@@ -467,16 +440,12 @@ def weyl_minus(
     lam: complex = 0.0,
     tol: float = 1e-8,
     family: str | None = "H2",
-    seed=None,
     method: str = "auto",
-    T0: float | None = None,
-    beta_hat: float | None = None,
     max_doublings: int = 12,
 ) -> WeylMatrix:
     """M-(omega, lam): graph of the backward-decaying plane, carried
     forward from horizon -T.  Errors as in weyl_plus."""
-    return _weyl(field, omega, lam, "minus", tol, family, seed, method,
-                 T0, beta_hat, max_doublings)
+    return _weyl(field, omega, lam, "minus", tol, family, method, max_doublings)
 
 
 def principal_functions(
@@ -498,11 +467,8 @@ def principal_functions(
     max_doublings = max(3, int(np.ceil(np.log2(T_max / T0))))
     out = []
     for side, role in (("plus", "N+"), ("minus", "N-")):
-        try:
-            F, err, T_used = _limit_plane(field, omega, vertical, side, tol,
-                                          T0, max_doublings)
-        except NoConvergence:
-            raise
+        F, err, T_used = _limit_plane(field, omega, vertical, side, tol,
+                                      T0, max_doublings)
         try:
             out.append(_frame_to_weyl(F, role, omega, 0.0, err, T_used))
         except WeylNonexistence as exc:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._json import Encodable
 from .base_flow import BasePoint
 from .errors import InvalidCoefficients, UnwrapFailure
 from .hamiltonian import CoefficientField, _with_delta, perturb_h2
@@ -33,7 +34,7 @@ _MAX_DT_HALVINGS = 20
 
 
 @dataclass(frozen=True)
-class RotationEstimate:
+class RotationEstimate(Encodable):
     """Time-average winding rate of det(U1 - i U2) along one orbit.
 
     error_bar compares the horizon-T and horizon-T/2 averages;
@@ -44,14 +45,6 @@ class RotationEstimate:
     error_bar: float
     T_used: float
     unwrap_steps: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "error_bar": self.error_bar,
-            "T_used": self.T_used,
-            "unwrap_steps": self.unwrap_steps,
-        }
 
 
 @dataclass(frozen=True)
@@ -198,8 +191,7 @@ def rotation_profile(
     field = _with_delta(field, delta)
     estimates = []
     for a in alphas:
-        f_a = perturb_h2(field, a) if a != 0.0 else field
-        estimates.append(rotation_number(f_a, omega, T=T, dt=dt, tol=tol))
+        estimates.append(rotation_number(perturb_h2(field, a), omega, T=T, dt=dt, tol=tol))
     defect = 0.0
     for (a0, e0), (a1, e1) in zip(
         zip(alphas, estimates), zip(alphas[1:], estimates[1:])

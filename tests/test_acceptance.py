@@ -72,7 +72,7 @@ def test_criterion_3_example3_suite(ex3):
         f = perturb_h2(ex3, lam) if lam != 0.0 else ex3
         rep = detect_ed(f, T_max=256.0)
         assert rep.verdict == "ED", f"lam={lam}"
-        assert nonoscillation_check(f, rep).holds, f"lam={lam}"
+        assert nonoscillation_check(rep).holds, f"lam={lam}"
     for lam in (1.5, 2.0):
         assert detect_ed(perturb_h2(ex3, lam), T_max=256.0).verdict == "noED"
     prof = rotation_profile(ex3, alpha_grid=[-4.0, 0.0, 0.9, 1.5, 2.0], tol=1e-3)

@@ -8,7 +8,6 @@ from hamflow.base_flow import (
     advance,
     grid_sample,
     make_flow,
-    orbit_angles,
     sample_orbit,
 )
 from hamflow.errors import SchemaError
@@ -19,7 +18,6 @@ def test_autonomous_flow_is_a_single_point():
     assert f.dim == 0
     om = f.origin()
     assert advance(f, om, 17.3) == om
-    assert orbit_angles(f, om, 5.0).size == 0
 
 
 def test_periodic_flow_wraps_at_the_period():

@@ -101,10 +101,10 @@ def test_csv_bodies_are_deterministic(tmp_path):
 
 
 def test_outputs_embed_config_and_version(tmp_path):
-    assert main(["weyl", "ex2", "--out", str(tmp_path), "--seed", "9"]) == 0
+    assert main(["weyl", "ex2", "--out", str(tmp_path), "--tol", "1e-07"]) == 0
     text = (tmp_path / "weyl.csv").read_text()
     assert "# version" in text
-    assert '"seed": 9' in text
+    assert '"tol": 1e-07' in text
 
 
 def test_parallel_jobs_match_serial(tmp_path):

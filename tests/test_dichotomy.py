@@ -113,7 +113,7 @@ def test_report_serialization_roundtrip():
 
 def test_nonoscillation_follows_ed_on_ex2(ex2):
     rep = detect_ed(ex2, T_max=64.0)
-    nc = nonoscillation_check(ex2, rep)
+    nc = nonoscillation_check(rep)
     assert nc.holds
     assert nc.smallest_top_singular_value > 1e-8
 
@@ -125,7 +125,7 @@ def test_nonoscillation_fails_when_plane_turns_vertical(ex1):
     g = swap_variables(ex1)
     rep = detect_ed(g, T_max=64.0)
     assert rep.verdict == "ED"
-    nc = nonoscillation_check(g, rep)
+    nc = nonoscillation_check(rep)
     assert not nc.holds
 
 

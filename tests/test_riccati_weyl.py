@@ -51,7 +51,7 @@ def test_frame_route_rejects_seed_stuck_on_the_complementary_plane(ex1):
     assert abs(W.M[0, 0]) <= 1e-10
 
 
-def test_eig_and_frame_routes_agree_on_random_hyperbolic_fields():
+def test_eig_and_frame_routes_agree_on_random_hyperbolic_fields(monkeypatch):
     rng = np.random.default_rng(314)
     done = 0
     while done < 6:
@@ -59,7 +59,11 @@ def test_eig_and_frame_routes_agree_on_random_hyperbolic_fields():
         H = f.constant_matrix()
         if np.min(np.abs(np.real(np.linalg.eigvals(H)))) < 0.3:
             continue
-        a = weyl_plus(f, method="eig")
+        # auto takes the eig route on constant fields: no horizon doubling
+        doublings = _counting(monkeypatch, riccati_weyl, "_limit_plane")
+        a = weyl_plus(f, method="auto")
+        monkeypatch.undo()
+        assert len(doublings) == 0
         b = weyl_plus(f, method="frame")
         np.testing.assert_allclose(a.M, b.M, atol=1e-7)
         np.testing.assert_allclose(np.real(a.M), schur_stable_weyl(H), atol=1e-8)
