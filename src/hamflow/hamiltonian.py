@@ -297,8 +297,8 @@ class CoefficientField:
             nu = np.asarray(self.flow.nu)
         # the phase is reduced mod 1 before it is scaled by 2 pi
         phase = 2.0 * np.pi * ((c.K @ omega.as_array() + np.multiply.outer(ts, c.K @ nu)) % 1.0)
-        return (c.H0 + np.einsum("...k,kij->...ij", np.cos(phase), c.C)
-                + np.einsum("...k,kij->...ij", np.sin(phase), c.S))
+        trig = np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
+        return c.H0 + (trig @ c.CS).reshape(ts.shape + c.H0.shape)
 
     def constant_matrix(self) -> np.ndarray:
         """The assembled matrix of an autonomous field."""
@@ -366,12 +366,12 @@ class CompiledField:
     theta) C_j + sin(2 pi K_j . theta) S_j.  Terms of the three blocks
     with equal frequency, or opposite ones, are merged into one row of the
     integer frequency matrix K (first nonzero entry positive), so repeated
-    perturbation does not add rows."""
+    perturbation does not add rows.  CS holds the flattened C_j, then the
+    S_j, as the rows of one (2 len(K), 4 n^2) matrix."""
 
     H0: np.ndarray
     K: np.ndarray
-    C: np.ndarray
-    S: np.ndarray
+    CS: np.ndarray
 
     @staticmethod
     def of(field: CoefficientField) -> "CompiledField":
@@ -397,11 +397,11 @@ class CompiledField:
                 if term.sin is not None:
                     parts[1, b] += flip * term.sin
         keys = sorted(coef)
-        CS = np.array([[_assemble(*coef[k][j], dtype) for j in (0, 1)] for k in keys],
-                      dtype=dtype).reshape(len(keys), 2, 2 * n, 2 * n)
+        CS = np.array([[_assemble(*coef[k][j], dtype) for k in keys] for j in (0, 1)],
+                      dtype=dtype).reshape(2 * len(keys), 4 * n * n)
         return CompiledField(H0=_assemble(*const, dtype),
                              K=np.array(keys, dtype=int).reshape(len(keys), field.flow.dim),
-                             C=CS[:, 0], S=CS[:, 1])
+                             CS=CS)
 
 
 def _assemble(H1, H2, H3, dtype) -> np.ndarray:

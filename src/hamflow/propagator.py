@@ -1,15 +1,15 @@
 """Fundamental-matrix and frame propagation for z' = H(omega . t) z.
 
 Constant-coefficient fields take the matrix exponential.  Other fields
-take a sixth-order Magnus kernel: H at the Gauss nodes of every step
-comes from the compiled coefficients in one call, the steps are one
-batched matrix exponential, and N steps are compared with 2N.  The
-adaptive route integrates the matrix ODE with DOP853; it is the
-reference the test suite checks both fast routes against, never the
-other way around.  Symplectic defects ||U^T J U - J|| are relative to
-||U||^2 (the absolute defect scales with the square of the solution
-magnitude, so only the relative quantity is meaningful on hyperbolic
-systems).
+take a sixth-order Magnus kernel: H at the Gauss nodes of the N and 2N
+steps comes from the compiled coefficients in one call, all 3N steps
+are one stack exponential, and the N-step product is compared with the
+2N-step one.  The adaptive route integrates the matrix ODE with DOP853;
+it is the reference the test suite checks both fast routes against,
+never the other way around.  Symplectic defects ||U^T J U - J|| are
+relative to ||U||^2 (the absolute defect scales with the square of the
+solution magnitude, so only the relative quantity is meaningful on
+hyperbolic systems).
 
 Long-time frame work never holds raw products: the chunked propagator
 caches transfer matrices over unit time chunks (and sampled inside
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .base_flow import BasePoint, advance
 from .errors import StiffnessError
@@ -150,6 +150,73 @@ def _integrate_matrix(
     return sol.y[:, -1].reshape(shape)
 
 
+# Higham (SIAM J. Matrix Anal. Appl. 26, 2005): the largest 1-norm for
+# which the [m/m] Pade approximant of exp is accurate to double precision,
+# and the numerator coefficients b_0..b_m of that approximant
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+               7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+               13: 5.371920351148152e0}
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one matrix or of an (N, k, k) stack.
+
+    A single matrix goes to ``scipy.linalg.expm``.  A stack takes one
+    diagonal Pade approximant r_m with scaling and squaring (Higham 2005)
+    for all its slices: degree m and scaling s follow from the largest
+    1-norm in the stack, and the work is batched products, one batched
+    solve and s batched squarings.  r_m(z) r_m(-z) = 1, so the
+    exponential of a Hamiltonian matrix comes out symplectic.  A stack
+    with a non-finite entry comes back as NaN."""
+    A = np.asarray(A)
+    if A.ndim == 2:
+        return scipy.linalg.expm(A)
+    norm = float(np.max(np.sum(np.abs(A), axis=-2), initial=0.0))
+    if not np.isfinite(norm):
+        return np.full(A.shape, np.nan, dtype=np.result_type(A, float))
+    m = next((d for d in (3, 5, 7, 9) if norm <= _PADE_THETA[d]), 13)
+    s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13])))) if m == 13 else 0
+    if s:
+        A = A / 2.0 ** s
+    b = _PADE_B[m]
+    I = np.eye(A.shape[-1], dtype=A.dtype)
+    A2 = A @ A
+    if m == 13:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+    else:
+        # U = A (b_1 I + b_3 A^2 + ...), V = b_0 I + b_2 A^2 + ...
+        P = I
+        U, V = b[1] * I, b[0] * I
+        for k in range(2, m, 2):
+            P = P @ A2
+            U = U + b[k + 1] * P
+            V = V + b[k] * P
+        U = A @ U
+    with np.errstate(over="ignore", invalid="ignore"):
+        # r_m = (V - U)^-1 (V + U); adding I last keeps slices of small
+        # norm as accurate as scipy's
+        R = I + 2.0 * np.linalg.solve(V - U, U)
+        for _ in range(s):
+            R = R @ R
+    return R
+
+
 # Gauss-Legendre nodes of the sixth-order commutator Magnus step
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 _MAGNUS_MIN_STEPS = 32
@@ -160,34 +227,46 @@ def _commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
 
 
-def _magnus_products(field: CoefficientField, omega: BasePoint, t0: float,
-                     span: float, N: int, m: int) -> np.ndarray:
-    """Products of N sixth-order Magnus steps over [t0, t0 + span], kept
-    after every N/m steps: an (m + 1, 2n, 2n) stack from the identity.
+def _magnus_steps(field: CoefficientField, omega: BasePoint, t0: float,
+                  span: float, Ns: Sequence[int]) -> np.ndarray:
+    """The step exponentials of N sixth-order Magnus steps over
+    [t0, t0 + span] for every N in ``Ns``, concatenated to one
+    (sum Ns, 2n, 2n) stack from one ``H_at`` and one ``expm`` call.  A
+    complex field's steps come in the real form, (sum Ns, 4n, 4n).
 
     The step is the commutator form of Blanes, Casas and Ros (BIT 40,
     2000) with H at three Gauss nodes; each step is the exponential of a
-    Hamiltonian matrix, so every product is symplectic."""
-    n2 = 2 * field.n
-    h = span / N
-    A = h * field.H_at(omega, t0 + h * (np.arange(N)[:, None] + _GAUSS_NODES))
+    Hamiltonian matrix, so it is symplectic."""
+    h = np.concatenate([np.full(N, span / N) for N in Ns])[:, None, None, None]
+    ts = np.concatenate([span / N * (np.arange(N)[:, None] + _GAUSS_NODES) for N in Ns])
+    A = h * field.H_at(omega, t0 + ts)
+    if np.iscomplexobj(A):
+        # products of tiny complex matrices cost several times those of
+        # real ones: carry X + iY as the real [[X, -Y], [Y, X]] instead
+        A = np.block([[A.real, -A.imag], [A.imag, A.real]])
     a1 = A[:, 1]
     a2 = (np.sqrt(15.0) / 3.0) * (A[:, 2] - A[:, 0])
     a3 = (10.0 / 3.0) * (A[:, 2] - 2.0 * A[:, 1] + A[:, 0])
     C1 = _commutator(a1, a2)
     C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
-    E = expm(a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0)
+    return expm(a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0)
+
+
+def _step_products(E: np.ndarray, m: int) -> np.ndarray:
+    """Products of (..., N, k, k) stacks of step exponentials, kept after
+    every N/m steps: (..., m + 1, k, k) stacks from the identity."""
+    lead, k = E.shape[:-3], E.shape[-1]
     # multiply the steps of each of the m sample intervals pairwise
-    E = E.reshape(m, N // m, n2, n2)
-    I = np.eye(n2, dtype=E.dtype)
-    while E.shape[1] > 1:
-        if E.shape[1] % 2:
-            E = np.concatenate([E, np.broadcast_to(I, (m, 1, n2, n2))], axis=1)
-        E = E[:, 1::2] @ E[:, 0::2]
-    out = np.empty((m + 1, n2, n2), dtype=E.dtype)
-    out[0] = I
+    E = E.reshape(lead + (m, -1, k, k))
+    I = np.eye(k, dtype=E.dtype)
+    while E.shape[-3] > 1:
+        if E.shape[-3] % 2:
+            E = np.concatenate([E, np.broadcast_to(I, E.shape[:-3] + (1, k, k))], axis=-3)
+        E = E[..., 1::2, :, :] @ E[..., 0::2, :, :]
+    out = np.empty(lead + (m + 1, k, k), dtype=E.dtype)
+    out[..., 0, :, :] = I
     for j in range(m):
-        out[j + 1] = E[j, 0] @ out[j]
+        out[..., j + 1, :, :] = E[..., j, 0, :, :] @ out[..., j, :, :]
     return out
 
 
@@ -200,20 +279,33 @@ def _magnus_chunk(field: CoefficientField, omega: BasePoint, t0: float,
     N and 2N Magnus steps are compared (N a multiple of m, at least 32)
     and N doubles until the relative difference at every sample is at
     most 64 tol, about 63 times the error of the 2N result; the return
-    value is its Richardson extrapolation U_2N + (U_2N - U_N) / 63.  Steps
-    too long for the field may overflow; the comparison then fails and N
+    value is its Richardson extrapolation U_2N + (U_2N - U_N) / 63.  The
+    first attempt takes the steps of both passes from one
+    ``_magnus_steps`` call, a retry only the new 2N steps.  Steps too
+    long for the field may overflow; the comparison then fails and N
     doubles."""
-    N, U_N = m * -(-_MAGNUS_MIN_STEPS // m), None
+    k = 2 * field.n
+
+    def products(E):
+        U = _step_products(E, m)
+        # back from the real form [[X, -Y], [Y, X]] of X + iY
+        return U[..., :k, :k] + 1j * U[..., k:, :k] if field.is_complex else U
+
+    N = m * -(-_MAGNUS_MIN_STEPS // m)
     with np.errstate(over="ignore", invalid="ignore"):
-        while 2 * N <= _MAGNUS_MAX_STEPS:
-            if U_N is None:
-                U_N = _magnus_products(field, omega, t0, span, N, m)
-            U_2N = _magnus_products(field, omega, t0, span, 2 * N, m)
+        E = _magnus_steps(field, omega, t0, span, (N, 2 * N))
+        # pairing the 2N steps first gives both passes N factors, so
+        # their products are one batch
+        U_N, U_2N = products(np.stack([E[:N], E[N + 1::2] @ E[N::2]]))
+        while True:
             diff = np.max(np.abs(U_2N - U_N), axis=(1, 2))
             scale = np.maximum(1.0, np.max(np.abs(U_2N), axis=(1, 2)))
             if np.all(diff <= 64.0 * tol * scale):
                 return U_2N + (U_2N - U_N) / 63.0
             N, U_N = 2 * N, U_2N
+            if 2 * N > _MAGNUS_MAX_STEPS:
+                break
+            U_2N = products(_magnus_steps(field, omega, t0, span, (2 * N,)))
     raise StiffnessError(
         f"Magnus steps did not settle with {_MAGNUS_MAX_STEPS} steps over "
         f"[{t0:.6g}, {t0 + span:.6g}]", t_reached=t0)
@@ -311,7 +403,11 @@ def cocycle_check(
 
 def _positive_qr(F: np.ndarray):
     """QR with positive real diagonal of R, so det(change of basis) > 0
-    and determinant signs of propagated top blocks are preserved."""
+    and determinant signs of propagated top blocks are preserved.  A
+    single column is divided by its norm (a zero column is kept)."""
+    if F.shape[1] == 1:
+        r = float(np.linalg.norm(F))
+        return (F / r if r > 0.0 else F), np.array([[r]])
     Q, R = np.linalg.qr(F)
     d = np.diagonal(R).copy()
     d = np.where(np.abs(d) == 0, 1.0, d)

@@ -7,11 +7,13 @@ to time 0 (for M+; forward from -T for M-) with per-chunk
 re-orthonormalization, and the horizon is doubled until successive
 estimates agree.  Constant fields take the stable/unstable eigenspace of
 H instead, and periodic ones the stable/unstable subspace of the
-one-period monodromy matrix; both fall back to horizon doubling when
-their spectral split is not clean.  The Riccati flow itself blows up in
-finite time exactly where the graph representation degenerates, so the
-plane route is the primary one; direct Riccati stepping is provided
-separately and the two are cross-checked in the test suite.
+one-period monodromy matrix.  When the split is not clean, a periodic
+field falls back to horizon doubling; a constant one has an eigenvalue
+on the imaginary axis, no decaying plane, and raises at once.  The
+Riccati flow itself blows up in finite time exactly where the graph
+representation degenerates, so the plane route is the primary one;
+direct Riccati stepping is provided separately and the two are
+cross-checked in the test suite.
 
 The spectral parameter enters through the perturbation families: by
 default lambda shifts the lower-left block (H2 -> H2 - lambda Delta), the
@@ -240,7 +242,9 @@ def _limit_plane(
 
 def _eig_plane(field: CoefficientField, side: str) -> tuple[np.ndarray, float]:
     """Stable (side plus) / unstable (side minus) eigenspace frame of a
-    constant-coefficient field; raises if the spectral split is not clean."""
+    constant-coefficient field.  Raises NoConvergence when the spectral
+    split is not clean: an eigenvalue on the imaginary axis leaves no
+    decaying plane, and horizon doubling could only fail to settle."""
     H = field.constant_matrix()
     w, V = np.linalg.eig(H)
     order = np.argsort(w.real)
@@ -254,7 +258,10 @@ def _eig_plane(field: CoefficientField, side: str) -> tuple[np.ndarray, float]:
         rest = order[:n]
         gap = float(w.real[sel].min() - w.real[rest].max())
     if gap <= 1e-12:
-        raise ToolkitError("no clean spectral split for the eigen route")
+        w0 = w[np.argmin(np.abs(w.real))]
+        raise NoConvergence(
+            f"no clean spectral split: eigenvalue {w0:.6g} of H lies on the "
+            "imaginary axis, so no decaying plane exists", T_max=float("inf"))
     F = _orthonormal_frame(V[:, sel])
     cond = np.linalg.cond(V)
     return F, float(1e-15 * cond / max(gap, 1e-15))
@@ -362,7 +369,7 @@ def _weyl(
                 F, err = _floquet_plane(fam_field, omega, side, tol)
                 T_used = fam_field.flow.period
             return _frame_to_weyl(F, role, omega, lam, err, T_used)
-        except WeylNonexistence:
+        except (WeylNonexistence, NoConvergence):
             raise
         except ToolkitError:
             pass  # fall through to the frame route
@@ -425,11 +432,12 @@ def weyl_plus(
     Computed by carrying a seed plane backward from horizon T with
     T-doubling agreement (``method="frame"``).  Under ``method="auto"`` a
     constant field takes the stable eigenspace of H and a periodic one
-    the stable subspace of its one-period monodromy matrix, each falling
-    back to the frame route when the split is not clean; tests check
-    both against the frame route.  Raises WeylNonexistence when the
-    plane is vertical-degenerate and NoConvergence when doubling never
-    settles (no dichotomy nearby).
+    the stable subspace of its one-period monodromy matrix; tests check
+    both against the frame route.  A periodic field falls back to the
+    frame route when its split is not clean.  Raises WeylNonexistence
+    when the plane is vertical-degenerate and NoConvergence when
+    doubling never settles or, on a constant field, when H has an
+    eigenvalue on the imaginary axis (no dichotomy nearby).
     """
     return _weyl(field, omega, lam, "plus", tol, family, method, max_doublings)
 

@@ -62,9 +62,10 @@ class RotationProfile:
 
 
 class _ArgTracker:
-    """Carries U(t, omega) chunk by chunk, accumulating the unwrapped
-    argument of det(U1 - i U2) at sample resolution dt.  The samples of a
-    chunk are one ``ChunkedPropagator.sampled`` stack times U."""
+    """Carries the first n columns F of U(t, omega) chunk by chunk (all
+    that det(U1 - i U2) reads), accumulating the unwrapped argument at
+    sample resolution dt.  The samples of a chunk are one
+    ``ChunkedPropagator.sampled`` stack times F."""
 
     def __init__(
         self,
@@ -79,7 +80,7 @@ class _ArgTracker:
         self.prop = ChunkedPropagator(field, omega, h=chunk, tol=tol)
         self.dt0 = dt
         self.n = field.n
-        self.U = np.eye(2 * self.n)
+        self.F = np.eye(2 * self.n)[:, :self.n]
         self.k = 0
         self.t = 0.0
         self.arg = 0.0
@@ -91,14 +92,13 @@ class _ArgTracker:
         dt = min(self.dt0, h)
         for _ in range(_MAX_DT_HALVINGS + 1):
             m = max(1, int(np.ceil(h / dt)))
-            mats = self.prop.sampled(self.k, m) @ self.U
-            dets = np.linalg.det(mats[:, :n, :n] - 1j * mats[:, n:, :n])
+            mats = self.prop.sampled(self.k, m) @ self.F
+            dets = np.linalg.det(mats[:, :n] - 1j * mats[:, n:])
             incs = np.angle(dets[1:] * np.conj(dets[:-1]))
             if np.all(np.abs(incs) < 0.5 * np.pi):
                 self.arg += sum(incs.tolist())
                 self.steps += m
-                Q, _ = _positive_qr(mats[-1])
-                self.U = Q
+                self.F, _ = _positive_qr(mats[-1])
                 self.k += 1
                 self.t += h
                 self.history.append((self.t, self.arg))

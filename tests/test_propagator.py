@@ -238,3 +238,163 @@ def test_torus_answers_make_no_integrator_call(torus_demo, monkeypatch):
     weyl_minus(torus_demo, om, lam=0.0)
     rotation_number(torus_demo, om, T=16.0)
     assert len(calls) == 0
+
+
+def _hamiltonian_stack(rng, n, count, complex_):
+    """count random Hamiltonian 2n x 2n matrices J S, S symmetric."""
+    S = rng.standard_normal((count, 2 * n, 2 * n))
+    if complex_:
+        S = S + 1j * rng.standard_normal(S.shape)
+    return J_matrix(n) @ (S + np.swapaxes(S, -1, -2))
+
+
+def _with_norm(H, norm):
+    """H rescaled slice by slice to the given 1-norm."""
+    return H * (norm / np.abs(H).sum(-2).max(-1))[:, None, None]
+
+
+def _nilpotent(n, norm, dtype):
+    """The Hamiltonian [[0, B], [0, 0]] (B symmetric, H^2 = 0) of 1-norm
+    ``norm``: exp is I + H exactly."""
+    H = np.zeros((2 * n, 2 * n), dtype=dtype)
+    H[:n, n:] = norm * np.eye(n)
+    return H
+
+
+def _pade_branch(stack):
+    """(degree, scaling) the stack exponential picks for this stack."""
+    from hamflow.propagator import _PADE_THETA
+
+    norm = np.abs(stack).sum(-2).max()
+    m = next((d for d in (3, 5, 7, 9) if norm <= _PADE_THETA[d]), 13)
+    s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13])))) if m == 13 else 0
+    return m, s
+
+
+def _slice_rel_err(got, want):
+    return np.max(np.linalg.norm(got - want, 2, axis=(-2, -1))
+                  / np.linalg.norm(want, 2, axis=(-2, -1)))
+
+
+# (1-norm of the random slices, of the nilpotent one): each Pade degree
+# (3, 5, 7, 9, 13) just below and just above the limits between them; a
+# nilpotent slice of 1-norm 20 puts the last stack on the scaling branch
+STACK_NORMS = [(1e-3, 1e-3), (0.0135, 0.0135), (0.0165, 0.0165), (0.228, 0.228),
+               (0.28, 0.28), (0.855, 0.855), (1.05, 1.05), (1.89, 1.89), (2.3, 2.3),
+               (3.0, 3.0), (3.0, 20.0)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_stack_expm_matches_scipy_slice_by_slice(n, complex_):
+    import scipy.linalg
+
+    from hamflow.propagator import expm
+
+    rng = np.random.default_rng(10 * n + complex_)
+    dtype = complex if complex_ else float
+    branches = set()
+    for norm, nil_norm in STACK_NORMS:
+        H = np.concatenate([_with_norm(_hamiltonian_stack(rng, n, 6, complex_), norm),
+                            np.zeros((1, 2 * n, 2 * n), dtype=dtype),
+                            _nilpotent(n, nil_norm, dtype)[None]])
+        branches.add(_pade_branch(H))
+        E = expm(H)
+        assert E.dtype == dtype
+        want = np.stack([scipy.linalg.expm(h) for h in H])
+        # the Magnus steps have 1-norms below 1: there the two agree to
+        # rounding
+        assert _slice_rel_err(E, want) <= (2e-15 if norm < 1.0 else 1e-13)
+        np.testing.assert_array_equal(E[-2], np.eye(2 * n))
+        np.testing.assert_allclose(E[-1], np.eye(2 * n) + H[-1], rtol=1e-15, atol=1e-15)
+    assert {m for m, _ in branches} == {3, 5, 7, 9, 13}
+    assert max(s for _, s in branches) > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("norm", [4.0, 5.0, 8.0, 20.0])
+def test_stack_expm_matches_the_exact_exponential_at_large_norms(n, norm):
+    # Above 1-norm 3 scipy's own expm drifts from the exact value on
+    # strongly hyperbolic slices (by up to 8e-13 at 1-norm 5 for 2 x 2),
+    # so the reference here is a 40-digit exponential.
+    import mpmath
+
+    from hamflow.propagator import expm
+
+    rng = np.random.default_rng(int(10 * norm) + n)
+    H = _with_norm(_hamiltonian_stack(rng, n, 4, False), norm)
+    with mpmath.workdps(40):
+        want = np.stack([np.array(mpmath.expm(mpmath.matrix(h.tolist())).tolist(),
+                                  dtype=float) for h in H])
+    assert _slice_rel_err(expm(H), want) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_stack_expm_is_as_symplectic_as_scipy(n, complex_):
+    # the diagonal Pade approximant maps a Hamiltonian matrix to a
+    # symplectic one; past rounding (a few eps in the defect itself) the
+    # stack route must be no worse than scipy's expm, slice for slice
+    import scipy.linalg
+
+    from hamflow.propagator import expm
+
+    rng = np.random.default_rng(5 + n + 2 * complex_)
+    ours, theirs = [], []
+    for norm, _ in STACK_NORMS[:-1] + [(5.0, 5.0), (8.0, 8.0)]:
+        H = _with_norm(_hamiltonian_stack(rng, n, 8, complex_), norm)
+        ours += [_defect(E) for E in expm(H)]
+        theirs += [_defect(scipy.linalg.expm(h)) for h in H]
+    assert max(ours) <= max(max(theirs), 4.0 * np.finfo(float).eps)
+
+
+def test_stack_expm_of_a_non_finite_slice_is_non_finite():
+    from hamflow.propagator import expm
+
+    H = np.zeros((3, 2, 2))
+    for bad in (np.nan, np.inf):
+        H[1, 0, 1] = bad
+        with np.errstate(all="raise"):
+            E = expm(H)
+        assert E.shape == H.shape
+        assert not np.all(np.isfinite(E))
+
+
+def test_one_stack_exponential_and_one_H_evaluation_per_accepted_attempt(monkeypatch,
+                                                                         torus_demo):
+    # weyl_plus(torus-demo) carries two seeds over 64 unit chunks; every
+    # chunk settles on its first N = 32 / 2N = 64 attempt
+    import hamflow.propagator as propagator
+    from hamflow import weyl_plus
+    from hamflow.hamiltonian import CoefficientField
+
+    calls = {"expm": 0, "H_at": 0}
+    expm, H_at = propagator.expm, CoefficientField.H_at
+
+    def counted_expm(A):
+        calls["expm"] += 1
+        return expm(A)
+
+    def counted_H_at(field, omega, ts):
+        calls["H_at"] += 1
+        return H_at(field, omega, ts)
+    monkeypatch.setattr(propagator, "expm", counted_expm)
+    monkeypatch.setattr(CoefficientField, "H_at", counted_H_at)
+    W = weyl_plus(torus_demo, torus_demo.flow.origin(), lam=0.0)
+    assert W.T_used == 64.0
+    assert calls == {"expm": 64, "H_at": 64}
+
+
+def test_positive_qr_of_one_column_is_its_normalization():
+    from hamflow.propagator import _positive_qr
+
+    F = np.array([[3.0], [-4.0]])
+    Q, R = _positive_qr(F)
+    np.testing.assert_allclose(Q, F / 5.0, rtol=0, atol=1e-16)
+    np.testing.assert_allclose(R, [[5.0]], rtol=0, atol=1e-15)
+    Qz, Rz = _positive_qr(np.zeros((4, 1)))
+    np.testing.assert_array_equal(Qz, np.zeros((4, 1)))
+    np.testing.assert_array_equal(Rz, [[0.0]])
+    # the general route gives the same normalized column
+    G = np.hstack([F, [[1.0], [0.0]]])
+    np.testing.assert_allclose(_positive_qr(G)[0][:, :1], Q, rtol=0, atol=1e-15)

@@ -127,6 +127,25 @@ def test_floquet_route_falls_back_on_unit_circle_multipliers(stiffness):
     assert errors[0] is errors[1]
 
 
+@pytest.mark.parametrize("case", ["ex2-critical", "elliptic"])
+def test_constant_field_with_imaginary_eigenvalues_has_no_weyl_function(monkeypatch, ex2,
+                                                                       case):
+    # ex2 at alpha = 1 has a double eigenvalue 0 (a Jordan block); the
+    # oscillator x'' = -x has eigenvalues +-i.  No decaying plane exists:
+    # the eig route says so at once, horizon doubling by never settling.
+    if case == "ex2-critical":
+        f = perturb_h2(ex2, 1.0)
+    else:
+        f = constant_field([[0.0]], [[-1.0]], [[1.0]])
+    doublings = _counting(monkeypatch, riccati_weyl, "_limit_plane")
+    with pytest.raises(NoConvergence, match="imaginary axis"):
+        weyl_plus(f, family=None)
+    assert len(doublings) == 0
+    with pytest.raises(NoConvergence):
+        weyl_plus(f, family=None, method="frame", max_doublings=5)
+    assert len(doublings) == 2
+
+
 def test_weyl_seeds_share_one_chunk_cache(monkeypatch, torus_demo):
     # two random seeds, T doubled to 64: one kernel integration per chunk
     integrations = _counting(monkeypatch, propagator, "_magnus_chunk")

@@ -72,3 +72,30 @@ def test_torus_rotation_is_reported_with_error_bar(torus_demo):
     assert np.isfinite(est.value)
     assert est.error_bar > 0
     assert est.T_used >= 128.0
+
+
+@pytest.mark.parametrize("name,alpha", [("ex3", 1.5), ("ex4", 0.5), ("torus-demo", 0.0)])
+def test_tracked_argument_matches_the_full_fundamental_matrix(name, alpha):
+    # the tracker carries only the first n columns, re-orthonormalized
+    # every chunk; the reference unwraps det(U1 - i U2) of the full,
+    # never re-orthonormalized U at the same sample times
+    from hamflow.hamiltonian import perturb_h2
+    from hamflow.presets import get_preset
+    from hamflow.propagator import transfer_matrix
+    from hamflow.rotation import _ArgTracker
+
+    f = get_preset(name).field
+    if alpha:
+        f = perturb_h2(f, alpha)
+    om = f.flow.origin()
+    tracker = _ArgTracker(f, om, dt=0.1)
+    tracker.advance_to(8.0)
+    n = f.n
+    ts = np.linspace(0.0, 8.0, 81)
+    Us = [np.eye(2 * n)]
+    for a, b in zip(ts[:-1], ts[1:]):
+        Us.append(transfer_matrix(f, om, a, b, tol=1e-11) @ Us[-1])
+    dets = np.array([np.linalg.det(U[:n, :n] - 1j * U[n:, :n]) for U in Us])
+    want = np.unwrap(np.angle(dets))[::10] - np.angle(dets[0])
+    got = np.array([a for _, a in tracker.history])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
