@@ -213,13 +213,12 @@ def cmd_examples(cfg: RunConfig) -> int:
             checks.append(("alpha_star", abs(res.alpha_star - preset.alpha_star),
                            0.0, preset.alpha_star_tol))
 
-    rho_rows = []
+    rho_table: tuple[dict, ...] = ()
     if preset.rho_alphas:
-        res = rho_curve(field, alpha_grid=list(preset.rho_alphas),
-                        eps_bracket=(1e-4, cfg.bracket[1]), tol=2e-4,
-                        T_max=1024.0)
-        for row in res.rho_table:
-            rho_rows.append((row["alpha"], row["rho"], row["verdict"]))
+        rho_table = rho_curve(field, alpha_grid=list(preset.rho_alphas),
+                              eps_bracket=(1e-4, cfg.bracket[1]), tol=2e-4,
+                              T_max=1024.0).rho_table
+        for row in rho_table:
             if row["verdict"] == "widened":
                 inconclusive = True
             if preset.rho_law is not None:
@@ -250,9 +249,10 @@ def cmd_examples(cfg: RunConfig) -> int:
     if rot_rows:
         _write_csv(outdir / f"examples_{preset.name}_rotation.csv", cfg,
                    ["alpha", "value", "error_bar", "T_used"], rot_rows)
-    if rho_rows:
+    if rho_table:
         _write_csv(outdir / f"examples_{preset.name}_rho.csv", cfg,
-                   ["alpha", "rho", "verdict"], rho_rows)
+                   ["alpha", "rho", "verdict"],
+                   [(r["alpha"], r["rho"], r["verdict"]) for r in rho_table])
     diff_table = [
         {"label": lbl, "deviation": dev, "tol": tol, "passed": dev <= tol}
         for (lbl, dev, _, tol) in checks
@@ -261,6 +261,7 @@ def cmd_examples(cfg: RunConfig) -> int:
         "preset": preset.name,
         "ed": base_ed,
         "alpha_star": alpha_star_payload,
+        "rho_table": rho_table,
         "m_minus": m_minus_note,
         "golden_diffs": diff_table,
         "all_passed": all(d["passed"] for d in diff_table),

@@ -245,13 +245,13 @@ class CoefficientField:
     tags: tuple[PerturbationTag, ...] = ()
     name: str = ""
 
-    @property
+    @cached_property
     def is_autonomous(self) -> bool:
         return self.flow.kind == "autonomous" or all(
             bm.is_constant for bm in (self.H1, self.H2, self.H3)
         )
 
-    @property
+    @cached_property
     def is_complex(self) -> bool:
         return any(bm.is_complex for bm in (self.H1, self.H2, self.H3))
 

@@ -14,6 +14,7 @@ reports +inf, which is a legitimate answer, not a failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -47,7 +48,11 @@ Sampler = Callable[[complex], np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class ScanResult(Encodable):
-    """Outcome of the alpha* search and/or the rho(alpha) trace."""
+    """Outcome of the alpha* search and/or the rho(alpha) trace.
+
+    ``probes`` records the alpha* search as (alpha, verdict, beta_hat,
+    step) per predicate call; each rho row carries its own under
+    "probes"."""
 
     alpha_star: float
     alpha_uncertainty: float
@@ -57,6 +62,7 @@ class ScanResult(Encodable):
     bracket: tuple[float, float]
     tol: float
     flags: tuple[str, ...] = ()
+    probes: tuple[tuple[float, str, float, str], ...] = ()
 
     def csv_rows(self) -> list[tuple[float, float, str]]:
         """(alpha, rho, verdict) rows for serialization."""
@@ -83,9 +89,13 @@ def _check_delta_pd(field: CoefficientField) -> None:
 
 
 def _ed_nc_predicate(
-    field: CoefficientField, T_max: float
+    field: CoefficientField, T_max: float, out: list | None = None
 ) -> bool | None:
+    """"ED and NC" as pass / fail / inconclusive; the detect_ed report is
+    appended to ``out`` when given."""
     rep = detect_ed(field, T_max=T_max)
+    if out is not None:
+        out.append(rep)
     if rep.verdict == "noED":
         return False
     if rep.verdict != "ED":
@@ -94,9 +104,14 @@ def _ed_nc_predicate(
 
 
 def _ed_uwd_predicate(
-    field: CoefficientField, T_max: float, uwd_t_max: float
+    field: CoefficientField, T_max: float, uwd_t_max: float,
+    out: list | None = None,
 ) -> bool | None:
+    """"ED and UWD" as pass / fail / inconclusive; the detect_ed report is
+    appended to ``out`` when given."""
     rep = detect_ed(field, T_max=T_max)
+    if out is not None:
+        out.append(rep)
     if rep.verdict == "noED":
         return False
     if rep.verdict != "ED":
@@ -104,41 +119,115 @@ def _ed_uwd_predicate(
     return bool(uwd_test(field, t_max=uwd_t_max).verdict)
 
 
+_VERDICTS = {True: "pass", False: "fail", None: "inconclusive"}
+
+
+class _Probes:
+    """The cached probes of one scan.  ``probe(x, out)`` returns the
+    three-valued predicate at x and appends its detect_ed report to out;
+    each x is probed once, in the order kept for ``record``."""
+
+    def __init__(self, probe: Callable[[float, list], bool | None]):
+        self._probe = probe
+        self._seen: dict[float, tuple[bool | None, float]] = {}
+
+    def __call__(self, x: float) -> bool | None:
+        if x not in self._seen:
+            out: list = []
+            verdict = self._probe(x, out)
+            self._seen[x] = (verdict, float(out[0].beta_hat))
+        return self._seen[x][0]
+
+    def margin(self, x: float) -> float | None:
+        verdict, beta = self._seen[x]
+        return beta if verdict is True else None
+
+    def record(self, steps: dict[float, str]) -> tuple:
+        """(x, verdict, beta_hat, step) per probe in probe order; probes
+        that the bisection did not make are the bracket's ("bracket")."""
+        return tuple((x, _VERDICTS[v], beta, steps.get(x, "bracket"))
+                     for x, (v, beta) in self._seen.items())
+
+
+# Guided probes sit this many tol either side of the estimated end value,
+# so a pass below and a fail above close the bracket at 0.9 tol.
+_GUIDE_OFFSET = 0.45
+
+
 def _bisect_three_valued(
     pred: Callable[[float], bool | None],
     lo: float,
     hi: float,
     tol: float,
-) -> tuple[float, float, bool]:
+    margin: Callable[[float], float | None] | None = None,
+) -> tuple[float, float, bool, dict[float, str]]:
     """Bisect with pred(lo)=True, pred(hi)=False.  Returns (midpoint,
-    half-width, widened) where widened means inconclusive probes stopped
-    the bracket above tol."""
+    half-width, widened, steps) where widened means inconclusive probes
+    stopped the bracket above tol, mid +- half covers the last checked
+    bracket, and steps maps each probe made here to "bisect" or "guided".
+
+    margin(x) is the dichotomy margin beta_hat of a passing probe x, which
+    goes to 0 at the end value; with it, guided probes run between the
+    bisection steps.  A first probe at lo + tol supplies a second pass.
+    Once the two passes nearest hi have decreasing margins, the zero r of
+    the secant of beta_hat^2 through them (exact where two exponents meet)
+    is probed at r -+ 0.45 tol; a pass and a fail close the bracket.  Any
+    other outcome leaves the next probe to the bisection, and a guided
+    pair runs only while guided probes do not outnumber bisection probes,
+    so guidance at most doubles the bisection's probes, plus two.
+    """
+    steps: dict[float, str] = {}
+    count = {"bisect": 0, "guided": 0}
+    passes = [lo]
     widened = False
+
+    def probe(x: float, step: str) -> bool | None:
+        nonlocal lo, hi
+        steps.setdefault(x, step)
+        count[step] += 1
+        r = pred(x)
+        if r is True and x > lo:
+            lo = x
+            passes.append(x)
+        elif r is False and x < hi:
+            hi = x
+        return r
+
+    def guided_pair() -> None:
+        x1, x2 = passes[-2:]
+        b1, b2 = margin(x1), margin(x2)
+        if b1 is None or b2 is None or not b2 < b1:
+            return
+        r = x2 + b2 * b2 * (x2 - x1) / (b1 * b1 - b2 * b2)
+        below, above = r - _GUIDE_OFFSET * tol, r + _GUIDE_OFFSET * tol
+        if below not in steps and lo < below < r < above < hi \
+                and probe(below, "guided") is True:
+            probe(above, "guided")
+
+    if margin is not None and lo < lo + tol < hi:
+        probe(lo + tol, "guided")
     while hi - lo > tol:
+        if margin is not None and len(passes) >= 2 \
+                and count["guided"] <= count["bisect"]:
+            guided_pair()
+            if hi - lo <= tol:
+                break
         mid = 0.5 * (lo + hi)
-        r = pred(mid)
-        if r is True:
-            lo = mid
+        if probe(mid, "bisect") is not None:
             continue
-        if r is False:
-            hi = mid
-            continue
-        resolved = False
         for frac in (0.25, 0.75):
-            cand = lo + frac * (hi - lo)
-            rc = pred(cand)
-            if rc is True and cand > lo:
-                lo = cand
-                resolved = True
+            width = hi - lo
+            probe(lo + frac * width, "bisect")
+            if hi - lo < width:
                 break
-            if rc is False and cand < hi:
-                hi = cand
-                resolved = True
-                break
-        if not resolved:
+        else:
             widened = True
             break
-    return 0.5 * (lo + hi), 0.5 * (hi - lo), widened
+    mid = 0.5 * (lo + hi)
+    half = max(hi - mid, mid - lo)
+    while mid - half > lo or mid + half < hi:  # rounded mixed-sign ends
+        half = math.nextafter(half, math.inf)
+    return mid, half, widened, steps
 
 
 def find_alpha_star(
@@ -153,7 +242,8 @@ def find_alpha_star(
     the half-line of alpha where the dichotomy and nonoscillation both
     hold.
 
-    Bisection on the three-valued "ED and NC" predicate; the base family
+    Margin-guided bisection on the three-valued "ED and NC" predicate
+    (see _bisect_three_valued); the base family
     (alpha at the lower bracket) must pass, and a passing upper bracket
     reports alpha* = +inf with the cap flagged.  boundary_behavior
     records the detector output just above the located alpha*.
@@ -161,12 +251,9 @@ def find_alpha_star(
     field = _with_delta(field, delta)
     _check_delta_pd(field)
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
-    cache: dict[float, bool | None] = {}
-
-    def pred(a: float) -> bool | None:
-        if a not in cache:
-            cache[a] = _ed_nc_predicate(perturb_h2(field, a), T_max)
-        return cache[a]
+    pred = _Probes(
+        lambda a, out: _ed_nc_predicate(perturb_h2(field, a), T_max, out)
+    )
 
     if pred(lo) is not True:
         raise ToolkitError(
@@ -179,11 +266,13 @@ def find_alpha_star(
             alpha_star=float("inf"), alpha_uncertainty=float("inf"),
             rho_table=(), monotonicity_certificate=None,
             boundary_behavior=None, bracket=(lo, hi), tol=tol,
-            flags=("bracket_exhausted",),
+            flags=("bracket_exhausted",), probes=pred.record({}),
         )
     if pred(hi) is None:
         flags.append("upper_bracket_inconclusive")
-    mid, half, widened = _bisect_three_valued(pred, lo, hi, tol)
+    mid, half, widened, steps = _bisect_three_valued(
+        pred, lo, hi, tol, pred.margin
+    )
     if widened:
         flags.append("widened_by_inconclusive")
     offset = boundary_probe_offset if boundary_probe_offset is not None \
@@ -199,6 +288,7 @@ def find_alpha_star(
         alpha_star=mid, alpha_uncertainty=half, rho_table=(),
         monotonicity_certificate=None, boundary_behavior=boundary,
         bracket=(lo, hi), tol=tol, flags=tuple(flags),
+        probes=pred.record(steps),
     )
 
 
@@ -213,7 +303,8 @@ def rho_curve(
 ) -> ScanResult:
     """Regularization boundary per alpha: the largest eps such that
     H3 + eps I restores both the dichotomy and uniform weak disconjugacy
-    for the family at alpha, found by bisection on "ED and UWD".
+    for the family at alpha, found by margin-guided bisection on "ED and
+    UWD".
 
     A passing upper cap reports rho = +inf for that alpha.  If no
     passing lower probe is found the row is flagged "no_lower_pass".
@@ -224,31 +315,30 @@ def rho_curve(
     rows: list[dict] = []
     for a in alpha_grid:
         f_a = perturb_h2(field, float(a))
-        cache: dict[float, bool | None] = {}
-
-        def pred(eps: float, _f=f_a) -> bool | None:
-            if eps not in cache:
-                cache[eps] = _ed_uwd_predicate(
-                    regularize(_f, eps), T_max, uwd_t_max
-                )
-            return cache[eps]
+        pred = _Probes(lambda eps, out, _f=f_a: _ed_uwd_predicate(
+            regularize(_f, eps), T_max, uwd_t_max, out
+        ))
 
         if pred(eps_hi) is True:
             rows.append({"alpha": float(a), "rho": float("inf"),
-                         "verdict": "capped", "uncertainty": float("inf")})
+                         "verdict": "capped", "uncertainty": float("inf"),
+                         "probes": pred.record({})})
             continue
         eps_lo = eps_lo0
         while pred(eps_lo) is not True and eps_lo > 1e-8:
             eps_lo *= 0.1
         if pred(eps_lo) is not True:
             rows.append({"alpha": float(a), "rho": float("nan"),
-                         "verdict": "no_lower_pass", "uncertainty": float("nan")})
+                         "verdict": "no_lower_pass", "uncertainty": float("nan"),
+                         "probes": pred.record({})})
             continue
-        mid, half, widened = _bisect_three_valued(pred, eps_lo, eps_hi, tol)
+        mid, half, widened, steps = _bisect_three_valued(
+            pred, eps_lo, eps_hi, tol, pred.margin
+        )
         rows.append({
             "alpha": float(a), "rho": mid,
             "verdict": "widened" if widened else "ok",
-            "uncertainty": half,
+            "uncertainty": half, "probes": pred.record(steps),
         })
     finite = [(r["alpha"], r["rho"]) for r in rows if np.isfinite(r["rho"])]
     flags = []

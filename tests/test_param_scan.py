@@ -1,11 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hamflow import param_scan
+from hamflow._json import jsonable
 from hamflow.errors import SignViolation, ToolkitError
-from hamflow.hamiltonian import perturb_h2
+from hamflow.hamiltonian import constant_field, perturb_h2
 from hamflow.param_scan import (
+    _bisect_three_valued,
     find_alpha_star,
     herglotz_fit,
     left_halfline_check,
@@ -162,3 +168,171 @@ def test_rho_curve_on_a_constant_field_makes_no_integrator_call(ex2, monkeypatch
     row = rho_curve(ex2, alpha_grid=[0.5]).rho_table[0]
     assert abs(row["rho"] - 1.0) <= 1e-3
     assert len(calls) == 0
+
+
+# ------------------------------------------------ margin-guided bisection
+
+def _plain_too(run):
+    """run() under the margin-guided bisection, then under the plain
+    bisection (margin None), the reference route."""
+    guided = run()
+    bisect = param_scan._bisect_three_valued
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(param_scan, "_bisect_three_valued",
+                   lambda pred, lo, hi, tol, margin=None: bisect(pred, lo, hi, tol))
+        plain = run()
+    return guided, plain
+
+
+@pytest.mark.parametrize("preset, alphas, law, tol", [
+    ("ex1", (0.5, 1.0, 2.0), lambda a: 1.0 / a, 2e-4),
+    ("ex2", (0.25, 0.5, 0.75), lambda a: -1.0 + 1.0 / a, 2e-4),
+    ("ex4", (0.8, 0.9), lambda a: 1.0 / a, 1e-3),
+])
+def test_guided_and_plain_rho_rows_cover_the_closed_form(request, preset, alphas,
+                                                          law, tol):
+    field = request.getfixturevalue(preset)
+    guided, plain = _plain_too(
+        lambda: rho_curve(field, alpha_grid=alphas, tol=tol, T_max=1024.0))
+    for g, p in zip(guided.rho_table, plain.rho_table):
+        for row in (g, p):
+            assert row["verdict"] == "ok"
+            assert abs(row["rho"] - law(row["alpha"])) <= row["uncertainty"] <= tol / 2
+        assert len(g["probes"]) < len(p["probes"])
+        assert {step for *_, step in p["probes"]} == {"bracket", "bisect"}
+
+
+@pytest.mark.parametrize("preset", ["ex2", "ex3", "ex4"])
+def test_guided_and_plain_alpha_star_cover_one(request, preset):
+    field = request.getfixturevalue(preset)
+    guided, plain = _plain_too(lambda: find_alpha_star(field))
+    for res in (guided, plain):
+        assert not res.flags
+        assert abs(res.alpha_star - 1.0) <= res.alpha_uncertainty <= 5e-4
+    assert len(guided.probes) <= 8 < len(plain.probes)
+
+
+@settings(max_examples=12, deadline=None)
+@given(h1=st.floats(0.3, 2.0), h2=st.floats(-1.0, 1.0), h3=st.floats(0.3, 2.0),
+       below=st.floats(0.05, 3.0), above=st.floats(0.05, 100.0))
+def test_guided_alpha_star_on_random_scalar_families(h1, h2, h3, below, above):
+    # eigenvalues +-sqrt(h1^2 + (h2 - alpha) h3): ED ends at h2 + h1^2/h3
+    field = constant_field([[h1]], [[h2]], [[h3]], delta=[[1.0]])
+    want = h2 + h1 * h1 / h3
+    bracket = (want - below, want + above)
+    guided, plain = _plain_too(
+        lambda: find_alpha_star(field, alpha_bracket=bracket, tol=1e-3))
+    for res in (guided, plain):
+        assert not res.flags
+        assert abs(res.alpha_star - want) <= res.alpha_uncertainty <= 5e-4
+    assert len(guided.probes) <= len(plain.probes)
+
+
+def _stub(root, margin_of, dead=0.0):
+    """pred: x < root, inconclusive within ``dead`` of root; margin_of(x)
+    the margin of a passing x.  Records every call."""
+    calls = []
+
+    def pred(x):
+        calls.append(x)
+        if abs(x - root) < dead:
+            return None
+        return x < root
+
+    return pred, (lambda x: margin_of(x) if x < root else None), calls
+
+
+def _bisect_both(root, margin_of, lo, hi, tol, dead=0.0):
+    pred, margin, guided_calls = _stub(root, margin_of, dead)
+    guided = _bisect_three_valued(pred, lo, hi, tol, margin)
+    pred, _, plain_calls = _stub(root, margin_of, dead)
+    plain = _bisect_three_valued(pred, lo, hi, tol)
+    assert len(guided_calls) <= 2 * len(plain_calls) + 2
+    assert sorted(guided[3]) == sorted(set(guided_calls))
+    return guided, plain
+
+
+@pytest.mark.parametrize("root", [1.25, 3.7, 40.0, 999.0])
+def test_rising_then_falling_margin_keeps_a_checked_bracket(root):
+    # like ex4's rho rows: the margin climbs, then falls as a square root
+    def margin_of(x):
+        return min(0.45 + 0.2 * x, math.sqrt(root - x))
+
+    for (mid, half, widened, _) in _bisect_both(root, margin_of, 1e-4, 1e3, 1e-3):
+        assert not widened
+        assert abs(mid - root) <= half <= 5e-4
+
+
+@pytest.mark.parametrize("root", [0.37, 3.0, 612.5])
+def test_margin_falling_faster_than_linear_keeps_a_checked_bracket(root):
+    for (mid, half, widened, _) in _bisect_both(root, lambda x: root - x,
+                                                0.0, 1e3, 1e-3):
+        assert not widened
+        assert abs(mid - root) <= half <= 5e-4
+
+
+@pytest.mark.parametrize("dead", [3e-4, 2e-3, 5e-2])
+def test_inconclusive_probes_near_the_root_widen_or_close(dead):
+    root = 3.0
+    (mid, half, widened, _), plain = _bisect_both(
+        root, lambda x: math.sqrt((root - x) / 4.0), 1e-4, 1e3, 2e-4, dead)
+    assert abs(mid - root) <= half
+    assert widened or half <= 1e-4
+    assert widened == plain[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-50.0, 50.0), width=st.floats(1e-3, 1e3),
+       frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       tol=st.sampled_from([1e-6, 1e-4, 1e-2]), guided=st.booleans())
+@example(lo=-6.5690469872257025e-25, width=1.0, frac=2.1825891007496945e-105,
+         tol=1e-6, guided=False)  # mid - lo rounds to mid
+def test_half_width_covers_the_checked_bracket(lo, width, frac, tol, guided):
+    hi = lo + width
+    root = lo + frac * (hi - lo)
+    pred, margin, calls = _stub(root, lambda x: math.sqrt(root - x))
+    mid, half, _, _ = _bisect_three_valued(pred, lo, hi, tol,
+                                           margin if guided else None)
+    low = max([lo] + [x for x in calls if x < root])
+    high = min([hi] + [x for x in calls if x >= root])
+    assert mid - half <= low and high <= mid + half
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(param_scan, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(param_scan, name, counting)
+    return calls
+
+
+def test_rho_row_on_ex2_takes_at_most_eight_probes(ex2, monkeypatch):
+    calls = _count_calls(monkeypatch, "_ed_uwd_predicate")
+    row = rho_curve(ex2, alpha_grid=[0.25], tol=2e-4).rho_table[0]
+    assert abs(row["rho"] - 3.0) <= row["uncertainty"]
+    assert len(calls) == len(row["probes"]) <= 8
+
+
+def test_alpha_star_on_ex2_takes_at_most_eight_probes(ex2, monkeypatch):
+    calls = _count_calls(monkeypatch, "_ed_nc_predicate")
+    res = find_alpha_star(ex2)
+    assert abs(res.alpha_star - 1.0) <= res.alpha_uncertainty
+    assert len(calls) == len(res.probes) <= 8
+
+
+def test_probe_record_is_deterministic_and_encodes(ex4):
+    first = rho_curve(ex4, alpha_grid=[0.8], tol=1e-3).rho_table[0]["probes"]
+    again = rho_curve(ex4, alpha_grid=[0.8], tol=1e-3).rho_table[0]["probes"]
+    assert first == again
+    encoded = json.loads(json.dumps(jsonable(first)))
+    assert encoded == [list(p) for p in first]
+    for x, verdict, beta_hat, step in first:
+        assert verdict in ("pass", "fail", "inconclusive")
+        assert step in ("bracket", "bisect", "guided")
+        assert (beta_hat > 0.0) == (verdict == "pass")
+    closing = [p for p in first if p[3] == "guided"][-2:]
+    assert [p[1] for p in closing] == ["pass", "fail"]
