@@ -4,14 +4,19 @@ An LQ problem (state equation x' = A x + B u, supply rate
 Q = (x' G x + 2 x' g u + u' R u)/2) induces the Hamiltonian coefficients
 H1 = A - B R^{-1} g', H3 = B R^{-1} B', H2 = G - g R^{-1} g'.  When the
 induced system has an exponential dichotomy and the Weyl function M+
-exists, the minimizing pair is the flow from [[x0], [M+ x0]] with the
-feedback u = R^{-1} B' y - R^{-1} g' x, and the optimal value is the
+exists, the minimizing pair stays on the graph y = M+(omega . t) x, with
+the feedback u = R^{-1} B' y - R^{-1} g' x, and the optimal value is the
 quadratic form of -M+.
 
-The reported value comes from quadrature of the supply rate along the
-synthesized trajectory plus an explicit exponential tail bound; the
+``synthesize`` samples that pair from the Magnus kernel's transfer
+matrices between report samples: M+ from the Weyl route at the end of the
+report interval is swept backward to every sample, the direction in which
+the plane attracts, and the state advances one interval at a time,
+restarted on the plane.  The reported value is quadrature of the supply
+rate along the trajectory plus an explicit exponential tail bound; the
 closed-form value matrix -M+ is kept alongside so the two routes check
-each other.
+each other.  ``compare_control`` integrates a perturbed open-loop control
+with DOP853, since the perturbation is an arbitrary callable.
 """
 
 from __future__ import annotations
@@ -20,14 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from ._json import Encodable, jsonable
 from .base_flow import BaseFlow, advance, make_flow
 from .dichotomy import DichotomyReport, detect_ed, nonoscillation_check
-from .errors import InvalidCoefficients, NotSolvable, SingularR
-from .hamiltonian import BlockMap, CoefficientField
-from .riccati_weyl import WeylMatrix, weyl_plus
+from .errors import InvalidCoefficients, NotSolvable, SingularR, ToolkitError
+from .hamiltonian import BlockMap, CoefficientField, J_matrix
+from .propagator import ChunkedPropagator
+from .riccati_weyl import _PROPAGATION_TOL, WeylMatrix, weyl_plus
 
 __all__ = [
     "LQProblem",
@@ -39,8 +44,13 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
-# Phases per period of the M+ table on periodic flows.
-_PERIOD_PHASES = 16
+# Boole's rule on panels of four sub-steps, at most _PANEL long whatever the
+# report spacing; a kernel chunk holds about _CHUNK_SUBSAMPLES sub-samples
+_BOOLE = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) / 90.0
+_PANEL = 0.05
+_CHUNK_SUBSAMPLES = 80
+# How far the swept M+(0) may stray from the Weyl route's, in error estimates
+_SWEEP_FACTOR = 100.0
 
 
 def _as_block(M, n: int, what: str) -> BlockMap:
@@ -171,11 +181,8 @@ class LQSolution(Encodable):
         return float(0.5 * x0 @ self.value_matrix @ x0)
 
     def csv_rows(self) -> list[tuple]:
-        rows = []
-        for i in range(self.t.size):
-            rows.append((float(self.t[i]), *self.x[i], *self.y[i],
-                         *self.u[i], float(self.Q[i])))
-        return rows
+        return [(float(t), *x, *y, *u, float(q))
+                for t, x, y, u, q in zip(self.t, self.x, self.y, self.u, self.Q)]
 
     def to_dict(self) -> dict:
         return {
@@ -192,22 +199,27 @@ class LQSolution(Encodable):
         }
 
 
-def _feedback_maps(problem: LQProblem) -> tuple[np.ndarray, np.ndarray]:
-    Rinv = np.linalg.inv(problem.R)
-    return Rinv @ problem.B.T, Rinv @ problem.g.T
+def _symplectic_inverse(U: np.ndarray) -> np.ndarray:
+    """U^{-1} = -J U^T J of a symplectic matrix or a stack of them."""
+    J = J_matrix(U.shape[-1] // 2)
+    return -J @ np.swapaxes(U, -1, -2) @ J
 
 
-def _supply_form(problem: LQProblem, theta: np.ndarray) -> np.ndarray:
-    """The supply rate as a quadratic form in z = (x, y) after the
-    feedback substitution u = RB y - Rg x."""
-    n, m = problem.n, problem.m
-    RB, Rg = _feedback_maps(problem)
-    F = np.hstack([-Rg, RB])
-    Ex = np.hstack([np.eye(n), np.zeros((n, n))])
-    Gv = problem.G(theta)
-    S = Ex.T @ Gv @ Ex + Ex.T @ problem.g @ F + F.T @ problem.g.T @ Ex \
-        + F.T @ problem.R @ F
-    return 0.5 * (S + S.T)
+def _interval_maps(field: CoefficientField, omega, dt: float, intervals: int,
+                   r: int) -> np.ndarray:
+    """Transfer matrices from each report sample i dt to the r + 1 points
+    i dt + s dt / r of its interval: an (intervals, r + 1, 2n, 2n) stack.
+    Each propagator chunk is a whole number q of report intervals and
+    comes from one sampled kernel call."""
+    q = max(1, round(_CHUNK_SUBSAMPLES / r))
+    prop = ChunkedPropagator(field, omega, h=q * dt, tol=_PROPAGATION_TOL)
+    maps = []
+    for k in range(-(-intervals // q)):
+        p = min(q, intervals - k * q)
+        S = prop.sampled(k, p * r, length=p * dt)
+        inside = S[np.arange(p)[:, None] * r + np.arange(r + 1)]
+        maps.append(inside @ _symplectic_inverse(inside[:, :1]))
+    return np.concatenate(maps)
 
 
 def synthesize(
@@ -218,107 +230,92 @@ def synthesize(
 ) -> LQSolution:
     """Optimal trajectory, feedback control, and cost.
 
-    Integrates the Hamiltonian system from [[x0], [M+ x0]] together with
-    the running cost, reports J over [0, T_report] plus an exponential
-    tail bound from the dichotomy constants, and records the
-    state-equation residual of the feedback control.
+    Samples the optimal pair on n_samples points of [0, T_report] and
+    reports J over that interval, by composite Boole's rule on panels at
+    most 0.05 long, plus an exponential tail bound from the dichotomy
+    constants.  The kernel's maps E_i between samples carry M+
+    from omega . T_report backward to every sample, and the state advances
+    as x_{i+1} = (E11 + E12 M_i) x_i, restarted on the graph y = M_i x
+    each interval, so the growing direction never builds up.  The M+
+    swept back to t = 0 must agree with the Weyl route's, within their
+    error estimates; the state-equation residual of the feedback control
+    is recorded.
     """
+    if not (T_report > 0.0 and n_samples >= 2):
+        raise ToolkitError("synthesize needs T_report > 0 and n_samples >= 2")
     sol_check = solvability_check(problem)
     if sol_check["solvable"] is not True:
-        raise NotSolvable(
-            f"solvability check returned {sol_check['solvable']}: "
-            f"{sol_check['ed_report'].verdict}"
-        )
+        raise NotSolvable(f"solvability check returned {sol_check['solvable']}: "
+                          f"{sol_check['ed_report'].verdict}")
     field = build_hamiltonian(problem)
-    omega = problem.flow.origin()
-    W = weyl_plus(field, omega, lam=0.0, family=None, tol=min(tol, 1e-9))
+    flow = problem.flow
+    omega = flow.origin()
+    W, W_T = (weyl_plus(field, advance(flow, omega, t), lam=0.0, family=None,
+                        tol=min(tol, 1e-9)) for t in (0.0, T_report))
     M = np.real(W.M)
-    P = -M
     rep: DichotomyReport = sol_check["ed_report"]
     beta, eta = rep.beta_hat, rep.eta_hat
     n = problem.n
-    x0 = problem.x0
-    z0 = np.concatenate([x0, M @ x0])
-    RB, Rg = _feedback_maps(problem)
-    Gmap, gc, Rc = problem.G, problem.g, problem.R
-    flow = problem.flow
+    intervals = n_samples - 1
+    dt = T_report / intervals
+    panels = int(np.ceil(dt / _PANEL - 1e-9))
+    r = 4 * panels
+    V = _interval_maps(field, omega, dt, intervals, r)
+    E = V[:, -1]
 
-    # Integrating the raw 2n system along l+ is unstable: rounding seeds
-    # the e^{+beta t} direction, and carrying M+ by its forward Riccati
-    # flow is the same instability (M+ attracts backward, not forward).
-    # Instead M+ is evaluated per time point, and only the n-dimensional
-    # closed-loop state is integrated, pinned to the graph y = M x.
-    def M_at(tg):
-        return np.real(weyl_plus(field, advance(flow, omega, tg), lam=0.0,
-                                 family=None, tol=min(tol, 1e-9)).M)
+    # M_i from M_{i+1}: the graph of E_i^{-1} [[I], [M_{i+1}]]
+    Einv = _symplectic_inverse(E)
+    Ms = np.empty((n_samples, n, n))
+    Ms[-1] = np.real(W_T.M)
+    for i in range(intervals - 1, -1, -1):
+        top = Einv[i, :n, :n] + Einv[i, :n, n:] @ Ms[i + 1]
+        bottom = Einv[i, n:, :n] + Einv[i, n:, n:] @ Ms[i + 1]
+        Mi = np.linalg.solve(top.T, bottom.T).T
+        Ms[i] = 0.5 * (Mi + Mi.T)
+    gap = float(np.linalg.norm(Ms[0] - M, 2))
+    bound = (_SWEEP_FACTOR * max(1.0, float(np.linalg.norm(M, 2)))
+             * (W.convergence_error + W_T.convergence_error + _PROPAGATION_TOL))
+    if not gap <= bound:
+        raise ToolkitError(
+            f"M+ swept back from t = {T_report:g} misses M+(0) by {gap:.3g} "
+            f"(bound {bound:.3g})")
 
-    if field.is_autonomous:
-        def M_of_t(t):
-            return M
-    elif flow.kind == "periodic":
-        # M+ repeats with the base point: one table over a period, closed
-        # by M+(0) and extrapolated periodically.
-        grid = np.linspace(0.0, flow.period, _PERIOD_PHASES + 1)
-        Ms = np.array([M] + [M_at(tg) for tg in grid[1:-1]] + [M])
-        M_of_t = CubicSpline(grid, Ms, axis=0, bc_type="periodic")
-    else:
-        grid = np.linspace(0.0, T_report, max(17, int(2.0 * T_report) + 1))
-        M_of_t = CubicSpline(grid, np.array([M_at(tg) for tg in grid]), axis=0)
-
-    def rhs(t, state):
-        x = state[:-1]
-        Mv = M_of_t(t)
-        H1v, _, H3v = field.eval_blocks(omega, t)
-        y = Mv @ x
-        u = RB @ y - Rg @ x
-        dx = H1v @ x + H3v @ y
-        th = advance(flow, omega, t).as_array()
-        q = 0.5 * (x @ Gmap(th) @ x + 2.0 * (x @ gc @ u) + u @ Rc @ u)
-        return np.concatenate([dx, [q]])
-
-    t_eval = np.linspace(0.0, T_report, n_samples)
-    sol = solve_ivp(
-        rhs, (0.0, T_report), np.concatenate([x0, [0.0]]),
-        method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t_eval,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise NotSolvable(f"trajectory integration failed: {sol.message}")
-    q = sol.y[-1, :]
-    X = sol.y[:-1, :].T
-    Y = np.array([M_of_t(t_eval[i]) @ X[i] for i in range(t_eval.size)])
+    Phi = E[:, :n, :n] + E[:, :n, n:] @ Ms[:-1]
+    X = np.empty((n_samples, n))
+    X[0] = problem.x0
+    for i in range(intervals):
+        X[i + 1] = Phi[i] @ X[i]
+    Y = np.einsum("ijk,ik->ij", Ms, X)
     Z = np.hstack([X, Y])
-    U = Y @ RB.T - X @ Rg.T
-    Qd = np.array([
-        0.5 * (X[i] @ Gmap(advance(flow, omega, t_eval[i]).as_array()) @ X[i]
-               + 2.0 * (X[i] @ gc @ U[i]) + U[i] @ Rc @ U[i])
-        for i in range(t_eval.size)
-    ])
-    c_S = max(
-        float(np.linalg.norm(_supply_form(problem, advance(flow, omega, t).as_array()), 2))
-        for t in (0.0, 0.37 * T_report, 0.83 * T_report)
-    )
+    U = (Y @ problem.B - X @ problem.g) @ np.linalg.inv(problem.R)
+
+    # the supply rate under the feedback u is (1/2) z' diag(H2, H3) z
+    H = field.H_at(omega, np.linspace(0.0, T_report, intervals * r + 1))
+    S = np.zeros(H.shape)
+    S[:, :n, :n] = H[:, n:, :n]
+    S[:, n:, n:] = H[:, :n, n:]
+    Zsub = np.einsum("isab,ib->isa", V, Z[:-1])
+    Ssub = S[np.arange(intervals)[:, None] * r + np.arange(r + 1)]
+    w = np.append(np.tile(_BOOLE[:4], panels), 0.0)
+    w[4::4] += _BOOLE[4]
+    value = 0.5 * dt / panels * float(np.einsum("s,isa,isab,isb->", w, Zsub, Ssub, Zsub))
+    Qd = 0.5 * np.einsum("ia,iab,ib->i", Z, S[::r], Z)
+
+    c_S = float(np.max(np.linalg.norm(S[::r], 2, axis=(1, 2))))
     zT = float(np.linalg.norm(Z[-1]))
     tail = 0.5 * c_S * (eta ** 2) * zT ** 2 / (2.0 * beta) if beta > 0 else float("inf")
-    z0n = float(np.linalg.norm(z0))
-    if z0n > 0.0:
-        decay = float(np.max(
-            np.linalg.norm(Z, axis=1) * np.exp(beta * t_eval) / (eta * z0n)
-        ))
-    else:
-        decay = 0.0
+    t_eval = np.linspace(0.0, T_report, n_samples)
+    z0n = float(np.linalg.norm(Z[0]))
+    decay = float(np.max(np.linalg.norm(Z, axis=1) * np.exp(beta * t_eval))
+                  / (eta * z0n)) if z0n > 0.0 else 0.0
     resid = 0.0
-    Ath = problem.A
-    for i in range(0, t_eval.size, max(1, t_eval.size // 40)):
-        th = advance(flow, omega, t_eval[i]).as_array()
-        H1v, _, H3v = field.eval_blocks(omega, t_eval[i])
-        xdot = H1v @ X[i] + H3v @ Y[i]
-        resid = max(resid, float(np.linalg.norm(
-            xdot - Ath(th) @ X[i] - problem.B @ U[i]
-        )))
+    for i in range(0, n_samples, max(1, n_samples // 40)):
+        A = problem.A(advance(flow, omega, t_eval[i]).as_array())
+        xdot = H[i * r, :n, :n] @ X[i] + H[i * r, :n, n:] @ Y[i]
+        resid = max(resid, float(np.linalg.norm(xdot - A @ X[i] - problem.B @ U[i])))
     return LQSolution(
-        feasible=True, M_plus=W, value=float(q[-1]),
-        truncation_bound=float(tail), value_matrix=P,
+        feasible=True, M_plus=W, value=value,
+        truncation_bound=float(tail), value_matrix=-M,
         t=t_eval, x=X, y=Y, u=U, Q=Qd,
         decay_margin=decay, state_residual=resid,
         beta_hat=beta, eta_hat=eta,
@@ -343,6 +340,8 @@ def compare_control(
     n = problem.n
     omega = problem.flow.origin()
     flow = problem.flow
+    from scipy.interpolate import CubicSpline
+
     u_base = CubicSpline(solution.t, solution.u, axis=0)
     Gmap, gc, Rc = problem.G, problem.g, problem.R
     A_, B_ = problem.A, problem.B

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, schur, solve_continuous_are
 
 from hamflow.base_flow import advance
 from hamflow.hamiltonian import eval_H
+from hamflow.lq_control import build_hamiltonian
+from hamflow.riccati_weyl import weyl_plus
 
 
 def expm_transfer(field, t: float) -> np.ndarray:
@@ -94,6 +97,67 @@ def are_value_matrix(A, B, G, R, g=None) -> np.ndarray:
         return solve_continuous_are(A, B, G, R)
     g = np.atleast_2d(np.asarray(g, dtype=float))
     return solve_continuous_are(A, B, G, R, s=g)
+
+
+def lq_reference_trajectory(problem, T_report: float = 20.0, n_samples: int = 401,
+                            step: float = 0.25, tol: float = 1e-9) -> dict:
+    """The optimal LQ trajectory by DOP853 through a cubic spline of M+.
+
+    M+ is tabulated by ``weyl_plus`` at knots at most ``step`` apart: over
+    one period, closed periodically, on a periodic flow; over [0,
+    T_report] and four knots past either end on a torus flow; one value on
+    an autonomous one.  Only the n-dimensional closed loop
+    x' = (H1 + H3 M(t)) x is integrated, pinned to the graph y = M x,
+    together with the running cost.  Returns the report samples t and the
+    sampled x, y, u, Q, and the cost ``value`` over [0, T_report]."""
+    field = build_hamiltonian(problem)
+    flow = problem.flow
+    omega = flow.origin()
+
+    def M_at(t):
+        return np.real(weyl_plus(field, advance(flow, omega, t), lam=0.0,
+                                 family=None, tol=tol).M)
+
+    M0 = M_at(0.0)
+    if field.is_autonomous:
+        def M_of_t(t):
+            return M0
+    elif flow.kind == "periodic":
+        grid = np.linspace(0.0, flow.period, int(np.ceil(flow.period / step)) + 1)
+        Ms = np.array([M0] + [M_at(t) for t in grid[1:-1]] + [M0])
+        M_of_t = CubicSpline(grid, Ms, axis=0, bc_type="periodic")
+    else:
+        # four knots beyond each end keep the spline's end conditions
+        # away from the report interval
+        k = int(np.ceil(T_report / step))
+        grid = np.arange(-4, k + 5) * (T_report / k)
+        M_of_t = CubicSpline(grid, np.array([M_at(t) for t in grid]), axis=0)
+    Rinv = np.linalg.inv(problem.R)
+    RB, Rg = Rinv @ problem.B.T, Rinv @ problem.g.T
+    G, g, R = problem.G, problem.g, problem.R
+
+    def control(t, x):
+        y = M_of_t(t) @ x
+        return y, RB @ y - Rg @ x
+
+    def supply(t, x, u):
+        th = advance(flow, omega, t).as_array()
+        return 0.5 * (x @ G(th) @ x + 2.0 * (x @ g @ u) + u @ R @ u)
+
+    def rhs(t, state):
+        x = state[:-1]
+        y, u = control(t, x)
+        H1, _, H3 = field.eval_blocks(omega, t)
+        return np.concatenate([H1 @ x + H3 @ y, [supply(t, x, u)]])
+
+    t_eval = np.linspace(0.0, T_report, n_samples)
+    sol = solve_ivp(rhs, (0.0, T_report), np.concatenate([problem.x0, [0.0]]),
+                    method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t_eval)
+    assert sol.success, sol.message
+    X = sol.y[:-1].T
+    Y, U = (np.array(a) for a in zip(*(control(t, x) for t, x in zip(t_eval, X))))
+    Q = np.array([supply(t, x, u) for t, x, u in zip(t_eval, X, U)])
+    return {"t": t_eval, "x": X, "y": Y, "u": U, "Q": Q, "value": float(sol.y[-1, -1])}
 
 
 def point_mass_sampler(center: float = 0.0, weight: float = 1.0):

@@ -204,6 +204,14 @@ def test_periodic_lq_file_loads_time_varying_blocks(tmp_path):
         assert abs(p.A(theta)[0, 0] - want) <= 1e-12
 
 
+def test_periodic_lq_file_end_to_end(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(PERIODIC_LQ))
+    assert main(["lq", str(path), "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "lq.json").read_text())
+    assert abs(data["value"] - data["closed_form_value"]) <= 1e-11
+
+
 @pytest.mark.parametrize("A", [{"oops": 1}, [{"k": [0], "cos": [[-0.5]]}, {"cos": [[0.3]]}]])
 def test_malformed_lq_block_is_an_error(tmp_path, capsys, A):
     path = tmp_path / "lq.json"

@@ -1,8 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from hamflow.base_flow import make_flow
-from hamflow.errors import InvalidCoefficients, NotSolvable, SingularR
+import hamflow.lq_control as lq_control
+from hamflow.base_flow import advance, make_flow
+from hamflow.errors import InvalidCoefficients, NotSolvable, SingularR, ToolkitError
 from hamflow.hamiltonian import BlockMap, TrigTerm
 from hamflow.lq_control import (
     LQProblem,
@@ -12,8 +16,37 @@ from hamflow.lq_control import (
     synthesize,
 )
 from hamflow.presets import scalar_lq_problem
+from hamflow.riccati_weyl import weyl_plus
 
-from oracles import are_value_matrix, scalar_lq_dp
+from conftest import count_solve_ivp_calls
+from oracles import are_value_matrix, lq_reference_trajectory, scalar_lq_dp
+
+
+def periodic_lq_problem():
+    flow = make_flow({"kind": "periodic", "period": 4.0})
+    A = BlockMap(n=1, const=np.array([[-0.5]]),
+                 terms=(TrigTerm(k=(1,), cos=np.array([[0.3]]), sin=None),))
+    return LQProblem.from_data(A, [[1.0]], [[1.0]], x0=[1.0], flow=flow)
+
+
+def torus_lq_problem():
+    """A = -0.5 + 0.3 cos 2 pi theta_1 + 0.2 sin 2 pi theta_2 on the torus
+    nu = (1, sqrt 2), B = G = R = 1."""
+    flow = make_flow({"kind": "torus", "nu": [1.0, 2.0 ** 0.5]})
+    A = BlockMap(n=1, const=np.array([[-0.5]]),
+                 terms=(TrigTerm(k=(1, 0), cos=np.array([[0.3]]), sin=None),
+                        TrigTerm(k=(0, 1), cos=None, sin=np.array([[0.2]]))))
+    return LQProblem.from_data(A, [[1.0]], [[1.0]], x0=[1.0], flow=flow)
+
+
+def random_autonomous_lq_problem():
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((2, 2))
+    B = rng.standard_normal((2, 1))
+    C = rng.standard_normal((2, 2))
+    R = np.array([[1.0 + rng.uniform(0, 1)]])
+    return LQProblem.from_data(A, B, C @ C.T + 0.5 * np.eye(2), R=R,
+                               x0=rng.standard_normal(2))
 
 
 def test_scalar_hamiltonian_blocks():
@@ -116,17 +149,109 @@ def test_asymmetric_g_is_rejected():
 
 
 def test_periodic_problem_synthesizes_a_feasible_feedback():
-    flow = make_flow({"kind": "periodic", "period": 4.0})
-    A = BlockMap(n=1, const=np.array([[-0.5]]),
-                 terms=(TrigTerm(k=(1,), cos=np.array([[0.3]]), sin=None),))
-    p = LQProblem.from_data(A, [[1.0]], [[1.0]], x0=[1.0], flow=flow)
+    p = periodic_lq_problem()
     s = synthesize(p)
     assert s.feasible
     assert s.state_residual <= 1e-6
     assert s.value > 0
-    assert abs(s.value - s.closed_form_value()) <= 1e-9
+    assert abs(s.value - s.closed_form_value()) <= 1e-11
     rng = np.random.default_rng(17)
     for _ in range(5):
         a, w = rng.uniform(0.05, 0.3), rng.uniform(0.3, 2.0)
         cost = compare_control(p, s, lambda t, a=a, w=w: a * np.sin(w * t) * np.exp(-0.3 * t))
         assert cost >= s.value - 1e-8
+
+
+# (problem, T_report, knot spacing of the reference's M+ table, tolerance).
+# The tolerances are the reference's own spline error: its table is exact
+# at the knots, and only on autonomous problems is it exact everywhere.
+REFERENCE_CASES = {
+    "scalar": (scalar_lq_problem, 20.0, 0.25, 1e-10),
+    "periodic": (periodic_lq_problem, 20.0, 1.0 / 16.0, 1e-7),
+    "random-autonomous": (random_autonomous_lq_problem, 20.0, 0.25, 1e-10),
+    "torus": (torus_lq_problem, 2.0, 0.1, 2e-4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_trajectories_match_the_dop853_reference(case):
+    make, T, step, atol = REFERENCE_CASES[case]
+    p = make()
+    s = synthesize(p, T_report=T)
+    ref = lq_reference_trajectory(p, T_report=T, step=step)
+    np.testing.assert_allclose(s.t, ref["t"], rtol=0, atol=1e-14)
+    for key in ("x", "y", "u", "Q"):
+        np.testing.assert_allclose(getattr(s, key), ref[key], rtol=0, atol=atol,
+                                   err_msg=key)
+    assert abs(s.value - ref["value"]) <= atol
+
+
+def test_torus_feedback_follows_the_weyl_function():
+    p = torus_lq_problem()
+    s = synthesize(p, T_report=2.0)
+    field = build_hamiltonian(p)
+    for i in (0, 37, 250, 399, 400):
+        W = weyl_plus(field, advance(p.flow, p.flow.origin(), s.t[i]), lam=0.0,
+                      family=None, tol=1e-9)
+        np.testing.assert_allclose(s.y[i], W.M @ s.x[i], rtol=0, atol=1e-12)
+    # the cost beyond T_report is positive and within the tail bound
+    assert 0.0 < s.closed_form_value() - s.value <= s.truncation_bound
+
+
+def test_value_accuracy_does_not_depend_on_the_report_spacing():
+    p = random_autonomous_lq_problem()
+    for n_samples in (41, 401, 2001):
+        s = synthesize(p, n_samples=n_samples)
+        assert abs(s.value - s.closed_form_value()) <= 1e-10
+
+
+@pytest.mark.parametrize("make", [scalar_lq_problem, periodic_lq_problem, torus_lq_problem])
+def test_synthesize_makes_no_solve_ivp_call(monkeypatch, make):
+    p = make()
+    calls = count_solve_ivp_calls(monkeypatch)
+    synthesize(p, T_report=2.0 if p.flow.kind == "torus" else 20.0)
+    assert calls == []
+
+
+def test_a_sweep_started_off_the_plane_fails_the_check(monkeypatch):
+    """Starting the backward sweep from M+(omega) instead of M+(omega . T)
+    leaves, over a short horizon, a visible gap at t = 0."""
+    true_weyl = lq_control.weyl_plus
+
+    def at_origin(field, omega, **kwargs):
+        return true_weyl(field, field.flow.origin(), **kwargs)
+
+    monkeypatch.setattr(lq_control, "weyl_plus", at_origin)
+    with pytest.raises(ToolkitError, match="swept"):
+        synthesize(torus_lq_problem(), T_report=2.0)
+
+
+def test_tail_bound_takes_the_supply_norm_over_every_sample():
+    p = periodic_lq_problem()
+    s = synthesize(p, T_report=8.0)
+    Rinv = np.linalg.inv(p.R)
+    F = np.hstack([-Rinv @ p.g.T, Rinv @ p.B.T])
+    Ex = np.hstack([np.eye(p.n), np.zeros((p.n, p.n))])
+    c_S = 0.0
+    for t in s.t:
+        G = p.G(advance(p.flow, p.flow.origin(), t).as_array())
+        S = Ex.T @ G @ Ex + Ex.T @ p.g @ F + F.T @ p.g.T @ Ex + F.T @ p.R @ F
+        c_S = max(c_S, np.linalg.norm(S, 2))
+    zT = np.linalg.norm(np.concatenate([s.x[-1], s.y[-1]]))
+    want = 0.5 * c_S * s.eta_hat ** 2 * zT ** 2 / (2.0 * s.beta_hat)
+    assert s.truncation_bound == pytest.approx(want, rel=1e-12)
+
+
+def test_import_loads_no_spline_module():
+    code = ("import sys, hamflow; from hamflow.presets import scalar_lq_problem; "
+            "assert 'scipy.interpolate' not in sys.modules; "
+            "hamflow.synthesize(scalar_lq_problem()); "
+            "assert 'scipy.interpolate' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("kwargs", [{"T_report": 0.0}, {"n_samples": 1}])
+def test_empty_report_grid_is_rejected(kwargs):
+    with pytest.raises(ToolkitError, match="n_samples"):
+        synthesize(scalar_lq_problem(), **kwargs)
