@@ -9,10 +9,10 @@ the feedback u = R^{-1} B' y - R^{-1} g' x, and the optimal value is the
 quadratic form of -M+.
 
 ``synthesize`` samples that pair from the Magnus kernel's transfer
-matrices between report samples: M+ from the Weyl route at the end of the
-report interval is swept backward to every sample, the direction in which
-the plane attracts, and the state advances one interval at a time,
-restarted on the plane.  The reported value is quadrature of the supply
+matrices over segments at most 1 / max ||H|| long: M+ from the Weyl route
+at the end of the report interval is swept backward to every segment
+start, the direction in which the plane attracts, and the state advances
+one segment at a time, restarted on the plane.  The reported value is quadrature of the supply
 rate along the trajectory plus an explicit exponential tail bound; the
 closed-form value matrix -M+ is kept alongside so the two routes check
 each other.  ``compare_control`` integrates a perturbed open-loop control
@@ -44,11 +44,15 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
-# Boole's rule on panels of four sub-steps, at most _PANEL long whatever the
-# report spacing; a kernel chunk holds about _CHUNK_SUBSAMPLES sub-samples
+# With rate = max ||H||: panels of four sub-steps, at most _PANEL_RATE /
+# rate long, keep Boole's rule near 1e-11 relative error at any rate;
+# segments, the unit of the sweep and the restarts, at most _SEGMENT_RATE /
+# rate long, keep their transfer matrices within a factor e of the
+# identity.  A kernel call covers _CHUNK_PANELS panels.
 _BOOLE = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) / 90.0
-_PANEL = 0.05
-_CHUNK_SUBSAMPLES = 80
+_PANEL_RATE = 0.08
+_SEGMENT_RATE = 1.0
+_CHUNK_PANELS = 64
 # How far the swept M+(0) may stray from the Weyl route's, in error estimates
 _SWEEP_FACTOR = 100.0
 
@@ -181,8 +185,11 @@ class LQSolution(Encodable):
         return float(0.5 * x0 @ self.value_matrix @ x0)
 
     def csv_rows(self) -> list[tuple]:
-        return [(float(t), *x, *y, *u, float(q))
-                for t, x, y, u, q in zip(self.t, self.x, self.y, self.u, self.Q)]
+        rows = []
+        for i in range(self.t.size):
+            rows.append((float(self.t[i]), *self.x[i], *self.y[i],
+                         *self.u[i], float(self.Q[i])))
+        return rows
 
     def to_dict(self) -> dict:
         return {
@@ -205,23 +212,6 @@ def _symplectic_inverse(U: np.ndarray) -> np.ndarray:
     return -J @ np.swapaxes(U, -1, -2) @ J
 
 
-def _interval_maps(field: CoefficientField, omega, dt: float, intervals: int,
-                   r: int) -> np.ndarray:
-    """Transfer matrices from each report sample i dt to the r + 1 points
-    i dt + s dt / r of its interval: an (intervals, r + 1, 2n, 2n) stack.
-    Each propagator chunk is a whole number q of report intervals and
-    comes from one sampled kernel call."""
-    q = max(1, round(_CHUNK_SUBSAMPLES / r))
-    prop = ChunkedPropagator(field, omega, h=q * dt, tol=_PROPAGATION_TOL)
-    maps = []
-    for k in range(-(-intervals // q)):
-        p = min(q, intervals - k * q)
-        S = prop.sampled(k, p * r, length=p * dt)
-        inside = S[np.arange(p)[:, None] * r + np.arange(r + 1)]
-        maps.append(inside @ _symplectic_inverse(inside[:, :1]))
-    return np.concatenate(maps)
-
-
 def synthesize(
     problem: LQProblem,
     T_report: float = 20.0,
@@ -231,47 +221,83 @@ def synthesize(
     """Optimal trajectory, feedback control, and cost.
 
     Samples the optimal pair on n_samples points of [0, T_report] and
-    reports J over that interval, by composite Boole's rule on panels at
-    most 0.05 long, plus an exponential tail bound from the dichotomy
-    constants.  The kernel's maps E_i between samples carry M+
-    from omega . T_report backward to every sample, and the state advances
-    as x_{i+1} = (E11 + E12 M_i) x_i, restarted on the graph y = M_i x
-    each interval, so the growing direction never builds up.  The M+
-    swept back to t = 0 must agree with the Weyl route's, within their
-    error estimates; the state-equation residual of the feedback control
-    is recorded.
+    reports J over that interval, by composite Boole's rule on panels
+    scaled to the rate max ||H||, plus an exponential tail bound from the
+    dichotomy constants.  The transfer matrices E_g over segments at most
+    1 / rate long, each composed of the kernel steps inside it, carry M+
+    from omega . T_report backward to every segment start, and the state
+    advances as x_{g+1} = (E11 + E12 M_g) x_g, restarted on the graph
+    y = M_g x each segment, so the growing direction never builds up,
+    however coarse the report grid.  The M+ swept back to t = 0 must
+    agree with the Weyl route's, within their error estimates; where
+    omega . T_report = omega (autonomous flows, whole periods) the sweep
+    starts from that same M+, and the check tests the sweep's numerics
+    only.  The state-equation residual of the feedback control is
+    recorded.
     """
     if not (T_report > 0.0 and n_samples >= 2):
         raise ToolkitError("synthesize needs T_report > 0 and n_samples >= 2")
     sol_check = solvability_check(problem)
     if sol_check["solvable"] is not True:
-        raise NotSolvable(f"solvability check returned {sol_check['solvable']}: "
-                          f"{sol_check['ed_report'].verdict}")
+        raise NotSolvable(
+            f"solvability check returned {sol_check['solvable']}: "
+            f"{sol_check['ed_report'].verdict}"
+        )
     field = build_hamiltonian(problem)
     flow = problem.flow
     omega = flow.origin()
-    W, W_T = (weyl_plus(field, advance(flow, omega, t), lam=0.0, family=None,
-                        tol=min(tol, 1e-9)) for t in (0.0, T_report))
+    omega_T = advance(flow, omega, T_report)
+    W = weyl_plus(field, omega, lam=0.0, family=None, tol=min(tol, 1e-9))
+    W_T = W if omega_T == omega else weyl_plus(field, omega_T, lam=0.0, family=None,
+                                                 tol=min(tol, 1e-9))
     M = np.real(W.M)
     rep: DichotomyReport = sol_check["ed_report"]
     beta, eta = rep.beta_hat, rep.eta_hat
     n = problem.n
+    t_eval = np.linspace(0.0, T_report, n_samples)
+    H = field.H_at(omega, t_eval)
+    # N panels of length P, per to a report interval, K to a segment; the
+    # rate is max ||H|| over the report samples and then, unless H is
+    # constant, over the sub-samples, until the panels it asks for are the
+    # ones sampled
     intervals = n_samples - 1
-    dt = T_report / intervals
-    panels = int(np.ceil(dt / _PANEL - 1e-9))
-    r = 4 * panels
-    V = _interval_maps(field, omega, dt, intervals, r)
+    rate = float(np.max(np.linalg.norm(H, 2, axis=(1, 2))))
+    per = 0
+    while True:
+        need = max(1, int(np.ceil(T_report * rate / (intervals * _PANEL_RATE) - 1e-9)))
+        if need == per:
+            break
+        per = need
+        Hsub = field.H_at(omega, np.linspace(0.0, T_report, 4 * intervals * per + 1))
+        if not field.is_autonomous:
+            rate = max(rate, float(np.max(np.linalg.norm(Hsub, 2, axis=(1, 2)))))
+    N = intervals * per
+    P = T_report / N
+    K = max(1, min(N, int(_SEGMENT_RATE / (rate * P))))
+    segments = -(-N // K)
+    # sub-step maps, padded with identities to whole segments
+    prop = ChunkedPropagator(field, omega, h=_CHUNK_PANELS * P, tol=_PROPAGATION_TOL)
+    chunk_panels = np.diff(np.append(np.arange(0, N, _CHUNK_PANELS), N))
+    steps = np.concatenate(
+        [prop.pieces(c, 4 * p, length=p * P) for c, p in enumerate(chunk_panels)]
+        + [np.broadcast_to(np.eye(2 * n), (4 * (K * segments - N), 2 * n, 2 * n))]
+    ).reshape(segments, 4 * K, 2 * n, 2 * n)
+    # V[g, s]: the map from the start of segment g to its s-th sub-sample
+    V = np.empty((segments, 4 * K + 1, 2 * n, 2 * n))
+    V[:, 0] = np.eye(2 * n)
+    for s in range(4 * K):
+        V[:, s + 1] = steps[:, s] @ V[:, s]
     E = V[:, -1]
 
-    # M_i from M_{i+1}: the graph of E_i^{-1} [[I], [M_{i+1}]]
+    # M_g from M_{g+1}: the graph of E_g^{-1} [[I], [M_{g+1}]]
     Einv = _symplectic_inverse(E)
-    Ms = np.empty((n_samples, n, n))
+    Ms = np.empty((segments + 1, n, n))
     Ms[-1] = np.real(W_T.M)
-    for i in range(intervals - 1, -1, -1):
-        top = Einv[i, :n, :n] + Einv[i, :n, n:] @ Ms[i + 1]
-        bottom = Einv[i, n:, :n] + Einv[i, n:, n:] @ Ms[i + 1]
-        Mi = np.linalg.solve(top.T, bottom.T).T
-        Ms[i] = 0.5 * (Mi + Mi.T)
+    for g in range(segments - 1, -1, -1):
+        top = Einv[g, :n, :n] + Einv[g, :n, n:] @ Ms[g + 1]
+        bottom = Einv[g, n:, :n] + Einv[g, n:, n:] @ Ms[g + 1]
+        Mg = np.linalg.solve(top.T, bottom.T).T
+        Ms[g] = 0.5 * (Mg + Mg.T)
     gap = float(np.linalg.norm(Ms[0] - M, 2))
     bound = (_SWEEP_FACTOR * max(1.0, float(np.linalg.norm(M, 2)))
              * (W.convergence_error + W_T.convergence_error + _PROPAGATION_TOL))
@@ -281,38 +307,52 @@ def synthesize(
             f"(bound {bound:.3g})")
 
     Phi = E[:, :n, :n] + E[:, :n, n:] @ Ms[:-1]
-    X = np.empty((n_samples, n))
-    X[0] = problem.x0
-    for i in range(intervals):
-        X[i + 1] = Phi[i] @ X[i]
-    Y = np.einsum("ijk,ik->ij", Ms, X)
-    Z = np.hstack([X, Y])
+    Xg = np.empty((segments, n))
+    Xg[0] = problem.x0
+    for g in range(segments - 1):
+        Xg[g + 1] = Phi[g] @ Xg[g]
+    Zg = np.hstack([Xg, np.einsum("gjk,gk->gj", Ms[:-1], Xg)])
+    Zsub = np.einsum("gsab,gb->gsa", V, Zg)
+    Zsub = np.concatenate([Zsub[:, :-1].reshape(-1, 2 * n), Zsub[-1:, -1]])[:4 * N + 1]
+    Z = Zsub[::4 * per]
+    X, Y = Z[:, :n], Z[:, n:]
     U = (Y @ problem.B - X @ problem.g) @ np.linalg.inv(problem.R)
 
     # the supply rate under the feedback u is (1/2) z' diag(H2, H3) z
-    H = field.H_at(omega, np.linspace(0.0, T_report, intervals * r + 1))
-    S = np.zeros(H.shape)
-    S[:, :n, :n] = H[:, n:, :n]
-    S[:, n:, n:] = H[:, :n, n:]
-    Zsub = np.einsum("isab,ib->isa", V, Z[:-1])
-    Ssub = S[np.arange(intervals)[:, None] * r + np.arange(r + 1)]
-    w = np.append(np.tile(_BOOLE[:4], panels), 0.0)
-    w[4::4] += _BOOLE[4]
-    value = 0.5 * dt / panels * float(np.einsum("s,isa,isab,isb->", w, Zsub, Ssub, Zsub))
-    Qd = 0.5 * np.einsum("ia,iab,ib->i", Z, S[::r], Z)
+    def supply_form(H):
+        S = np.zeros(H.shape)
+        S[:, :n, :n] = H[:, n:, :n]
+        S[:, n:, n:] = H[:, :n, n:]
+        return S
 
-    c_S = float(np.max(np.linalg.norm(S[::r], 2, axis=(1, 2))))
+    S = supply_form(H)
+    Ssub = supply_form(Hsub)
+    w = np.append(np.tile(_BOOLE[:4], N), 0.0)
+    w[4::4] += _BOOLE[4]
+    value = 0.5 * P * float(np.einsum("k,ka,kab,kb->", w, Zsub, Ssub, Zsub))
+    Qd = 0.5 * np.einsum("ia,iab,ib->i", Z, S, Z)
+
+    c_S = float(np.max(np.linalg.norm(S, 2, axis=(1, 2))))
     zT = float(np.linalg.norm(Z[-1]))
-    tail = 0.5 * c_S * (eta ** 2) * zT ** 2 / (2.0 * beta) if beta > 0 else float("inf")
-    t_eval = np.linspace(0.0, T_report, n_samples)
+    # products, not powers: a float power raises where a product overflows to
+    # inf, and eta |z(T)| stays finite where |z(T)| has underflowed
+    ez = eta * zT
+    tail = 0.5 * c_S * ez * ez / (2.0 * beta) if beta > 0 else float("inf")
     z0n = float(np.linalg.norm(Z[0]))
-    decay = float(np.max(np.linalg.norm(Z, axis=1) * np.exp(beta * t_eval))
-                  / (eta * z0n)) if z0n > 0.0 else 0.0
+    if z0n > 0.0:
+        # in logarithms: e^{beta t} overflows where |z| has underflowed
+        with np.errstate(divide="ignore"):
+            growth = np.log(np.linalg.norm(Z, axis=1)) + beta * t_eval
+        decay = float(np.exp(np.max(growth)) / (eta * z0n))
+    else:
+        decay = 0.0
     resid = 0.0
     for i in range(0, n_samples, max(1, n_samples // 40)):
-        A = problem.A(advance(flow, omega, t_eval[i]).as_array())
-        xdot = H[i * r, :n, :n] @ X[i] + H[i * r, :n, n:] @ Y[i]
-        resid = max(resid, float(np.linalg.norm(xdot - A @ X[i] - problem.B @ U[i])))
+        th = advance(flow, omega, t_eval[i]).as_array()
+        xdot = H[i, :n, :n] @ X[i] + H[i, :n, n:] @ Y[i]
+        resid = max(resid, float(np.linalg.norm(
+            xdot - problem.A(th) @ X[i] - problem.B @ U[i]
+        )))
     return LQSolution(
         feasible=True, M_plus=W, value=value,
         truncation_bound=float(tail), value_matrix=-M,

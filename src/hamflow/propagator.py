@@ -252,9 +252,10 @@ def _magnus_steps(field: CoefficientField, omega: BasePoint, t0: float,
     return expm(a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0)
 
 
-def _step_products(E: np.ndarray, m: int) -> np.ndarray:
+def _step_products(E: np.ndarray, m: int, cumulative: bool = True) -> np.ndarray:
     """Products of (..., N, k, k) stacks of step exponentials, kept after
-    every N/m steps: (..., m + 1, k, k) stacks from the identity."""
+    every N/m steps: (..., m + 1, k, k) stacks from the identity, or with
+    ``cumulative`` off the (..., m, k, k) products over each piece alone."""
     lead, k = E.shape[:-3], E.shape[-1]
     # multiply the steps of each of the m sample intervals pairwise
     E = E.reshape(lead + (m, -1, k, k))
@@ -263,6 +264,8 @@ def _step_products(E: np.ndarray, m: int) -> np.ndarray:
         if E.shape[-3] % 2:
             E = np.concatenate([E, np.broadcast_to(I, E.shape[:-3] + (1, k, k))], axis=-3)
         E = E[..., 1::2, :, :] @ E[..., 0::2, :, :]
+    if not cumulative:
+        return E[..., 0, :, :]
     out = np.empty(lead + (m + 1, k, k), dtype=E.dtype)
     out[..., 0, :, :] = I
     for j in range(m):
@@ -271,10 +274,12 @@ def _step_products(E: np.ndarray, m: int) -> np.ndarray:
 
 
 def _magnus_chunk(field: CoefficientField, omega: BasePoint, t0: float,
-                  span: float, m: int, tol: float) -> np.ndarray:
+                  span: float, m: int, tol: float,
+                  cumulative: bool = True) -> np.ndarray:
     """Transfer matrices from t0 to the m + 1 points t0 + span j / m of a
     nonconstant field, as an (m + 1, 2n, 2n) stack (span may be
-    negative).
+    negative); with ``cumulative`` off, the (m, 2n, 2n) transfer matrices
+    over each piece [t0 + span j / m, t0 + span (j + 1) / m] instead.
 
     N and 2N Magnus steps are compared (N a multiple of m, at least 32)
     and N doubles until the relative difference at every sample is at
@@ -287,7 +292,7 @@ def _magnus_chunk(field: CoefficientField, omega: BasePoint, t0: float,
     k = 2 * field.n
 
     def products(E):
-        U = _step_products(E, m)
+        U = _step_products(E, m, cumulative)
         # back from the real form [[X, -Y], [Y, X]] of X + iY
         return U[..., :k, :k] + 1j * U[..., k:, :k] if field.is_complex else U
 
@@ -487,6 +492,18 @@ class ChunkedPropagator:
                                   sign * L, m, self.tol)
             self._sampled[key] = S
         return S
+
+    def pieces(self, k: int, m: int, length: float | None = None) -> np.ndarray:
+        """Transfer matrices over each of m equal pieces of the first
+        ``length`` (default h) of forward chunk k: an (m, 2n, 2n) stack.
+        Each is composed of the steps inside its own piece only, so its
+        error is relative to its own size, however large the products
+        from the chunk start grow."""
+        L = self.h if length is None else float(length)
+        if self.field.is_autonomous:
+            return np.broadcast_to(self._expm_step(L / m), (m, 2 * self.field.n, 2 * self.field.n))
+        return _magnus_chunk(self.field, self.omega, k * self.h, L, m, self.tol,
+                             cumulative=False)
 
     def frame_chain(
         self,

@@ -205,6 +205,46 @@ def test_value_accuracy_does_not_depend_on_the_report_spacing():
         assert abs(s.value - s.closed_form_value()) <= 1e-10
 
 
+@pytest.mark.parametrize("a, T_report, n_samples", [
+    (-20.0, 64.0, 401), (-40.0, 64.0, 401), (-5.0, 64.0, 9), (-20.0, 20.0, 2),
+])
+def test_stiff_scalar_problems_keep_their_accuracy(a, T_report, n_samples):
+    """x' = a x + u, G = R = 1: x(t) = e^{-lambda t} with lambda =
+    sqrt(a^2 + 1), value (a + lambda) / 2.  Rates of 5 to 40 over report
+    intervals up to 8 long, where maps from a chunk start outgrow the
+    decaying solution by e^{2 lambda t}."""
+    p = LQProblem.from_data([[a]], [[1.0]], [[1.0]], x0=[1.0])
+    s = synthesize(p, T_report=T_report, n_samples=n_samples)
+    lam = np.hypot(a, 1.0)
+    exact = np.exp(-lam * s.t)
+    seen = exact > 1e-290
+    np.testing.assert_allclose(s.x[seen, 0], exact[seen], rtol=1e-10, atol=0)
+    np.testing.assert_allclose(s.y[seen, 0], -(a + lam) * exact[seen], rtol=1e-10, atol=0)
+    assert abs(s.value - (a + lam) / 2.0) <= 1e-10 * s.value
+    assert abs(s.value - s.closed_form_value()) <= 1e-10 * s.value
+    assert np.isfinite(s.truncation_bound) and np.isfinite(s.decay_margin)
+
+
+@pytest.mark.parametrize("n_samples", [5, 401])
+def test_stiff_periodic_problem_keeps_its_accuracy(n_samples):
+    """A = -20 + 15 cos(2 pi t / 4): at samples a whole number of periods
+    apart the closed loop repeats, so x shrinks by one factor per period
+    and y = M+(0) x at each of them.  Samples one period apart all see
+    |A| = 5, a seventh of its largest value 35."""
+    flow = make_flow({"kind": "periodic", "period": 4.0})
+    A = BlockMap(n=1, const=np.array([[-20.0]]),
+                 terms=(TrigTerm(k=(1,), cos=np.array([[15.0]]), sin=None),))
+    p = LQProblem.from_data(A, [[1.0]], [[1.0]], x0=[1.0], flow=flow)
+    s = synthesize(p, T_report=16.0, n_samples=n_samples)
+    every = (n_samples - 1) // 4
+    x, y = s.x[::every, 0], s.y[::every, 0]
+    ratios = x[1:] / x[:-1]
+    np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10, atol=0)
+    assert 0.0 < ratios[0] < np.exp(-4.0 * 16.0)
+    np.testing.assert_allclose(y, -s.value_matrix[0, 0] * x, rtol=1e-10, atol=0)
+    assert abs(s.value - s.closed_form_value()) <= 1e-12 * s.value
+
+
 @pytest.mark.parametrize("make", [scalar_lq_problem, periodic_lq_problem, torus_lq_problem])
 def test_synthesize_makes_no_solve_ivp_call(monkeypatch, make):
     p = make()

@@ -130,6 +130,23 @@ def test_sampled_chunk_matches_dense_ivp_on_torus_field(torus_demo, k, direction
     assert prop.sampled(k, m, direction, length) is S
 
 
+@pytest.mark.parametrize("k,length", [(0, None), (3, None), (5, 0.37)])
+def test_pieces_are_the_transfer_matrices_over_each_piece(torus_demo, ex2, k, length):
+    m = 4
+    L = 1.0 if length is None else length
+    for field in (torus_demo, ex2):
+        om = field.flow.origin()
+        prop = ChunkedPropagator(field, om)
+        pieces = prop.pieces(k, m, length)
+        assert pieces.shape == (m, 2, 2)
+        for j in range(m):
+            start = advance(field.flow, om, k + L * j / m)
+            assert _rel_err(pieces[j], ivp_transfer(field, start, L / m)) <= 1e-8
+        # composed, they give the chunk's sampled map to its end
+        product = np.linalg.multi_dot(pieces[::-1])
+        assert _rel_err(product, prop.sampled(k, m, length=length)[-1]) <= 1e-12
+
+
 def _kernel_fields():
     """torus-demo, a random n = 2 torus field and torus-demo at the
     nonreal spectral parameter 0.5 + 1i."""
