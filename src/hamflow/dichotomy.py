@@ -138,7 +138,12 @@ def _spectral_point(prop: ChunkedPropagator, th: EDThresholds) -> PointEvidence 
         return None
     if not np.all(np.isfinite(Phi)):
         return None
-    chi = np.sort(np.log(np.abs(np.linalg.eigvals(Phi))) / period)[::-1]
+    # Phi is symplectic, so its multipliers pair as mu <-> 1/mu: the
+    # decaying exponents are the negated growing ones (a decaying
+    # multiplier may underflow to 0)
+    mods = np.sort(np.abs(np.linalg.eigvals(Phi)))[field.n:]
+    grow = np.log(mods) / period
+    chi = np.sort(np.concatenate([grow, -grow]))[::-1]
     beta = float(np.min(np.abs(chi)))
     history = ((float(period), beta),)
     if beta < min(1e-6, 0.5 * th.beta_min):
@@ -283,6 +288,8 @@ def _eta_estimate(
     beyond that the planes' own truncation error grows faster than the
     decay being measured."""
     m = max(1, m // 2)
+    prop.fill(range(m), "forward")
+    prop.fill(range(-m, 0), "backward")
     eta = 1.0
     for frame, direction in ((lp, "forward"), (lm, "backward")):
         F = frame

@@ -295,10 +295,19 @@ class CoefficientField:
             nu = np.array([1.0 / self.flow.period])
         else:
             nu = np.asarray(self.flow.nu)
-        # the phase is reduced mod 1 before it is scaled by 2 pi
-        phase = 2.0 * np.pi * ((c.K @ omega.as_array() + np.multiply.outer(ts, c.K @ nu)) % 1.0)
-        trig = np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
-        return c.H0 + (trig @ c.CS).reshape(ts.shape + c.H0.shape)
+        # the phase is reduced mod 1 before it is scaled by 2 pi; x - floor(x)
+        # is x % 1.0 exactly, at a fraction of the cost
+        phase = c.K @ omega.as_array() + np.multiply.outer(ts, c.K @ nu)
+        phase -= np.floor(phase)
+        phase *= 2.0 * np.pi
+        L = phase.shape[-1]
+        trig = np.empty(phase.shape[:-1] + (2 * L,))
+        np.cos(phase, out=trig[..., :L])
+        np.sin(phase, out=trig[..., L:])
+        # one product for all times, not one per leading index
+        H = (trig.reshape(-1, 2 * L) @ c.CS).reshape(ts.shape + c.H0.shape)
+        H += c.H0
+        return H
 
     def constant_matrix(self) -> np.ndarray:
         """The assembled matrix of an autonomous field."""

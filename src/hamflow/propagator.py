@@ -169,24 +169,15 @@ _PADE_B = {
 }
 
 
-def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one matrix or of an (N, k, k) stack.
-
-    A single matrix goes to ``scipy.linalg.expm``.  A stack takes one
-    diagonal Pade approximant r_m with scaling and squaring (Higham 2005)
-    for all its slices: degree m and scaling s follow from the largest
-    1-norm in the stack, and the work is batched products, one batched
-    solve and s batched squarings.  r_m(z) r_m(-z) = 1, so the
-    exponential of a Hamiltonian matrix comes out symplectic.  A stack
-    with a non-finite entry comes back as NaN."""
-    A = np.asarray(A)
-    if A.ndim == 2:
-        return scipy.linalg.expm(A)
-    norm = float(np.max(np.sum(np.abs(A), axis=-2), initial=0.0))
-    if not np.isfinite(norm):
-        return np.full(A.shape, np.nan, dtype=np.result_type(A, float))
+def _pade_order(norm: float) -> tuple[int, int]:
+    """Degree m and scaling s of the approximant for largest 1-norm norm."""
     m = next((d for d in (3, 5, 7, 9) if norm <= _PADE_THETA[d]), 13)
     s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13])))) if m == 13 else 0
+    return m, s
+
+
+def _pade(A: np.ndarray, m: int, s: int) -> np.ndarray:
+    """r_m(A / 2^s)^(2^s) slice by slice of a (..., k, k) array."""
     if s:
         A = A / 2.0 ** s
     b = _PADE_B[m]
@@ -201,9 +192,9 @@ def expm(A: np.ndarray) -> np.ndarray:
              + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
     else:
         # U = A (b_1 I + b_3 A^2 + ...), V = b_0 I + b_2 A^2 + ...
-        P = I
-        U, V = b[1] * I, b[0] * I
-        for k in range(2, m, 2):
+        P = A2
+        U, V = b[1] * I + b[3] * P, b[0] * I + b[2] * P
+        for k in range(4, m, 2):
             P = P @ A2
             U = U + b[k + 1] * P
             V = V + b[k] * P
@@ -217,39 +208,88 @@ def expm(A: np.ndarray) -> np.ndarray:
     return R
 
 
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one matrix, of an (N, k, k) stack, or of a
+    (..., N, k, k) batch of such stacks.
+
+    A single matrix goes to ``scipy.linalg.expm``.  A stack takes one
+    diagonal Pade approximant r_m with scaling and squaring (Higham 2005)
+    for all its slices: degree m and scaling s follow from the largest
+    1-norm in the stack, and the work is batched products, one batched
+    solve and s batched squarings.  Each stack of a batch gets the m and
+    s it would get alone, so its result does not depend on the other
+    stacks.  r_m(z) r_m(-z) = 1, so the exponential of a Hamiltonian
+    matrix comes out symplectic.  A stack with a non-finite entry comes
+    back as NaN."""
+    A = np.asarray(A)
+    if A.ndim == 2:
+        return scipy.linalg.expm(A)
+    stacks = A.reshape((-1,) + A.shape[-3:])
+    norms = np.max(np.sum(np.abs(stacks), axis=-2), axis=(-2, -1), initial=0.0)
+    orders = [_pade_order(x) if np.isfinite(x) else None for x in norms]
+    if len(set(orders)) == 1 and orders[0] is not None:
+        return _pade(A, *orders[0])
+    out = np.full(stacks.shape, np.nan, dtype=np.result_type(A, float))
+    for order in set(orders) - {None}:
+        sel = [i for i, o in enumerate(orders) if o == order]
+        out[sel] = _pade(stacks[sel], *order)
+    return out.reshape(A.shape)
+
+
 # Gauss-Legendre nodes of the sixth-order commutator Magnus step
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 _MAGNUS_MIN_STEPS = 32
 _MAGNUS_MAX_STEPS = 8192
+# Largest step stack, counted in matrix entries (steps x k^2 in the real
+# form), that one kernel call builds: a batch of chunks is split to stay
+# within it, so memory does not grow with the number of chunks requested
+_MAGNUS_BUDGET = 16384
 
 
 def _commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
 
 
-def _magnus_steps(field: CoefficientField, omega: BasePoint, t0: float,
+def _real_form(A: np.ndarray) -> np.ndarray:
+    """A complex stack X + iY as the real [[X, -Y], [Y, X]]; a real one
+    as it is.  Products of tiny complex matrices cost several times those
+    of real ones."""
+    if not np.iscomplexobj(A):
+        return A
+    k = A.shape[-1]
+    R = np.empty(A.shape[:-2] + (2 * k, 2 * k))
+    R[..., :k, :k] = R[..., k:, k:] = A.real
+    R[..., k:, :k] = A.imag
+    np.negative(A.imag, out=R[..., :k, k:])
+    return R
+
+
+def _magnus_exponent(A: np.ndarray) -> np.ndarray:
+    """The exponent of one sixth-order commutator Magnus step from h H at
+    its three Gauss nodes: (..., 3, k, k) -> (..., k, k)."""
+    a1 = A[..., 1, :, :]
+    a2 = (np.sqrt(15.0) / 3.0) * (A[..., 2, :, :] - A[..., 0, :, :])
+    a3 = (10.0 / 3.0) * (A[..., 2, :, :] - 2.0 * A[..., 1, :, :] + A[..., 0, :, :])
+    C1 = _commutator(a1, a2)
+    C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
+    return a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0
+
+
+def _magnus_steps(field: CoefficientField, omega: BasePoint, t0s: np.ndarray,
                   span: float, Ns: Sequence[int]) -> np.ndarray:
     """The step exponentials of N sixth-order Magnus steps over
-    [t0, t0 + span] for every N in ``Ns``, concatenated to one
-    (sum Ns, 2n, 2n) stack from one ``H_at`` and one ``expm`` call.  A
-    complex field's steps come in the real form, (sum Ns, 4n, 4n).
+    [t0, t0 + span] for every N in ``Ns`` and every start t0 of ``t0s``:
+    per start the N-step stacks concatenated, (len(t0s), sum Ns, 2n, 2n)
+    in all, from one ``H_at`` and one ``expm`` call.  A complex field's
+    steps come in the real form, (len(t0s), sum Ns, 4n, 4n).
 
     The step is the commutator form of Blanes, Casas and Ros (BIT 40,
     2000) with H at three Gauss nodes; each step is the exponential of a
     Hamiltonian matrix, so it is symplectic."""
     h = np.concatenate([np.full(N, span / N) for N in Ns])[:, None, None, None]
     ts = np.concatenate([span / N * (np.arange(N)[:, None] + _GAUSS_NODES) for N in Ns])
-    A = h * field.H_at(omega, t0 + ts)
-    if np.iscomplexobj(A):
-        # products of tiny complex matrices cost several times those of
-        # real ones: carry X + iY as the real [[X, -Y], [Y, X]] instead
-        A = np.block([[A.real, -A.imag], [A.imag, A.real]])
-    a1 = A[:, 1]
-    a2 = (np.sqrt(15.0) / 3.0) * (A[:, 2] - A[:, 0])
-    a3 = (10.0 / 3.0) * (A[:, 2] - 2.0 * A[:, 1] + A[:, 0])
-    C1 = _commutator(a1, a2)
-    C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
-    return expm(a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0)
+    # nested, so that the node stack is freed before the exponentials
+    return expm(_magnus_exponent(_real_form(h * field.H_at(omega, t0s[:, None, None] + ts))))
 
 
 def _step_products(E: np.ndarray, m: int, cumulative: bool = True) -> np.ndarray:
@@ -273,44 +313,71 @@ def _step_products(E: np.ndarray, m: int, cumulative: bool = True) -> np.ndarray
     return out
 
 
-def _magnus_chunk(field: CoefficientField, omega: BasePoint, t0: float,
+def _magnus_chunk(field: CoefficientField, omega: BasePoint, t0s: Sequence[float],
                   span: float, m: int, tol: float,
                   cumulative: bool = True) -> np.ndarray:
-    """Transfer matrices from t0 to the m + 1 points t0 + span j / m of a
-    nonconstant field, as an (m + 1, 2n, 2n) stack (span may be
-    negative); with ``cumulative`` off, the (m, 2n, 2n) transfer matrices
-    over each piece [t0 + span j / m, t0 + span (j + 1) / m] instead.
+    """Transfer matrices of a nonconstant field over the chunks
+    [t0, t0 + span] of every start t0 in ``t0s`` (span may be negative),
+    from t0 to the m + 1 points t0 + span j / m: a (len(t0s), m + 1, 2n,
+    2n) stack.  With ``cumulative`` off, the (len(t0s), m, 2n, 2n)
+    transfer matrices over each piece [t0 + span j / m, t0 + span (j + 1)
+    / m] instead.  One start is the batch of one.
 
-    N and 2N Magnus steps are compared (N a multiple of m, at least 32)
-    and N doubles until the relative difference at every sample is at
-    most 64 tol, about 63 times the error of the 2N result; the return
-    value is its Richardson extrapolation U_2N + (U_2N - U_N) / 63.  The
-    first attempt takes the steps of both passes from one
-    ``_magnus_steps`` call, a retry only the new 2N steps.  Steps too
-    long for the field may overflow; the comparison then fails and N
-    doubles."""
+    Per chunk, N and 2N Magnus steps are compared (N a multiple of m, at
+    least 32) and N doubles until the relative difference at every sample
+    is at most 64 tol, about 63 times the error of the 2N result; the
+    chunk's value is its Richardson extrapolation U_2N + (U_2N - U_N) /
+    63.  The first attempt takes the steps of both passes of every chunk
+    from one ``_magnus_steps`` call, a retry only the new 2N steps of the
+    chunks that failed the comparison.  A call never builds more than
+    ``_MAGNUS_BUDGET`` stack entries: larger batches are split.  Steps
+    too long for the field may overflow; the comparison then fails and N
+    doubles.  StiffnessError names the first chunk that did not settle
+    with ``_MAGNUS_MAX_STEPS`` steps."""
+    t0s = np.asarray(t0s, dtype=float).reshape(-1)
     k = 2 * field.n
+    entries = (2 * k if field.is_complex else k) ** 2
 
     def products(E):
         U = _step_products(E, m, cumulative)
         # back from the real form [[X, -Y], [Y, X]] of X + iY
         return U[..., :k, :k] + 1j * U[..., k:, :k] if field.is_complex else U
 
+    def passes(chunks, Ns):
+        # the products of each N-step pass of the chunks, (len, len(Ns), ...)
+        per = max(1, _MAGNUS_BUDGET // (sum(Ns) * entries))
+        out = []
+        for lo in range(0, len(chunks), per):
+            E = _magnus_steps(field, omega, t0s[chunks[lo:lo + per]], span, Ns)
+            if len(Ns) == 2:
+                # pairing the 2N steps first gives both passes N factors,
+                # so their products are one batch
+                N = Ns[0]
+                E = np.stack([E[:, :N], E[:, N + 1::2] @ E[:, N::2]], axis=1)
+            else:
+                E = E[:, None]
+            out.append(products(E))
+        return np.concatenate(out)
+
     N = m * -(-_MAGNUS_MIN_STEPS // m)
+    result = np.empty((len(t0s), m + 1 if cumulative else m, k, k),
+                      dtype=complex if field.is_complex else float)
+    pending = np.arange(len(t0s))
     with np.errstate(over="ignore", invalid="ignore"):
-        E = _magnus_steps(field, omega, t0, span, (N, 2 * N))
-        # pairing the 2N steps first gives both passes N factors, so
-        # their products are one batch
-        U_N, U_2N = products(np.stack([E[:N], E[N + 1::2] @ E[N::2]]))
+        U = passes(pending, (N, 2 * N))
+        U_N, U_2N = U[:, 0], U[:, 1]
         while True:
-            diff = np.max(np.abs(U_2N - U_N), axis=(1, 2))
-            scale = np.maximum(1.0, np.max(np.abs(U_2N), axis=(1, 2)))
-            if np.all(diff <= 64.0 * tol * scale):
-                return U_2N + (U_2N - U_N) / 63.0
-            N, U_N = 2 * N, U_2N
+            diff = np.max(np.abs(U_2N - U_N), axis=(-2, -1))
+            scale = np.maximum(1.0, np.max(np.abs(U_2N), axis=(-2, -1)))
+            done = np.all(diff <= 64.0 * tol * scale, axis=-1)
+            result[pending[done]] = U_2N[done] + (U_2N[done] - U_N[done]) / 63.0
+            if done.all():
+                return result
+            pending, N, U_N = pending[~done], 2 * N, U_2N[~done]
             if 2 * N > _MAGNUS_MAX_STEPS:
                 break
-            U_2N = products(_magnus_steps(field, omega, t0, span, (2 * N,)))
+            U_2N = passes(pending, (2 * N,))[:, 0]
+    t0 = float(t0s[pending[0]])
     raise StiffnessError(
         f"Magnus steps did not settle with {_MAGNUS_MAX_STEPS} steps over "
         f"[{t0:.6g}, {t0 + span:.6g}]", t_reached=t0)
@@ -341,8 +408,8 @@ def transfer_matrix(
         return _integrate_matrix(field.H_of_t(omega), U, t0, t1, tol)
     pieces = max(1, int(np.ceil(abs(t1 - t0) - 1e-12)))
     step = (t1 - t0) / pieces
-    for j in range(pieces):
-        U = _magnus_chunk(field, omega, t0 + j * step, step, 1, tol)[-1] @ U
+    for Uj in _magnus_chunk(field, omega, t0 + np.arange(pieces) * step, step, 1, tol):
+        U = Uj[-1] @ U
     return U
 
 
@@ -408,17 +475,26 @@ def cocycle_check(
 
 def _positive_qr(F: np.ndarray):
     """QR with positive real diagonal of R, so det(change of basis) > 0
-    and determinant signs of propagated top blocks are preserved.  A
-    single column is divided by its norm (a zero column is kept)."""
-    if F.shape[1] == 1:
+    and determinant signs of propagated top blocks are preserved.  F may
+    be a (..., 2n, c) stack, factored slice by slice.  A single column is
+    divided by its norm (a zero column is kept)."""
+    if F.shape[-1] == 1 and F.ndim == 2:
+        # one frame: the scalar route costs less per call
         r = float(np.linalg.norm(F))
         return (F / r if r > 0.0 else F), np.array([[r]])
+    if F.shape[-1] == 1:
+        # the norms as np.linalg.norm takes them: one BLAS dot per part
+        sq = np.vecdot(F.real, F.real, axis=-2)
+        if np.iscomplexobj(F):
+            sq = sq + np.vecdot(F.imag, F.imag, axis=-2)
+        r = np.sqrt(sq)[..., None]
+        return F / (r + (r == 0.0)), r
     Q, R = np.linalg.qr(F)
-    d = np.diagonal(R).copy()
+    d = np.diagonal(R, axis1=-2, axis2=-1).copy()
     d = np.where(np.abs(d) == 0, 1.0, d)
     phase = d / np.abs(d)
-    Q = Q * phase
-    R = phase.conj()[:, None] * R
+    Q = Q * phase[..., None, :]
+    R = phase.conj()[..., :, None] * R
     return Q, R
 
 
@@ -431,6 +507,8 @@ class ChunkedPropagator:
     by integrating in reverse rather than by matrix inversion.
     ``sampled`` adds the transfer matrices to points inside a chunk, so
     one propagation serves every initial condition as a product U(t) X.
+    ``fill`` computes every missing chunk of a range in one kernel call;
+    the walks below fill their ranges before they look chunks up.
     """
 
     def __init__(self, field: CoefficientField, omega: BasePoint,
@@ -443,6 +521,9 @@ class ChunkedPropagator:
         self._bwd: dict[int, np.ndarray] = {}
         self._expm_cache: dict[float, np.ndarray] = {}
         self._sampled: dict[tuple, np.ndarray] = {}
+        # running QR state of qr_exponents: (Q after len(logs) - 1 chunks,
+        # logs), logs[c] the sum of log|diag R| over the first c chunks
+        self._qr: tuple[np.ndarray, list[np.ndarray]] | None = None
 
     def _expm_step(self, dt: float) -> np.ndarray:
         E = self._expm_cache.get(dt)
@@ -451,21 +532,48 @@ class ChunkedPropagator:
             self._expm_cache[dt] = E
         return E
 
+    def _starts(self, chunks: Sequence[int], sign: float) -> np.ndarray:
+        """Start times of chunks traversed forward (sign > 0) or backward."""
+        return (np.asarray(chunks) + (0 if sign > 0 else 1)) * self.h
+
+    def fill(self, chunks: Sequence[int], direction: str = "forward",
+             m: int | None = None) -> None:
+        """Compute every missing chunk among ``chunks`` with one Magnus
+        kernel call: the transfer matrices that ``forward``/``backward``
+        serve, or with m the sampled stacks that ``sampled(k, m,
+        direction)`` serves.  Constant fields have nothing to fill."""
+        if self.field.is_autonomous:
+            return
+        sign = 1.0 if direction == "forward" else -1.0
+        if m is None:
+            cache = self._fwd if sign > 0 else self._bwd
+            key = lambda k: k
+        else:
+            cache = self._sampled
+            key = lambda k: (k, sign, m, self.h)
+        missing = [k for k in dict.fromkeys(chunks) if key(k) not in cache]
+        if not missing:
+            return
+        S = _magnus_chunk(self.field, self.omega, self._starts(missing, sign),
+                          sign * self.h, m or 1, self.tol)
+        for k, Sk in zip(missing, S):
+            cache[key(k)] = Sk if m else Sk[-1]
+
     def forward(self, k: int) -> np.ndarray:
-        return self._unit(self._fwd, k, 1.0)
+        return self._unit(self._fwd, k, "forward")
 
     def backward(self, k: int) -> np.ndarray:
-        return self._unit(self._bwd, k, -1.0)
+        return self._unit(self._bwd, k, "backward")
 
-    def _unit(self, cache: dict, k: int, sign: float) -> np.ndarray:
+    def _unit(self, cache: dict, k: int, direction: str) -> np.ndarray:
         M = cache.get(k)
         if M is None:
             if self.field.is_autonomous:
-                M = self._expm_step(sign * self.h)
+                M = self._expm_step((1.0 if direction == "forward" else -1.0) * self.h)
+                cache[k] = M
             else:
-                M = _magnus_chunk(self.field, self.omega, (k if sign > 0 else k + 1) * self.h,
-                                  sign * self.h, 1, self.tol)[-1]
-            cache[k] = M
+                self.fill((k,), direction)
+                M = cache[k]
         return M
 
     def sampled(self, k: int, m: int, direction: str = "forward",
@@ -477,7 +585,8 @@ class ChunkedPropagator:
         chunks start at k h, backward ones at (k + 1) h.
 
         Constant fields take expm(tau H), cached per offset tau; other
-        fields one Magnus kernel call per chunk."""
+        fields one Magnus kernel call per chunk, or per range that
+        ``fill`` was asked for."""
         L = self.h if length is None else float(length)
         sign = 1.0 if direction == "forward" else -1.0
         auto = self.field.is_autonomous
@@ -488,8 +597,8 @@ class ChunkedPropagator:
                 S = np.stack([self._expm_step(tau)
                               for tau in sign * L * np.arange(m + 1) / m])
             else:
-                S = _magnus_chunk(self.field, self.omega, (k if sign > 0 else k + 1) * self.h,
-                                  sign * L, m, self.tol)
+                S = _magnus_chunk(self.field, self.omega, self._starts((k,), sign),
+                                  sign * L, m, self.tol)[0]
             self._sampled[key] = S
         return S
 
@@ -502,37 +611,53 @@ class ChunkedPropagator:
         L = self.h if length is None else float(length)
         if self.field.is_autonomous:
             return np.broadcast_to(self._expm_step(L / m), (m, 2 * self.field.n, 2 * self.field.n))
-        return _magnus_chunk(self.field, self.omega, k * self.h, L, m, self.tol,
-                             cumulative=False)
+        return _magnus_chunk(self.field, self.omega, self._starts((k,), 1.0), L, m,
+                             self.tol, cumulative=False)[0]
 
     def frame_chain(
         self,
         F0: np.ndarray,
         chunks: Sequence[int],
         direction: str,
+        joins: Sequence[int] | None = None,
     ) -> np.ndarray:
         """Apply the chunk operators named in ``chunks`` to the frame,
         re-orthonormalizing after each chunk.  Only the plane is
-        meaningful in the result."""
+        meaningful in the result.
+
+        F0 may also be a (B, 2n, c) stack of frames walked together, one
+        stacked QR per chunk.  Member b then joins the walk at position
+        joins[b] of ``chunks`` (nondecreasing; default 0 for all), so
+        walks that share their last chunks are one walk."""
+        chunks = list(chunks)
+        self.fill(chunks, direction)
         step = self.forward if direction == "forward" else self.backward
-        F = F0.copy()
-        for k in chunks:
-            F = step(k) @ F
-            Q, _ = _positive_qr(F)
-            F = Q
-        return F
+        dtype = complex if self.field.is_complex else float
+        F = np.array(F0, dtype=np.result_type(F0, dtype), ndmin=3)
+        # members walked at each chunk
+        active = ([len(F)] * len(chunks) if joins is None else
+                  np.searchsorted(joins, np.arange(len(chunks)), side="right").tolist())
+        for a, k in zip(active, chunks):
+            F[:a], _ = _positive_qr(step(k) @ F[:a])
+        return F.reshape(np.shape(F0))
 
     def qr_exponents(self, T: float) -> np.ndarray:
         """Lyapunov-type exponents of the cocycle over [0, T] by the
-        discrete QR method, sorted descending."""
+        discrete QR method, sorted descending.  The QR walk from 0 is
+        kept, so a later call only walks the chunks past the longest
+        earlier T."""
         m = max(1, int(round(T / self.h)))
-        n2 = 2 * self.field.n
-        dtype = complex if self.field.is_complex else float
-        Q = np.eye(n2, dtype=dtype)
-        logs = np.zeros(n2)
-        for k in range(m):
-            B = self.forward(k) @ Q
-            Q, R = _positive_qr(B)
-            logs += np.log(np.abs(np.diagonal(R)))
-        chi = logs / (m * self.h)
+        if self._qr is None:
+            n2 = 2 * self.field.n
+            self._qr = (np.eye(n2, dtype=complex if self.field.is_complex else float),
+                        [np.zeros(n2)])
+        Q, logs = self._qr
+        if len(logs) <= m:
+            todo = range(len(logs) - 1, m)
+            self.fill(todo)
+            for k in todo:
+                Q, R = _positive_qr(self.forward(k) @ Q)
+                logs.append(logs[-1] + np.log(np.abs(np.diagonal(R))))
+            self._qr = (Q, logs)
+        chi = logs[m] / (m * self.h)
         return np.sort(chi)[::-1]

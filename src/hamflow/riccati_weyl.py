@@ -194,50 +194,66 @@ def _seed_frame(M0: np.ndarray) -> np.ndarray:
 def _limit_plane(
     field: CoefficientField,
     omega: BasePoint,
-    seed: np.ndarray,
+    seeds: Sequence[np.ndarray],
     side: str,
     tol: float,
     T0: float,
     max_doublings: int,
-    prop: ChunkedPropagator | None = None,
-) -> tuple[np.ndarray, float, float]:
-    """Carry the seed plane from horizon +-T to 0, doubling T until the
+) -> list[tuple[np.ndarray, float, float] | NoConvergence]:
+    """Carry each seed plane from horizon +-T to 0, doubling T until the
     plane at 0 stabilizes over three successive doublings.
 
-    side "plus": seed sits at +T, carried backward (the forward-decaying
+    side "plus": seeds sit at +T, carried backward (the forward-decaying
     plane is backward-dominant, so generic seeds converge to it).
-    side "minus": seed at -T, carried forward.  ``prop`` lets several
-    seeds share one chunk cache; by default a fresh one is built.
+    side "minus": seeds at -T, carried forward.  The seeds share one
+    chunk cache.  Every seed that settles needs the first four horizons,
+    so those are one stacked walk of every seed; each later doubling is
+    one stacked walk of the seeds still open.
 
-    Returns (orthonormal frame at 0, last increment, T used).
+    Returns per seed (orthonormal frame at 0, last increment, T used), or
+    the NoConvergence of a seed that never settled.
     """
-    if prop is None:
-        prop = ChunkedPropagator(field, omega, h=1.0, tol=_PROPAGATION_TOL)
+    prop = ChunkedPropagator(field, omega, h=1.0, tol=_PROPAGATION_TOL)
     m0 = max(2, int(np.ceil(T0)))
+    horizons = [m0 * 2 ** j for j in range(max_doublings + 1)]
 
-    def plane_at_zero(m: int) -> np.ndarray:
-        if side == "plus":
-            chunks = range(m - 1, -1, -1)
-            return prop.frame_chain(seed, chunks, "backward")
-        chunks = range(-m, 0)
-        return prop.frame_chain(seed, chunks, "forward")
+    def planes_at_zero(frames: list[np.ndarray], ms: list[int]) -> np.ndarray:
+        # (seed, horizon) members, longest horizon first: each joins the
+        # walk of the longest one where its own walk starts
+        top = ms[-1]
+        chunks = range(top - 1, -1, -1) if side == "plus" else range(-top, 0)
+        F = prop.frame_chain(np.stack([f for _ in ms for f in frames]), chunks,
+                             "backward" if side == "plus" else "forward",
+                             joins=[top - m for m in ms[::-1] for _ in frames])
+        return F.reshape(len(ms), len(frames), *F.shape[1:])[::-1]
 
-    prev = plane_at_zero(m0)
-    m = m0
-    last = float("inf")
-    comparisons = 0
-    for _ in range(max_doublings):
-        m *= 2
-        cur = plane_at_zero(m)
-        last = plane_distance(prev, cur)
-        comparisons += 1
-        if last <= tol and comparisons >= 3:
-            return cur, last, float(m)
-        prev = cur
-    raise NoConvergence(
-        f"horizon doubling did not settle below {tol:g} (side {side})",
-        T_max=float(m), last_change=last,
-    )
+    first = planes_at_zero(list(seeds), horizons[:4])
+    prev = list(first[0])
+    last = [float("inf")] * len(seeds)
+    out: list = [None] * len(seeds)
+    live = list(range(len(seeds)))
+    for j in range(1, len(horizons)):
+        if j < len(first):
+            cur = [first[j][s] for s in live]
+        else:
+            cur = list(planes_at_zero([seeds[s] for s in live], [horizons[j]])[0])
+        still = []
+        for s, plane in zip(live, cur):
+            last[s] = plane_distance(prev[s], plane)
+            if last[s] <= tol and j >= 3:
+                out[s] = (plane, last[s], float(horizons[j]))
+            else:
+                prev[s] = plane
+                still.append(s)
+        live = still
+        if not live:
+            break
+    for s in live:
+        out[s] = NoConvergence(
+            f"horizon doubling did not settle below {tol:g} (side {side})",
+            T_max=float(horizons[-1]), last_change=last[s],
+        )
+    return out
 
 
 def _eig_plane(field: CoefficientField, side: str) -> tuple[np.ndarray, float]:
@@ -281,9 +297,11 @@ def _floquet_split(Phi: np.ndarray, side: str) -> tuple[np.ndarray, float, float
     if sdim != n:
         raise ToolkitError(f"{sdim} of {2 * n} Floquet multipliers on the {side} side")
     T11, T22 = T[:n, :n], T[n:, n:]
-    lead = np.log(np.abs(np.linalg.eigvals(T11)))
-    rest = np.log(np.abs(np.linalg.eigvals(T22)))
-    margin = rest.min() - lead.max() if side == "plus" else lead.min() - rest.max()
+    # Phi is symplectic, so its multipliers pair as mu <-> 1/mu: the gap
+    # is twice the smallest growing log|multiplier|, read off the half
+    # outside the circle (a decaying multiplier may underflow to 0)
+    outside = np.linalg.eigvals(T22 if side == "plus" else T11)
+    margin = 2.0 * np.log(np.abs(outside)).min()
     # Phi is symplectic (Phi^T J Phi = J, also for complex lambda), so its
     # defect measures the integration error a posteriori.  An error E moves
     # the invariant subspace by at most 2 ||E|| / sep(T11, T22) (Stewart).
@@ -386,20 +404,11 @@ def _weyl(
         # random seeds agreeing certifies the plane is attracting.
         rng = np.random.default_rng(7)
         seed_list = [_random_symmetric(rng, n), _random_symmetric(rng, n)]
-    frames: list[tuple[np.ndarray, float, float]] = []
-    last_exc: ToolkitError | None = None
-    prop = ChunkedPropagator(fam_field, omega, h=1.0, tol=_PROPAGATION_TOL)
-    for s in seed_list:
-        try:
-            frames.append(_limit_plane(
-                fam_field, omega, _seed_frame(s), side, tol, 8.0, max_doublings,
-                prop=prop,
-            ))
-        except NoConvergence as exc:
-            last_exc = exc
+    results = _limit_plane(fam_field, omega, [_seed_frame(s) for s in seed_list], side,
+                           tol, 8.0, max_doublings)
+    frames = [r for r in results if not isinstance(r, NoConvergence)]
     if not frames:
-        assert last_exc is not None
-        raise last_exc
+        raise results[-1]
     F, err, T_used = frames[0]
     if len(frames) > 1:
         spread = plane_distance(frames[0][0], frames[1][0])
@@ -475,8 +484,10 @@ def principal_functions(
     max_doublings = max(3, int(np.ceil(np.log2(T_max / T0))))
     out = []
     for side, role in (("plus", "N+"), ("minus", "N-")):
-        F, err, T_used = _limit_plane(field, omega, vertical, side, tol,
-                                      T0, max_doublings)
+        limit = _limit_plane(field, omega, [vertical], side, tol, T0, max_doublings)[0]
+        if isinstance(limit, NoConvergence):
+            raise limit
+        F, err, T_used = limit
         try:
             out.append(_frame_to_weyl(F, role, omega, 0.0, err, T_used))
         except WeylNonexistence as exc:

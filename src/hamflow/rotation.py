@@ -87,11 +87,14 @@ class _ArgTracker:
         self.steps = 0
         self.history: list[tuple[float, float]] = [(0.0, 0.0)]
 
+    def _samples(self, dt: float) -> int:
+        return max(1, int(np.ceil(self.prop.h / dt)))
+
     def advance_chunk(self) -> None:
         h, n = self.prop.h, self.n
         dt = min(self.dt0, h)
         for _ in range(_MAX_DT_HALVINGS + 1):
-            m = max(1, int(np.ceil(h / dt)))
+            m = self._samples(dt)
             mats = self.prop.sampled(self.k, m) @ self.F
             dets = np.linalg.det(mats[:, :n] - 1j * mats[:, n:])
             incs = np.angle(dets[1:] * np.conj(dets[:-1]))
@@ -110,6 +113,11 @@ class _ArgTracker:
         )
 
     def advance_to(self, T: float) -> None:
+        # the chunks up to T at the first-try resolution, in one fill
+        count, t = 0, self.t
+        while t < T - 1e-9:
+            count, t = count + 1, t + self.prop.h
+        self.prop.fill(range(self.k, self.k + count), m=self._samples(min(self.dt0, self.prop.h)))
         while self.t < T - 1e-9:
             self.advance_chunk()
 

@@ -377,16 +377,35 @@ def test_stack_expm_of_a_non_finite_slice_is_non_finite():
         assert not np.all(np.isfinite(E))
 
 
+def test_batched_stack_expm_takes_each_stack_alone():
+    # stacks of a batch get the Pade degree and scaling of their own
+    # norms, so each comes out as it would alone, a non-finite one too
+    from hamflow.propagator import expm
+
+    rng = np.random.default_rng(3)
+    batch = np.stack([_with_norm(_hamiltonian_stack(rng, 1, 5, False), norm)
+                      for norm in (0.01, 0.5, 2.0, 20.0)] + [np.zeros((5, 2, 2))])
+    batch[-1, 2, 0, 1] = np.inf
+    E = expm(batch)
+    assert E.shape == batch.shape
+    for stack, got in zip(batch[:-1], E[:-1]):
+        np.testing.assert_array_equal(got, expm(stack))
+    assert np.all(np.isnan(E[-1]))
+
+
 def test_one_stack_exponential_and_one_H_evaluation_per_accepted_attempt(monkeypatch,
                                                                          torus_demo):
     # weyl_plus(torus-demo) carries two seeds over 64 unit chunks; every
-    # chunk settles on its first N = 32 / 2N = 64 attempt
+    # chunk settles on its first N = 32 / 2N = 64 attempt.  The 64 chunks
+    # are one range, computed once each in two kernel calls: 42 chunks of
+    # 96 steps of 2 x 2 fill the 16384-entry budget.
     import hamflow.propagator as propagator
     from hamflow import weyl_plus
     from hamflow.hamiltonian import CoefficientField
 
     calls = {"expm": 0, "H_at": 0}
-    expm, H_at = propagator.expm, CoefficientField.H_at
+    starts = []
+    expm, H_at, steps = propagator.expm, CoefficientField.H_at, propagator._magnus_steps
 
     def counted_expm(A):
         calls["expm"] += 1
@@ -395,11 +414,119 @@ def test_one_stack_exponential_and_one_H_evaluation_per_accepted_attempt(monkeyp
     def counted_H_at(field, omega, ts):
         calls["H_at"] += 1
         return H_at(field, omega, ts)
+
+    def counted_steps(field, omega, t0s, span, Ns):
+        assert tuple(Ns) == (32, 64)
+        starts.extend(t0s.tolist())
+        return steps(field, omega, t0s, span, Ns)
     monkeypatch.setattr(propagator, "expm", counted_expm)
     monkeypatch.setattr(CoefficientField, "H_at", counted_H_at)
+    monkeypatch.setattr(propagator, "_magnus_steps", counted_steps)
     W = weyl_plus(torus_demo, torus_demo.flow.origin(), lam=0.0)
     assert W.T_used == 64.0
-    assert calls == {"expm": 64, "H_at": 64}
+    # backward chunk k starts at k + 1
+    assert sorted(starts) == [float(k) for k in range(1, 65)]
+    assert calls == {"expm": 2, "H_at": 2}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+@pytest.mark.parametrize("span", [1.0, -1.0])
+@pytest.mark.parametrize("cumulative", [True, False])
+def test_kernel_batch_matches_one_chunk_calls(name, span, cumulative):
+    # a chunk's transfer matrices do not depend on its batch-mates
+    from hamflow.propagator import _magnus_chunk
+
+    f = KERNEL_FIELDS[name]
+    starts = [-3.0, 0.0, 0.4, 2.0, 7.5]
+    batch = _magnus_chunk(f, KERNEL_OMEGA, starts, span, 4, 1e-11, cumulative)
+    assert batch.shape == (len(starts), 5 if cumulative else 4, 2 * f.n, 2 * f.n)
+    assert batch.dtype == (complex if name == "complex" else float)
+    for t0, got in zip(starts, batch):
+        one = _magnus_chunk(f, KERNEL_OMEGA, [t0], span, 4, 1e-11, cumulative)[0]
+        assert np.max(np.abs(got - one)) <= 1e-15 * np.max(np.abs(one))
+
+
+def test_kernel_splits_a_batch_by_its_entry_budget(monkeypatch, torus_demo):
+    import hamflow.propagator as propagator
+
+    sizes = []
+    steps = propagator._magnus_steps
+
+    def recorded(field, omega, t0s, span, Ns):
+        sizes.append(len(t0s))
+        assert len(t0s) * sum(Ns) * 4 <= propagator._MAGNUS_BUDGET
+        return steps(field, omega, t0s, span, Ns)
+    monkeypatch.setattr(propagator, "_magnus_steps", recorded)
+    out = propagator._magnus_chunk(torus_demo, KERNEL_OMEGA, np.arange(100.0), 1.0, 1, 1e-11)
+    assert out.shape == (100, 2, 2, 2)
+    assert sizes == [42, 42, 16]
+
+
+def _modulated_oscillator(w, a, period=8.0):
+    """A scalar field with H2 = -w (1 + a cos(2 pi t / period)) and
+    H3 = w: its chunks need more Magnus steps near some phases of the
+    modulation than near others."""
+    from hamflow.base_flow import make_flow
+    from hamflow.hamiltonian import BlockMap, CoefficientField, TrigTerm
+
+    return CoefficientField(
+        n=1, flow=make_flow({"kind": "periodic", "period": period}),
+        H1=BlockMap.zero(1),
+        H2=BlockMap(n=1, const=np.array([[-w]]),
+                    terms=(TrigTerm(k=(1,), cos=np.array([[-a * w]]), sin=None),)),
+        H3=BlockMap.constant(np.array([[w]])),
+    )
+
+
+def test_kernel_retries_only_the_chunks_that_fail_their_comparison(monkeypatch):
+    import hamflow.propagator as propagator
+
+    f = _modulated_oscillator(8.0, 0.9)
+    om = f.flow.origin()
+    calls = []
+    steps = propagator._magnus_steps
+
+    def recorded(field, omega, t0s, span, Ns):
+        calls.append((t0s.tolist(), tuple(Ns)))
+        return steps(field, omega, t0s, span, Ns)
+    monkeypatch.setattr(propagator, "_magnus_steps", recorded)
+    starts = [3.0, 0.0, 4.0]
+    batch = propagator._magnus_chunk(f, om, starts, 1.0, 1, 1e-10)
+    # only the chunk at the peak of the modulation needs N = 64
+    assert calls == [(starts, (32, 64)), ([0.0], (128,))]
+    for t0, got in zip(starts, batch):
+        one = propagator._magnus_chunk(f, om, [t0], 1.0, 1, 1e-10)[0]
+        assert np.max(np.abs(got - one)) <= 1e-15 * np.max(np.abs(one))
+        want = transfer_matrix(f, om, t0, t0 + 1.0, tol=1e-13, method="adaptive")
+        assert _rel_err(got[-1], want) <= 1e-9
+
+
+def test_kernel_stiffness_error_names_the_chunk_that_failed():
+    from hamflow.errors import StiffnessError
+    from hamflow.propagator import _magnus_chunk
+
+    # chunks [3, 4] and [4, 5] settle, [1, 2] needs more than 8192 steps
+    f = _modulated_oscillator(3000.0, 0.99)
+    with pytest.raises(StiffnessError, match=r"over \[1, 2\]") as exc:
+        _magnus_chunk(f, f.flow.origin(), [3.0, 1.0, 4.0], 1.0, 1, 1e-10)
+    assert exc.value.t_reached == 1.0
+
+
+def test_weyl_plus_on_an_n2_torus_field_peaks_below_4_mib():
+    # the entry budget bounds the kernel's stacks whatever the horizon
+    import tracemalloc
+
+    from hamflow import weyl_plus
+
+    f = KERNEL_FIELDS["n2"]
+    tracemalloc.start()
+    try:
+        W = weyl_plus(f, KERNEL_OMEGA, lam=0.5 + 1.0j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W.imag_min_eig() > 0.0
+    assert peak < 4 * 2 ** 20
 
 
 def test_positive_qr_of_one_column_is_its_normalization():
