@@ -290,14 +290,11 @@ class CoefficientField:
         c = self.compiled
         ts = np.asarray(ts, dtype=float)
         if len(c.K) == 0:
-            return np.broadcast_to(c.H0, ts.shape + c.H0.shape)
-        if self.flow.kind == "periodic":
-            nu = np.array([1.0 / self.flow.period])
-        else:
-            nu = np.asarray(self.flow.nu)
+            return np.broadcast_to(c.const, ts.shape + c.const.shape)
+        k0, rate = c.phase_rates(self.flow, omega)
         # the phase is reduced mod 1 before it is scaled by 2 pi; x - floor(x)
         # is x % 1.0 exactly, at a fraction of the cost
-        phase = c.K @ omega.as_array() + np.multiply.outer(ts, c.K @ nu)
+        phase = k0 + np.multiply.outer(ts, rate)
         phase -= np.floor(phase)
         phase *= 2.0 * np.pi
         L = phase.shape[-1]
@@ -305,8 +302,8 @@ class CoefficientField:
         np.cos(phase, out=trig[..., :L])
         np.sin(phase, out=trig[..., L:])
         # one product for all times, not one per leading index
-        H = (trig.reshape(-1, 2 * L) @ c.CS).reshape(ts.shape + c.H0.shape)
-        H += c.H0
+        H = (trig.reshape(-1, 2 * L) @ c.CS).reshape(ts.shape + c.const.shape)
+        H += c.const
         return H
 
     def constant_matrix(self) -> np.ndarray:
@@ -371,24 +368,34 @@ class CoefficientField:
 
 @dataclass(frozen=True, eq=False)
 class CompiledField:
-    """The assembled 2n x 2n matrix of a field as H0 + sum_j cos(2 pi K_j .
-    theta) C_j + sin(2 pi K_j . theta) S_j.  Terms of the three blocks
-    with equal frequency, or opposite ones, are merged into one row of the
-    integer frequency matrix K (first nonzero entry positive), so repeated
-    perturbation does not add rows.  CS holds the flattened C_j, then the
-    S_j, as the rows of one (2 len(K), 4 n^2) matrix."""
+    """A matrix assembled from block maps, as one trigonometric polynomial
+    const + sum_j cos(2 pi K_j . theta) C_j + sin(2 pi K_j . theta) S_j.
+    Terms of the blocks with equal frequency, or opposite ones, are merged
+    into one row of the integer frequency matrix K (first nonzero entry
+    positive), so repeated perturbation does not add rows.  CS holds the
+    flattened C_j, then the S_j, as the rows of one (2 len(K), const.size)
+    matrix.  ``CompiledField.of(field)`` is the 2n x 2n matrix H of a
+    coefficient field."""
 
-    H0: np.ndarray
+    const: np.ndarray
     K: np.ndarray
     CS: np.ndarray
 
     @staticmethod
     def of(field: CoefficientField) -> "CompiledField":
-        n = field.n
         dtype = complex if field.is_complex else float
-        blocks = (field.H1, field.H2, field.H3)
-        const = np.array([bm.const for bm in blocks], dtype=dtype)
-        # frequency -> (cos, sin) x (H1, H2, H3) coefficient blocks
+        return CompiledField.compile(
+            (field.H1, field.H2, field.H3), lambda *b: _assemble(*b, dtype),
+            field.flow.dim, dtype)
+
+    @staticmethod
+    def compile(blocks: Sequence[BlockMap], assemble, dim: int, dtype) -> "CompiledField":
+        """The matrix ``assemble(*values)`` of the block values, for block
+        maps over a flow of dimension dim.  ``assemble`` is linear: it is
+        applied to the constant parts and to each frequency's merged cos
+        and sin coefficients."""
+        const = [np.array(bm.const, dtype=dtype) for bm in blocks]
+        # frequency -> (cos, sin) x blocks coefficient matrices
         coef: dict[tuple[int, ...], np.ndarray] = {}
         for b, bm in enumerate(blocks):
             for term in bm.terms:
@@ -399,18 +406,29 @@ class CompiledField:
                         const[b] += term.cos
                     continue
                 flip = -1 if k[nonzero[0]] < 0 else 1
-                parts = coef.setdefault(tuple(int(x) for x in flip * k),
-                                        np.zeros((2, 3, n, n), dtype=dtype))
+                parts = coef.setdefault(
+                    tuple(int(x) for x in flip * k),
+                    np.zeros((2, len(blocks), bm.n, bm.n), dtype=dtype))
                 if term.cos is not None:
                     parts[0, b] += term.cos
                 if term.sin is not None:
                     parts[1, b] += flip * term.sin
+        const = assemble(*const)
         keys = sorted(coef)
-        CS = np.array([[_assemble(*coef[k][j], dtype) for k in keys] for j in (0, 1)],
-                      dtype=dtype).reshape(2 * len(keys), 4 * n * n)
-        return CompiledField(H0=_assemble(*const, dtype),
-                             K=np.array(keys, dtype=int).reshape(len(keys), field.flow.dim),
+        CS = np.array([[assemble(*coef[k][j]) for k in keys] for j in (0, 1)],
+                      dtype=dtype).reshape(2 * len(keys), const.size)
+        return CompiledField(const=const,
+                             K=np.array(keys, dtype=int).reshape(len(keys), dim),
                              CS=CS)
+
+    def phase_rates(self, flow: BaseFlow, omega: BasePoint) -> tuple[np.ndarray, np.ndarray]:
+        """K . omega and K . nu: the phase of each row at t = 0, in
+        periods, and its rate along the flow."""
+        if flow.kind == "periodic":
+            nu = np.array([1.0 / flow.period])
+        else:
+            nu = np.asarray(flow.nu, dtype=float)
+        return self.K @ omega.as_array(), self.K @ nu
 
 
 def _assemble(H1, H2, H3, dtype) -> np.ndarray:

@@ -16,11 +16,17 @@ one segment at a time, restarted on the plane.  The reported value is quadrature
 rate along the trajectory plus an explicit exponential tail bound; the
 closed-form value matrix -M+ is kept alongside so the two routes check
 each other.  ``compare_control`` integrates a perturbed open-loop control
-with DOP853, since the perturbation is an arbitrary callable.
+with DOP853, since the perturbation is an arbitrary callable; its
+right-hand side reads [[A, B], [G, g], [g', R]] from one trigonometric
+table compiled per call and u_hat from the spline's piecewise
+coefficients, so no evaluation goes through ``advance`` or
+``BlockMap.__call__``.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +36,7 @@ from ._json import Encodable, jsonable
 from .base_flow import BaseFlow, advance, make_flow
 from .dichotomy import DichotomyReport, detect_ed, nonoscillation_check
 from .errors import InvalidCoefficients, NotSolvable, SingularR, ToolkitError
-from .hamiltonian import BlockMap, CoefficientField, J_matrix
+from .hamiltonian import BlockMap, CoefficientField, CompiledField, J_matrix
 from .propagator import ChunkedPropagator
 from .riccati_weyl import _PROPAGATION_TOL, WeylMatrix, weyl_plus
 
@@ -374,27 +380,67 @@ def compare_control(
     remaining cost is charged exactly through the value matrix, so the
     comparison with the synthesized value is finite-dimensional and
     sharp: any admissible perturbation must not come out cheaper.
+
+    T_active must lie in [0, solution.t[-1]], where the cubic spline of
+    u_hat interpolates, and delta_u(t) must be m finite numbers; anything
+    else raises ToolkitError.  Each DOP853 evaluation reads one table
+    compiled per call: M = [[A, B], [G, g], [g', R]] as a trigonometric
+    polynomial in t, so with v = [x; u], M v holds x' in its first n
+    rows and the supply rate is v' (M v)[n:] / 2.
     """
-    if T_active is None:
-        T_active = float(solution.t[-1])
-    n = problem.n
-    omega = problem.flow.origin()
-    flow = problem.flow
+    t_end = float(solution.t[-1])
+    T_active = t_end if T_active is None else float(T_active)
+    if not 0.0 <= T_active <= t_end:
+        raise ToolkitError(
+            f"T_active must lie in [0, {t_end:g}], the synthesized interval; "
+            f"got {T_active!r}")
+    n, m = problem.n, problem.m
     from scipy.interpolate import CubicSpline
 
-    u_base = CubicSpline(solution.t, solution.u, axis=0)
-    Gmap, gc, Rc = problem.G, problem.g, problem.R
-    A_, B_ = problem.A, problem.B
+    # u_hat(t) by Horner on the spline piece containing t: per piece, the
+    # m tuples of cubic coefficients
+    spline = CubicSpline(solution.t, solution.u, axis=0)
+    knots = spline.x.tolist()
+    pieces = np.moveaxis(spline.c, 0, -1).tolist()
+    last = len(knots) - 1
 
-    def u_of_t(t):
-        return u_base(t) + np.asarray(delta_u(t), dtype=float).reshape(problem.m)
+    def assemble(A, G):
+        M = np.zeros((2 * n + m, n + m), dtype=np.result_type(A, G))
+        M[:n, :n] = A
+        M[n:2 * n, :n] = G
+        return M
+
+    dtype = complex if problem.A.is_complex or problem.G.is_complex else float
+    compiled = CompiledField.compile((problem.A, problem.G), assemble, problem.flow.dim,
+                                     dtype)
+    M0 = compiled.const
+    M0[:n, n:] = problem.B
+    M0[n:2 * n, n:] = problem.g
+    M0[2 * n:, :n] = problem.g.T
+    M0[2 * n:, n:] = problem.R
+    # M(t) = [1, cos 2 pi phi(t), sin 2 pi phi(t)] @ table
+    table = np.vstack([M0.ravel(), compiled.CS])
+    k0, rate = (a.tolist() for a in compiled.phase_rates(problem.flow, problem.flow.origin()))
 
     def rhs(t, state):
-        x = state[:-1]
-        u = u_of_t(t)
-        th = advance(flow, omega, t).as_array()
-        q = 0.5 * (x @ Gmap(th) @ x + 2.0 * (x @ gc @ u) + u @ Rc @ u)
-        return np.concatenate([A_(th) @ x + B_ @ u, [q]])
+        t = float(t)
+        i = min(bisect_right(knots, t), last) - 1
+        h = t - knots[i]
+        value = delta_u(t)
+        try:
+            du = np.asarray(value, dtype=float).ravel().tolist()
+        except (TypeError, ValueError):
+            du = []
+        if len(du) != m or not all(map(math.isfinite, du)):
+            raise ToolkitError(f"delta_u({t:g}) = {value!r}: need m = {m} finite numbers")
+        u = [((a * h + b) * h + c) * h + d + e for (a, b, c, d), e in zip(pieces[i], du)]
+        # each phase is reduced mod 1 before it is scaled by 2 pi, as in H_at
+        phase = [2.0 * math.pi * ((a + t * b) % 1.0) for a, b in zip(k0, rate)]
+        trig = np.array([1.0, *map(math.cos, phase), *map(math.sin, phase)])
+        v = np.array([*state[:n].tolist(), *u])
+        Mv = (trig @ table).reshape(M0.shape) @ v
+        Mv[n] = 0.5 * (v @ Mv[n:])  # the supply rate, in place of row n
+        return Mv[:n + 1]
 
     sol = solve_ivp(
         rhs, (0.0, T_active), np.concatenate([problem.x0, [0.0]]),

@@ -160,6 +160,37 @@ def lq_reference_trajectory(problem, T_report: float = 20.0, n_samples: int = 40
     return {"t": t_eval, "x": X, "y": Y, "u": U, "Q": Q, "value": float(sol.y[-1, -1])}
 
 
+def compare_control_reference(problem, solution, delta_u, T_active=None) -> float:
+    """``compare_control`` by DOP853 on a right-hand side that reads A and G
+    through ``advance`` and ``BlockMap.__call__``, and u_hat through
+    ``CubicSpline.__call__``, at every evaluation."""
+    if T_active is None:
+        T_active = float(solution.t[-1])
+    omega = problem.flow.origin()
+    flow = problem.flow
+    u_base = CubicSpline(solution.t, solution.u, axis=0)
+    Gmap, gc, Rc = problem.G, problem.g, problem.R
+    A_, B_ = problem.A, problem.B
+
+    def u_of_t(t):
+        return u_base(t) + np.asarray(delta_u(t), dtype=float).reshape(problem.m)
+
+    def rhs(t, state):
+        x = state[:-1]
+        u = u_of_t(t)
+        th = advance(flow, omega, t).as_array()
+        q = 0.5 * (x @ Gmap(th) @ x + 2.0 * (x @ gc @ u) + u @ Rc @ u)
+        return np.concatenate([A_(th) @ x + B_ @ u, [q]])
+
+    sol = solve_ivp(
+        rhs, (0.0, T_active), np.concatenate([problem.x0, [0.0]]),
+        method="DOP853", rtol=1e-10, atol=1e-13,
+    )
+    assert sol.success, sol.message
+    xT = sol.y[:-1, -1]
+    return float(sol.y[-1, -1] + 0.5 * xT @ solution.value_matrix @ xT)
+
+
 def point_mass_sampler(center: float = 0.0, weight: float = 1.0):
     """Herglotz function of a single point mass: G(lam) = w / (center - lam),
     as a 1x1 matrix sampler."""

@@ -19,7 +19,9 @@ from hamflow.presets import scalar_lq_problem
 from hamflow.riccati_weyl import weyl_plus
 
 from conftest import count_solve_ivp_calls
-from oracles import are_value_matrix, lq_reference_trajectory, scalar_lq_dp
+import oracles
+from oracles import (are_value_matrix, compare_control_reference, lq_reference_trajectory,
+                     scalar_lq_dp)
 
 
 def periodic_lq_problem():
@@ -47,6 +49,24 @@ def random_autonomous_lq_problem():
     R = np.array([[1.0 + rng.uniform(0, 1)]])
     return LQProblem.from_data(A, B, C @ C.T + 0.5 * np.eye(2), R=R,
                                x0=rng.standard_normal(2))
+
+
+def cross_term_lq_problem():
+    """A scalar problem with a cross term g in the supply rate."""
+    return LQProblem.from_data([[0.3]], [[1.0]], [[2.0]], g=[[0.4]], R=[[1.5]], x0=[1.0])
+
+
+def two_input_lq_problem():
+    """n = m = 2 on a period-3 flow: A and G carry trig terms, g != 0."""
+    flow = make_flow({"kind": "periodic", "period": 3.0})
+    A = BlockMap(n=2, const=np.array([[0.2, 1.0], [-0.4, -0.3]]),
+                 terms=(TrigTerm(k=(1,), cos=np.array([[0.3, 0.0], [0.1, -0.2]]),
+                                 sin=np.array([[0.0, 0.2], [0.0, 0.1]])),))
+    G = BlockMap(n=2, const=np.array([[2.0, 0.3], [0.3, 1.0]]),
+                 terms=(TrigTerm(k=(2,), cos=None, sin=np.array([[0.4, 0.1], [0.1, 0.2]])),))
+    return LQProblem.from_data(A, [[1.0, 0.2], [0.0, 0.7]], G,
+                               g=[[0.2, -0.1], [0.1, 0.3]], R=[[1.5, 0.3], [0.3, 0.8]],
+                               x0=[1.0, -0.5], flow=flow)
 
 
 def test_scalar_hamiltonian_blocks():
@@ -109,14 +129,9 @@ def test_random_autonomous_problems_match_the_are():
 
 
 def test_cross_term_problem_matches_the_are():
-    A = np.array([[0.3]])
-    B = np.array([[1.0]])
-    G = np.array([[2.0]])
-    g = np.array([[0.4]])
-    R = np.array([[1.5]])
-    p = LQProblem.from_data(A, B, G, g=g, R=R, x0=[1.0])
+    p = cross_term_lq_problem()
     s = synthesize(p)
-    P = are_value_matrix(A, B, G, R, g=g)
+    P = are_value_matrix(p.A.const, p.B, p.G.const, p.R, g=p.g)
     np.testing.assert_allclose(-np.real(s.M_plus.M), P, atol=1e-8)
 
 
@@ -295,3 +310,110 @@ def test_import_loads_no_spline_module():
 def test_empty_report_grid_is_rejected(kwargs):
     with pytest.raises(ToolkitError, match="n_samples"):
         synthesize(scalar_lq_problem(), **kwargs)
+
+
+# (problem, T_report) of the compare_control agreement checks
+COMPARE_CASES = {
+    "scalar": (scalar_lq_problem, 20.0),
+    "periodic": (periodic_lq_problem, 20.0),
+    "torus": (torus_lq_problem, 2.0),
+    "random-autonomous": (random_autonomous_lq_problem, 20.0),
+    "cross-term": (cross_term_lq_problem, 20.0),
+    "two-input": (two_input_lq_problem, 20.0),
+}
+
+
+def recorded_solve_ivp(monkeypatch, module) -> list:
+    """Route ``module.solve_ivp`` through a recorder; the returned list
+    grows by (fun, solution) per call."""
+    runs: list = []
+    orig = module.solve_ivp
+
+    def record(fun, *args, **kwargs):
+        sol = orig(fun, *args, **kwargs)
+        runs.append((fun, sol))
+        return sol
+
+    monkeypatch.setattr(module, "solve_ivp", record)
+    return runs
+
+
+@pytest.mark.parametrize("case", sorted(COMPARE_CASES))
+def test_compare_control_matches_the_reference_route(monkeypatch, case):
+    """The compiled right-hand side equals the reference's to rounding at
+    every step the reference takes.  The costs agree only to the
+    integrator's accuracy: rounding moves DOP853's step sizes, and where
+    the open-loop state grows, as on the random and cross-term problems,
+    either route's cost is off by up to 3.5e-7 from an rtol 1e-13 solve."""
+    make, T = COMPARE_CASES[case]
+    p = make()
+    s = synthesize(p, T_report=T)
+    runs = recorded_solve_ivp(monkeypatch, lq_control)
+    reference_runs = recorded_solve_ivp(monkeypatch, oracles)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        a, w, ph = (rng.uniform(lo, hi, p.m) for lo, hi in ((0.05, 0.3), (0.3, 2.0), (0.0, 6.0)))
+
+        def du(t, a=a, w=w, ph=ph):
+            return a * np.sin(w * t + ph) * np.exp(-0.3 * t)
+
+        cost = compare_control(p, s, du)
+        want = compare_control_reference(p, s, du)
+        assert abs(cost - want) <= 1e-6 * abs(want)
+        (rhs, _), (reference_rhs, sol) = runs[-1], reference_runs[-1]
+        for t, y in zip(sol.t, sol.y.T):
+            f = reference_rhs(t, y)
+            np.testing.assert_allclose(rhs(t, y), f, rtol=1e-13,
+                                       atol=1e-15 * np.max(np.abs(f)))
+
+
+@pytest.mark.parametrize("make", [periodic_lq_problem, torus_lq_problem])
+def test_compare_control_reads_only_its_compiled_table(monkeypatch, make):
+    p = make()
+    s = synthesize(p, T_report=2.0)
+    calls = count_solve_ivp_calls(monkeypatch)
+    reads = []
+    monkeypatch.setattr(lq_control, "advance",
+                        lambda *a, _orig=lq_control.advance: reads.append("advance") or _orig(*a))
+    monkeypatch.setattr(BlockMap, "__call__",
+                        lambda self, th, _orig=BlockMap.__call__:
+                        reads.append("BlockMap") or _orig(self, th))
+    compare_control(p, s, lambda t: 0.1 * np.sin(t))
+    assert calls == [1]
+    assert reads == []
+
+
+@pytest.mark.parametrize("T_active", [-3.0, 50.0])
+def test_compare_control_rejects_a_horizon_outside_the_report_interval(T_active):
+    p = scalar_lq_problem()
+    s = synthesize(p)
+    with pytest.raises(ToolkitError, match="T_active"):
+        compare_control(p, s, lambda t: 0.0, T_active=T_active)
+
+
+def test_compare_control_rejects_a_perturbation_of_the_wrong_size():
+    p = scalar_lq_problem()
+    s = synthesize(p)
+    with pytest.raises(ToolkitError, match="m = 1"):
+        compare_control(p, s, lambda t: [0.1, 0.1])
+
+
+@pytest.mark.parametrize("arguments", [
+    "lambda t: 0.0, T_active=float('nan')",
+    "lambda t: float('nan')",
+])
+def test_nan_input_to_compare_control_ends_as_an_error(arguments):
+    """Each of these ran without end before they were checked, so they run
+    in a child process with a time limit."""
+    code = ("import hamflow; from hamflow.errors import ToolkitError; "
+            "from hamflow.presets import scalar_lq_problem\n"
+            "p = scalar_lq_problem(); s = hamflow.synthesize(p)\n"
+            "try:\n"
+            f"    hamflow.compare_control(p, s, {arguments})\n"
+            "except ToolkitError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('no ToolkitError')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
