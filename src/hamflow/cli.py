@@ -422,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--grid", type=str, default="",
                        help="comma-separated parameter values")
-        p.add_argument("--T", type=float, default=64.0,
-                       help="time horizon / report horizon")
+        p.add_argument("--T", type=float, default=None,
+                       help="time horizon / report horizon (default 64; 20 for lq)")
         p.add_argument("--bracket", type=str, default="0,1000",
                        help="lo,hi bracket (scan) or window (herglotz)")
         p.add_argument("--out", type=str, default="hamflow-out")
@@ -437,8 +437,8 @@ def main(argv=None) -> int:
     if len(bracket) != 2:
         print("error: --bracket needs exactly two values", file=sys.stderr)
         return EXIT_ERROR
-    if args.command == "lq" and args.T == 64.0:
-        args.T = 20.0
+    if args.T is None:
+        args.T = 20.0 if args.command == "lq" else 64.0
     try:
         cfg = RunConfig(
             command=args.command, input=args.input, out=args.out,

@@ -96,6 +96,22 @@ class DichotomyReport(Encodable):
         return {**super().to_dict(), "n_samples": len(self.samples)}
 
 
+# Smallest singular value of a top block that still counts as invertible
+_SV_THRESHOLD = 1e-8
+# Sample step of uwd_test, and |det| of the top block below which it
+# counts a dip as a suspect
+_UWD_DT = 0.05
+_DET_TOL = 1e-9
+# Atkinson: Gram minima above _POS_TOL are positive; a witness direction
+# must keep its residual below _ZERO_TOL
+_POS_TOL = 1e-7
+_ZERO_TOL = 1e-8
+# Samples per unit time of the Gram, surviving-subspace and witness walks
+_SAMPLES_PER_UNIT = 8
+# Largest max_t ||z(t)|| / ||z0|| of a bounded-solution witness
+_WITNESS_BOUND = 50.0
+
+
 def principal_angle(F: np.ndarray, G: np.ndarray) -> float:
     """Smallest principal angle (radians) between the column spans of two
     orthonormal frames."""
@@ -369,9 +385,7 @@ class NonoscillationReport(Encodable):
     threshold: float
 
 
-def nonoscillation_check(
-    report: DichotomyReport, sv_threshold: float = 1e-8
-) -> NonoscillationReport:
+def nonoscillation_check(report: DichotomyReport) -> NonoscillationReport:
     """Nonoscillation on top of a verified dichotomy: every l+ frame
     sampled in the report must admit a graph representation (invertible
     top block), and the Weyl samples M+ = L2 L1^{-1} are returned.
@@ -387,13 +401,13 @@ def nonoscillation_check(
             continue
         smin = float(np.linalg.svd(ev.l_plus.L1, compute_uv=False)[-1])
         smin_all = min(smin_all, smin)
-        if smin <= sv_threshold:
+        if smin <= _SV_THRESHOLD:
             holds = False
             continue
         samples.append(ev.l_plus.weyl_matrix())
     return NonoscillationReport(
         holds=holds, M_plus_samples=tuple(samples),
-        smallest_top_singular_value=smin_all, threshold=sv_threshold,
+        smallest_top_singular_value=smin_all, threshold=_SV_THRESHOLD,
     )
 
 
@@ -420,8 +434,6 @@ def uwd_test(
     field: CoefficientField,
     omega_grid: Sequence[BasePoint] | BasePoint | None = None,
     t_max: float = 40.0,
-    dt: float = 0.05,
-    det_tol: float = 1e-9,
     tol: float = 1e-10,
 ) -> UWDReport:
     """Uniform weak disconjugacy probe: propagate the vertical plane and
@@ -446,7 +458,7 @@ def uwd_test(
         prop = ChunkedPropagator(field, omega, h=1.0, tol=tol)
         F = np.vstack([np.zeros((n, n)), np.eye(n)])
         prev_det = None
-        for ts, S in _chunks(prop, t_max, "forward", round(1.0 / dt)):
+        for ts, S in _chunks(prop, t_max, "forward", round(1.0 / _UWD_DT)):
             Fs = S @ F
             dets = np.linalg.det(Fs[:, :n, :])
             for j in range(1, len(ts)):
@@ -455,9 +467,9 @@ def uwd_test(
                     if prev_det * d < 0.0:
                         all_suspects.append(_refine_crossing(
                             field, omega, Fs[j - 1], ts[j - 1], t, tol))
-                    elif abs(d) < det_tol:
+                    elif abs(d) < _DET_TOL:
                         all_suspects.append(t)
-                elif abs(d) < det_tol and t > 2.0 * dt:
+                elif abs(d) < _DET_TOL and t > 2.0 * _UWD_DT:
                     all_suspects.append(t)
                 prev_det = d
                 profile.append((t, d))
@@ -474,7 +486,7 @@ def uwd_test(
     return UWDReport(
         verdict=verdict, t0_hat=float(t0_hat),
         min_det_profile=tuple(profile), suspects=tuple(all_suspects),
-        det_tol=det_tol, t_max=t_max, h3_flagged=flagged,
+        det_tol=_DET_TOL, t_max=t_max, h3_flagged=flagged,
     )
 
 
@@ -544,12 +556,10 @@ def _raw_gram(
     prop: ChunkedPropagator,
     rows: str | None,
     horizon: float,
-    growth_cap: float = 1e3,
-    samples_per_unit: int = 8,
     use_delta: bool = True,
 ) -> tuple[np.ndarray, float]:
     """G = integral over [-T, T] of (sel U(t))^* Delta^* Delta (sel U(t)) dt
-    with T <= horizon shrunk so that ||U|| stays below growth_cap (the
+    with T <= horizon shrunk so that ||U|| stays below 1e3 (the
     integral only grows with T, so a capped T underestimates
     conservatively).  rows selects z1, z2 or (None) all of the solution;
     with use_delta=False the weight is the identity."""
@@ -560,7 +570,7 @@ def _raw_gram(
     T_eff = horizon
     for direction in ("forward", "backward"):
         U = np.eye(n2, dtype=dtype)
-        for ts, S in _chunks(prop, horizon, direction, samples_per_unit, refine=2):
+        for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT, refine=2):
             Us = S @ U
             K = Us[:, sel, :]
             if use_delta:
@@ -571,7 +581,7 @@ def _raw_gram(
             w *= abs(ts[1] - ts[0]) / 3.0
             G = G + np.einsum("j,jki,jkl->il", w, K.conj(), K)
             U = Us[-1]
-            if np.linalg.norm(U, 2) > growth_cap:
+            if np.linalg.norm(U, 2) > 1e3:
                 T_eff = min(T_eff, abs(ts[-1]))
                 break
     return np.real_if_close(G), T_eff
@@ -582,8 +592,6 @@ def _surviving_subspace(
     rows: str,
     horizon: float,
     direction: str,
-    res_tol: float = 1e-7,
-    samples_per_unit: int = 8,
 ) -> np.ndarray:
     """Directions z0 whose solutions keep Delta z_rows ~ 0 over the
     horizon, found by propagating a shrinking subspace with chunkwise
@@ -594,14 +602,14 @@ def _surviving_subspace(
     sel = _rows(prop.field.n, rows)
     F = np.eye(n2, dtype=dtype)
     Mmap = np.eye(n2, dtype=dtype)
-    for ts, S in _chunks(prop, horizon, direction, samples_per_unit):
+    for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT):
         c = F.shape[1]
         Fs = S @ F
         res = (_delta_at(prop, ts) @ Fs[:, sel, :]).reshape(-1, c)
         # directions with visible residual get eliminated
         _, sv, Vh = np.linalg.svd(res, full_matrices=True)
         keep = np.ones(c, dtype=bool)
-        keep[: len(sv)] = sv <= res_tol * np.sqrt(len(ts))
+        keep[: len(sv)] = sv <= 1e-7 * np.sqrt(len(ts))
         V_keep = Vh.conj().T[:, keep]
         F_end = Fs[-1] @ V_keep
         Mmap = Mmap @ V_keep
@@ -624,7 +632,6 @@ def _witness_residual(
     Z0: np.ndarray,
     rows: str,
     horizon: float,
-    samples_per_unit: int = 8,
     use_delta: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per column z0 of Z0: max over |t| <= horizon of ||Delta z_rows(t)||
@@ -637,7 +644,7 @@ def _witness_residual(
     for direction in ("forward", "backward"):
         Z = Z0 / np.linalg.norm(Z0, axis=0)
         log_scale = np.zeros(c)
-        for ts, S in _chunks(prop, horizon, direction, samples_per_unit):
+        for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT):
             Zs = S @ Z
             blk = Zs[:, sel, :]
             if use_delta:
@@ -659,9 +666,6 @@ def atkinson_check(
     field: CoefficientField,
     omega_grid: Sequence[BasePoint] | BasePoint | None = None,
     horizon: float = 8.0,
-    z0_grid: np.ndarray | None = None,
-    pos_tol: float = 1e-7,
-    zero_tol: float = 1e-8,
 ) -> AtkinsonReport:
     """Atkinson positivity: every nonzero solution must pick up a positive
     amount of integral ||Delta z2(t)||^2 over [-horizon, horizon].
@@ -686,41 +690,36 @@ def atkinson_check(
         prop = ChunkedPropagator(field, omega, h=1.0)
         G, _ = _raw_gram(prop, "z2", horizon)
         lmin = float(np.linalg.eigvalsh(0.5 * (G + G.conj().T)).min())
-        if z0_grid is not None:
-            for z0 in np.atleast_2d(z0_grid):
-                z0 = np.asarray(z0, dtype=G.dtype)
-                q = float(np.real(z0.conj() @ G @ z0) / (z0.conj() @ z0).real)
-                lmin = min(lmin, q)
         worst_lmin = min(worst_lmin, lmin)
-        if lmin > pos_tol:
+        if lmin > _POS_TOL:
             continue
         V = _surviving_subspace(prop, "z2", 2.0 * horizon, "forward")
         W = _surviving_subspace(prop, "z2", 2.0 * horizon, "backward")
         z0 = _common_direction(V, W)
         if z0 is not None:
             res = _witness_residual(prop, z0[:, None], "z2", 2.0 * horizon)[0][0]
-            if res <= zero_tol:
+            if res <= _ZERO_TOL:
                 witness = {"omega": omega, "z0": z0, "max_residual": float(res)}
                 continue
         undetermined = True
     if witness is not None:
         satisfied: bool | None = False
-    elif undetermined or worst_lmin <= pos_tol:
+    elif undetermined or worst_lmin <= _POS_TOL:
         satisfied = None
     else:
         satisfied = True
     return AtkinsonReport(
         satisfied=satisfied, lambda_min=worst_lmin, witness=witness,
-        horizon=horizon, pos_tol=pos_tol, zero_tol=zero_tol,
+        horizon=horizon, pos_tol=_POS_TOL, zero_tol=_ZERO_TOL,
     )
 
 
-def _common_direction(V: np.ndarray, W: np.ndarray, cos_tol: float = 1.0 - 1e-8) -> np.ndarray | None:
+def _common_direction(V: np.ndarray, W: np.ndarray) -> np.ndarray | None:
     """A unit vector (nearly) contained in both column spans, or None."""
     if V.shape[1] == 0 or W.shape[1] == 0:
         return None
     Uv, sv, _ = np.linalg.svd(V.conj().T @ W)
-    if sv[0] < cos_tol:
+    if sv[0] < 1.0 - 1e-8:
         return None
     z = V @ Uv[:, 0]
     return z / np.linalg.norm(z)
@@ -742,24 +741,21 @@ def bounded_solution_witness(
     omega: BasePoint,
     T: float = 16.0,
     shape: str = "any",
-    bound: float = 50.0,
-    n_grid: int = 48,
-    rng_seed: int = 3,
 ) -> WitnessReport:
     """Search the unit sphere of initial data for a solution whose
-    max_{|t|<=T} ||z(t)||/||z0|| stays below ``bound`` as T doubles.
+    max_{|t|<=T} ||z(t)||/||z0|| stays below 50 as T doubles.
 
     Candidates come from the smallest eigenvectors of the two-sided
     growth Gram (the exact sphere minimizer of the summed squared norms)
-    plus a seeded random grid, all scored on one shared propagation; the
-    best candidate is re-scored at 2T.  shape restricts initial data to
+    plus a seeded random grid of 48, all scored on one shared
+    propagation; the best candidate is re-scored at 2T.  shape restricts initial data to
     (z1, 0) or (0, z2) and reports the worst off-shape component along
     the orbit.
     """
     if shape not in ("any", "(z1,0)", "(0,z2)"):
         raise ValueError(f"unknown shape {shape!r}")
     n = field.n
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(3)
     if shape == "(z1,0)":
         lift = np.vstack([np.eye(n), np.zeros((n, n))])
     elif shape == "(0,z2)":
@@ -773,7 +769,7 @@ def bounded_solution_witness(
     Gs = lift.conj().T @ G @ lift
     w, V = np.linalg.eigh(0.5 * (Gs + Gs.conj().T))
     candidates = [lift @ V[:, j] for j in range(min(2, dim))]
-    for _ in range(n_grid):
+    for _ in range(48):
         v = rng.standard_normal(dim)
         if field.is_complex:
             v = v + 1j * rng.standard_normal(dim)
@@ -785,18 +781,18 @@ def bounded_solution_witness(
                                use_delta=False)
     best = int(np.argmin(g))
     z0, g, res = candidates[best], float(g[best]), float(res[best])
-    if 10.0 ** g <= bound:
+    if 10.0 ** g <= _WITNESS_BOUND:
         res2, g2 = (float(x[0]) for x in _witness_residual(
             prop, z0[:, None], off_shape, 2.0 * T, use_delta=False))
-        if 10.0 ** g2 <= bound:
+        if 10.0 ** g2 <= _WITNESS_BOUND:
             return WitnessReport(
                 found=True, z0=z0 / np.linalg.norm(z0), growth_ratio=10.0 ** g2,
-                shape=shape, T=2.0 * T, bound=bound,
+                shape=shape, T=2.0 * T, bound=_WITNESS_BOUND,
                 shape_residual=res2 if shaped else None,
             )
     return WitnessReport(
         found=False, z0=None, growth_ratio=10.0 ** g, shape=shape, T=T,
-        bound=bound, shape_residual=res if shaped else None,
+        bound=_WITNESS_BOUND, shape_residual=res if shaped else None,
     )
 
 
@@ -815,7 +811,6 @@ def classify_family(
     probes: Sequence[complex] | None = None,
     omega: BasePoint | None = None,
     T_max: float = 256.0,
-    witness_T: float = 16.0,
 ) -> ClassificationReport:
     """Sort a perturbation family into the two dynamical alternatives.
 
@@ -851,7 +846,7 @@ def classify_family(
     for lam, res in zip(probes, results):
         f_lam = perturb(field, lam)
         probe_field = swap_variables(f_lam) if which == "H2" else f_lam
-        wit = bounded_solution_witness(probe_field, omega, T=witness_T, shape=shape)
+        wit = bounded_solution_witness(probe_field, omega, shape=shape)
         res["witness_found"] = wit.found
         res["witness_shape_residual"] = wit.shape_residual
         if not (wit.found and (wit.shape_residual or 0.0) <= 1e-7):

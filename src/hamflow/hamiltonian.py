@@ -127,47 +127,27 @@ class BlockMap:
             n=self.n, const=self.const + other.const, terms=self.terms + other.terms
         )
 
-    def scaled(self, c) -> "BlockMap":
+    def _mapped(self, f) -> "BlockMap":
+        """The block map with f applied to the constant and to every
+        coefficient matrix."""
         return BlockMap(
             n=self.n,
-            const=c * self.const,
+            const=f(self.const),
             terms=tuple(
                 TrigTerm(
                     t.k,
-                    None if t.cos is None else c * t.cos,
-                    None if t.sin is None else c * t.sin,
+                    None if t.cos is None else f(t.cos),
+                    None if t.sin is None else f(t.sin),
                 )
                 for t in self.terms
             ),
         )
+
+    def scaled(self, c) -> "BlockMap":
+        return self._mapped(lambda M: c * M)
 
     def negated_transpose(self) -> "BlockMap":
-        return BlockMap(
-            n=self.n,
-            const=-self.const.T,
-            terms=tuple(
-                TrigTerm(
-                    t.k,
-                    None if t.cos is None else -t.cos.T,
-                    None if t.sin is None else -t.sin.T,
-                )
-                for t in self.terms
-            ),
-        )
-
-    def transposed(self) -> "BlockMap":
-        return BlockMap(
-            n=self.n,
-            const=self.const.T,
-            terms=tuple(
-                TrigTerm(
-                    t.k,
-                    None if t.cos is None else t.cos.T,
-                    None if t.sin is None else t.sin.T,
-                )
-                for t in self.terms
-            ),
-        )
+        return self._mapped(lambda M: -M.T)
 
     def to_dict(self) -> list | dict:
         if self.is_constant:

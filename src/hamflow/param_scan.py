@@ -26,7 +26,7 @@ from .base_flow import BasePoint
 from .dichotomy import detect_ed, nonoscillation_check, uwd_test
 from .errors import DivergentLimit, SignViolation, ToolkitError
 from .hamiltonian import CoefficientField, _with_delta, perturb_h2, regularize
-from .riccati_weyl import weyl_minus, weyl_plus
+from .riccati_weyl import _HALVING_BETAS, _neville_halving, weyl_minus, weyl_plus
 
 __all__ = [
     "ScanResult",
@@ -104,8 +104,7 @@ def _ed_nc_predicate(
 
 
 def _ed_uwd_predicate(
-    field: CoefficientField, T_max: float, uwd_t_max: float,
-    out: list | None = None,
+    field: CoefficientField, T_max: float, out: list | None = None
 ) -> bool | None:
     """"ED and UWD" as pass / fail / inconclusive; the detect_ed report is
     appended to ``out`` when given."""
@@ -116,7 +115,7 @@ def _ed_uwd_predicate(
         return False
     if rep.verdict != "ED":
         return None
-    return bool(uwd_test(field, t_max=uwd_t_max).verdict)
+    return bool(uwd_test(field).verdict)
 
 
 _VERDICTS = {True: "pass", False: "fail", None: "inconclusive"}
@@ -236,7 +235,6 @@ def find_alpha_star(
     alpha_bracket: tuple[float, float] = (0.0, 1e3),
     tol: float = 1e-3,
     T_max: float = 512.0,
-    boundary_probe_offset: float | None = None,
 ) -> ScanResult:
     """Critical coupling of the family H2 - alpha Delta: the supremum of
     the half-line of alpha where the dichotomy and nonoscillation both
@@ -275,9 +273,7 @@ def find_alpha_star(
     )
     if widened:
         flags.append("widened_by_inconclusive")
-    offset = boundary_probe_offset if boundary_probe_offset is not None \
-        else max(2.0 * tol, 1e-2)
-    probe = mid + offset
+    probe = mid + max(2.0 * tol, 1e-2)
     probe_rep = detect_ed(perturb_h2(field, probe), T_max=T_max)
     boundary = {
         "alpha_probe": probe,
@@ -299,7 +295,6 @@ def rho_curve(
     eps_bracket: tuple[float, float] = (1e-4, 1e3),
     tol: float = 1e-3,
     T_max: float = 512.0,
-    uwd_t_max: float = 40.0,
 ) -> ScanResult:
     """Regularization boundary per alpha: the largest eps such that
     H3 + eps I restores both the dichotomy and uniform weak disconjugacy
@@ -316,7 +311,7 @@ def rho_curve(
     for a in alpha_grid:
         f_a = perturb_h2(field, float(a))
         pred = _Probes(lambda eps, out, _f=f_a: _ed_uwd_predicate(
-            regularize(_f, eps), T_max, uwd_t_max, out
+            regularize(_f, eps), T_max, out
         ))
 
         if pred(eps_hi) is True:
@@ -360,7 +355,6 @@ def weyl_monotonicity_check(
     alpha2: float = 1.0,
     omega_grid: Sequence[BasePoint] | None = None,
     tol: float = 1e-7,
-    weyl_tol: float = 1e-9,
 ) -> MonotonicityCertificate:
     """Smallest eigenvalue of M+(omega, alpha2) - M+(omega, alpha1) over
     the grid; the family's Weyl function must not decrease as alpha
@@ -371,8 +365,8 @@ def weyl_monotonicity_check(
     grid = list(omega_grid) if omega_grid is not None else [field.flow.origin()]
     worst = float("inf")
     for w in grid:
-        m1 = weyl_plus(field, w, lam=alpha1, tol=weyl_tol).M
-        m2 = weyl_plus(field, w, lam=alpha2, tol=weyl_tol).M
+        m1 = weyl_plus(field, w, lam=alpha1, tol=1e-9).M
+        m2 = weyl_plus(field, w, lam=alpha2, tol=1e-9).M
         worst = min(worst, float(np.linalg.eigvalsh(np.real(m2 - m1)).min()))
     return MonotonicityCertificate(
         min_eigenvalue=worst, alpha1=float(alpha1), alpha2=float(alpha2),
@@ -451,22 +445,6 @@ class HerglotzData(Encodable):
     sign_defect: float
 
 
-def _neville_halving(values: list[np.ndarray], order: int = 2) -> tuple[np.ndarray, float]:
-    """Limit of a sequence sampled at a halving step parameter, removing
-    the first ``order`` powers; returns (limit, last increment)."""
-    if len(values) < order + 1:
-        raise ValueError("too few samples to extrapolate")
-    cur = [np.asarray(v, dtype=complex) for v in values]
-    for p in range(1, order + 1):
-        f = 2.0 ** p
-        cur = [(f * cur[k + 1] - cur[k]) / (f - 1.0) for k in range(len(cur) - 1)]
-    if len(cur) >= 2:
-        err = float(np.linalg.norm(cur[-1] - cur[-2], 2))
-    else:
-        err = float("nan")
-    return cur[-1], err
-
-
 def weyl_sampler(
     field: CoefficientField,
     omega: BasePoint | None = None,
@@ -491,12 +469,17 @@ def _imag_sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (Im + Im.T)
 
 
+# herglotz_fit samples G(i beta) / (i beta) at these doubling betas, and
+# checks Im G >= -_SIGN_TOL at these points
+_HERGLOTZ_BETAS = tuple(4.0 * 2.0 ** k for k in range(6))
+_SIGN_CHECK_POINTS = tuple(1j * b for b in _HERGLOTZ_BETAS[:3]) + (
+    0.3 + 0.5j, -1.1 + 0.25j, 2.7 + 1.5j)
+_SIGN_TOL = 1e-8
+
+
 def herglotz_fit(
     sampler: Sampler,
-    beta_grid: Sequence[float] | None = None,
     alpha_window: Sequence[tuple[float, float]] | tuple[float, float] | None = None,
-    sign_tol: float = 1e-8,
-    sign_check_points: Sequence[complex] | None = None,
 ) -> HerglotzData:
     """Constants of the upper-half-plane representation
     G(lam) = L + K lam + integral((t - lam)^{-1} - t (1 + t^2)^{-1}) dP.
@@ -504,30 +487,23 @@ def herglotz_fit(
     L is read off exactly as Re G(i) (the integral term at lam = i is
     purely imaginary).  K is the extrapolated limit of G(i beta)/(i beta)
     along the doubling beta grid.  Requested window masses come from
-    stieltjes_invert.  SignViolation if Im G dips below -sign_tol at any
+    stieltjes_invert.  SignViolation if Im G dips below -1e-8 at any
     checked point.
     """
-    if beta_grid is None:
-        beta_grid = [4.0 * 2.0 ** k for k in range(6)]
-    betas = sorted(float(b) for b in beta_grid)
-    if sign_check_points is None:
-        sign_check_points = [1j * b for b in betas[:3]] + [
-            0.3 + 0.5j, -1.1 + 0.25j, 2.7 + 1.5j
-        ]
     sign_defect = 0.0
-    for lam in sign_check_points:
+    for lam in _SIGN_CHECK_POINTS:
         lmin = float(np.linalg.eigvalsh(_imag_sym(sampler(complex(lam)))).min())
         sign_defect = min(sign_defect, lmin)
-    if sign_defect < -sign_tol:
+    if sign_defect < -_SIGN_TOL:
         raise SignViolation(
-            f"Im G has eigenvalue {sign_defect:.3g} < -{sign_tol:g}; "
+            f"Im G has eigenvalue {sign_defect:.3g} < -{_SIGN_TOL:g}; "
             "sampler is not Herglotz"
         )
     G_i = np.asarray(sampler(1j))
     L = np.real(G_i)
     L = 0.5 * (L + L.T)
-    ratios = [np.asarray(sampler(1j * b)) / (1j * b) for b in betas]
-    K_c, K_err = _neville_halving(ratios, order=2)
+    ratios = [np.asarray(sampler(1j * b)) / (1j * b) for b in _HERGLOTZ_BETAS]
+    K_c, _ = _neville_halving(ratios)
     K = np.real(K_c)
     K = 0.5 * (K + K.T)
     K_min_eig = float(np.linalg.eigvalsh(K).min())
@@ -549,8 +525,6 @@ def stieltjes_invert(
     sampler: Sampler,
     alpha1: float,
     alpha2: float,
-    beta_sequence: Sequence[float] | None = None,
-    quad_tol: float = 1e-9,
 ) -> StieltjesMass:
     """(1/pi) lim over beta of the window integral of Im G(a + i beta),
     which converges to the interior measure plus half of each endpoint
@@ -558,35 +532,31 @@ def stieltjes_invert(
     """
     if not alpha1 < alpha2:
         raise ValueError("alpha1 < alpha2 required")
-    if beta_sequence is None:
-        beta_sequence = [0.1 * 0.5 ** k for k in range(6)]
-    betas = sorted((float(b) for b in beta_sequence), reverse=True)
     vals = []
-    for b in betas:
+    for b in _HALVING_BETAS:
         integral, _ = quad_vec(
             lambda a: _imag_sym(sampler(complex(a, b))),
-            alpha1, alpha2, epsabs=quad_tol, epsrel=1e-8, limit=400,
+            alpha1, alpha2, epsabs=1e-9, epsrel=1e-8, limit=400,
         )
         vals.append(integral / np.pi)
-    limit, err = _neville_halving(vals, order=2)
+    limit, increments = _neville_halving(vals)
     raw_diffs = [float(np.linalg.norm(v2 - v1, 2))
                  for v1, v2 in zip(vals, vals[1:])]
-    if len(raw_diffs) >= 2 and raw_diffs[-1] > 2.0 * raw_diffs[-2] + 1e-12 \
-            and raw_diffs[-1] > 1e-6:
+    if raw_diffs[-1] > 2.0 * raw_diffs[-2] + 1e-12 and raw_diffs[-1] > 1e-6:
         raise DivergentLimit(
             f"window integral not settling: increments {raw_diffs[-2]:.3g} "
             f"-> {raw_diffs[-1]:.3g}"
         )
     atoms = []
     for a in (alpha1, alpha2):
-        seq = [b * _imag_sym(sampler(complex(a, b))) for b in betas]
+        seq = [b * _imag_sym(sampler(complex(a, b))) for b in _HALVING_BETAS]
         atom, _ = _neville_halving(seq, order=1)
         atom = np.real(atom)
         atom[np.abs(atom) < 1e-10] = 0.0
         atoms.append(0.5 * (atom + atom.T))
     return StieltjesMass(
         mass=np.real(limit), atom_lower=atoms[0], atom_upper=atoms[1],
-        convergence_error=err, window=(alpha1, alpha2),
+        convergence_error=increments[-1], window=(alpha1, alpha2),
     )
 
 
@@ -594,15 +564,14 @@ def weakstar_convergence_check(
     sampler_sequence: Sequence[Sampler],
     limit_sampler: Sampler,
     test_window: tuple[float, float],
-    beta_sequence: Sequence[float] | None = None,
 ) -> dict:
     """Window masses of a sampler sequence against the limit sampler's;
     the tail max defect should shrink as the sequence converges."""
     a1, a2 = float(test_window[0]), float(test_window[1])
-    m_lim = stieltjes_invert(limit_sampler, a1, a2, beta_sequence).mass
+    m_lim = stieltjes_invert(limit_sampler, a1, a2).mass
     defects = []
     for sampler in sampler_sequence:
-        m_k = stieltjes_invert(sampler, a1, a2, beta_sequence).mass
+        m_k = stieltjes_invert(sampler, a1, a2).mass
         defects.append(float(np.linalg.norm(m_k - m_lim, 2)))
     tail = defects[len(defects) // 2:]
     return {

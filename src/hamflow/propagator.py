@@ -4,9 +4,10 @@ Constant-coefficient fields take the matrix exponential.  Other fields
 take a sixth-order Magnus kernel: H at the Gauss nodes of the N and 2N
 steps comes from the compiled coefficients in one call, all 3N steps
 are one stack exponential, and the N-step product is compared with the
-2N-step one.  The adaptive route integrates the matrix ODE with DOP853;
-it is the reference the test suite checks both fast routes against,
-never the other way around.  Symplectic defects ||U^T J U - J|| are
+2N-step one.  These are the only two routes; the test suite checks both
+against a dense DOP853 integration of its own (``tests/oracles.py``),
+which evaluates H block by block and shares no code with the kernel.
+Symplectic defects ||U^T J U - J|| are
 relative to ||U||^2 (the absolute defect scales with the square of the
 solution magnitude, so only the relative quantity is meaningful on
 hyperbolic systems).
@@ -21,11 +22,10 @@ disconjugacy tests) survives, not the overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import solve_ivp
 
 from .base_flow import BasePoint, advance
 from .errors import StiffnessError
@@ -115,39 +115,6 @@ class SolutionFrame:
     def from_stacked(F: np.ndarray, t: float, omega: BasePoint) -> "SolutionFrame":
         n = F.shape[1]
         return SolutionFrame(L1=F[:n, :], L2=F[n:, :], t=t, omega=omega)
-
-
-def _integrate_matrix(
-    H_of_t: Callable[[float], np.ndarray],
-    Y0: np.ndarray,
-    t0: float,
-    t1: float,
-    tol: float,
-) -> np.ndarray:
-    """Solve Y' = H(t) Y from t0 to t1 (either direction) with DOP853 and
-    return Y(t1)."""
-    if t1 == t0:
-        return Y0.copy()
-    shape = Y0.shape
-
-    def rhs(t, y):
-        Y = y.reshape(shape)
-        return (H_of_t(t) @ Y).reshape(-1)
-
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        Y0.reshape(-1),
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise StiffnessError(
-            f"integration stalled: {sol.message}", t_reached=float(sol.t[-1])
-        )
-    return sol.y[:, -1].reshape(shape)
 
 
 # Higham (SIAM J. Matrix Anal. Appl. 26, 2005): the largest 1-norm for
@@ -389,23 +356,14 @@ def transfer_matrix(
     t0: float,
     t1: float,
     tol: float = 1e-10,
-    method: str = "auto",
 ) -> np.ndarray:
-    """The operator mapping z(t0) to z(t1) along the orbit of omega.
-
-    method: "auto" (matrix exponential when the field is constant, the
-    Magnus kernel over pieces of at most unit length otherwise) or
-    "adaptive" (DOP853, the reference the tests check the others
-    against).
-    """
-    if method not in ("auto", "adaptive"):
-        raise ValueError(f"unknown method {method!r}")
-    if field.is_autonomous and method == "auto":
+    """The operator mapping z(t0) to z(t1) along the orbit of omega: the
+    matrix exponential when the field is constant, the Magnus kernel over
+    pieces of at most unit length otherwise."""
+    if field.is_autonomous:
         return expm((t1 - t0) * field.constant_matrix())
     dtype = complex if field.is_complex else float
     U = np.eye(2 * field.n, dtype=dtype)
-    if method == "adaptive":
-        return _integrate_matrix(field.H_of_t(omega), U, t0, t1, tol)
     pieces = max(1, int(np.ceil(abs(t1 - t0) - 1e-12)))
     step = (t1 - t0) / pieces
     for Uj in _magnus_chunk(field, omega, t0 + np.arange(pieces) * step, step, 1, tol):
@@ -418,13 +376,11 @@ def fundamental_matrix(
     omega: BasePoint,
     t: float,
     tol: float = 1e-10,
-    method: str = "auto",
-    defect_tol: float = _DEFECT_TOL,
 ) -> CocycleValue:
     """U(t, omega): solution of U' = H(omega . s) U, U(0) = I."""
-    U = transfer_matrix(field, omega, 0.0, t, tol=tol, method=method)
+    U = transfer_matrix(field, omega, 0.0, t, tol=tol)
     defect = symplectic_defect(U)
-    degraded = bool(np.isfinite(defect) and defect > defect_tol)
+    degraded = bool(np.isfinite(defect) and defect > _DEFECT_TOL)
     return CocycleValue(U=U, t=float(t), omega=omega,
                         symplectic_defect=defect, degraded=degraded)
 
@@ -434,14 +390,13 @@ def propagate_frame(
     frame: SolutionFrame,
     t: float,
     tol: float = 1e-10,
-    method: str = "auto",
 ) -> SolutionFrame:
     """Propagate a 2n x n frame by time t along the orbit; the returned
     columns are honest solutions (no renormalization)."""
     if frame.degenerate:
         raise ValueError("refusing to propagate a degenerate frame")
     t1 = frame.t + t
-    U = transfer_matrix(field, frame.omega, frame.t, t1, tol=tol, method=method)
+    U = transfer_matrix(field, frame.omega, frame.t, t1, tol=tol)
     return SolutionFrame.from_stacked(U @ frame.stacked, t=t1, omega=frame.omega)
 
 
@@ -454,10 +409,10 @@ def cocycle_check(
 ) -> dict:
     """Report the defect of U(t+s, omega) = U(t, omega . s) U(s, omega),
     relative to max(||U(t+s)||, ||U(t, omega.s)|| ||U(s)||)."""
-    U_ts = transfer_matrix(field, omega, 0.0, t + s, tol=tol, method="adaptive")
-    U_s = transfer_matrix(field, omega, 0.0, s, tol=tol, method="adaptive")
+    U_ts = transfer_matrix(field, omega, 0.0, t + s, tol=tol)
+    U_s = transfer_matrix(field, omega, 0.0, s, tol=tol)
     omega_s = advance(field.flow, omega, s)
-    U_t_shift = transfer_matrix(field, omega_s, 0.0, t, tol=tol, method="adaptive")
+    U_t_shift = transfer_matrix(field, omega_s, 0.0, t, tol=tol)
     raw = np.linalg.norm(U_ts - U_t_shift @ U_s, 2)
     # the product is assembled from the factors, so their norm product is
     # the attainable accuracy scale even when U(t+s) itself is small

@@ -64,6 +64,9 @@ _PROPAGATION_TOL = 1e-11
 # circle come out off it by the integration error, or by its square root
 # for a Jordan block, both far below this.
 _FLOQUET_MARGIN = 1e-4
+# Imaginary parts of the spectral parameter at which boundary limits (and
+# Stieltjes inversions) sample the Weyl function, halving towards 0
+_HALVING_BETAS = tuple(0.1 * 0.5 ** k for k in range(6))
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,12 +123,11 @@ def riccati_flow(
     M0: np.ndarray,
     t: float,
     tol: float = 1e-10,
-    chart_bound: float = 1e6,
 ) -> WeylMatrix:
     """Integrate M' = -M H3 M - M H1 - H1^T M + H2 along the orbit.
 
     Raises FiniteEscape with the detected escape time when ||M|| crosses
-    ``chart_bound``; the caller may continue in the inverse chart.
+    1e6; the caller may continue in the inverse chart.
     """
     M0 = np.atleast_2d(np.asarray(M0))
     n = field.n
@@ -144,7 +146,7 @@ def riccati_flow(
         return dM.reshape(-1)
 
     def escape(s, y):
-        return float(np.linalg.norm(y) - chart_bound)
+        return float(np.linalg.norm(y) - 1e6)
 
     escape.terminal = True
     escape.direction = 1.0
@@ -504,56 +506,56 @@ def principal_functions(
     return n_plus, n_minus
 
 
+def _neville_halving(values: Sequence[np.ndarray],
+                     order: int = 2) -> tuple[np.ndarray, list[float]]:
+    """Limit of a sequence sampled at a halving step parameter, removing
+    the first ``order`` powers by Neville elimination.  Returns the limit
+    and the increments (2-norms) between successive extrapolated values."""
+    cur = [np.asarray(v, dtype=complex) for v in values]
+    for p in range(1, order + 1):
+        f = 2.0 ** p
+        cur = [(f * cur[k + 1] - cur[k]) / (f - 1.0) for k in range(len(cur) - 1)]
+    return cur[-1], [float(np.linalg.norm(b - a, 2)) for a, b in zip(cur, cur[1:])]
+
+
 def boundary_limit(
     field: CoefficientField,
     omega: BasePoint | None = None,
     alpha: float = 0.0,
     role: str = "F+",
-    beta_sequence: Sequence[float] | None = None,
     tol: float = 1e-6,
     family: str | None = "H2",
     method: str = "auto",
-    weyl_tol: float = 1e-9,
 ) -> WeylMatrix:
     """Real-axis boundary value of the Weyl function at alpha.
 
-    Evaluates M+ (role "F+") or M- (role "F-") at alpha + i beta for a
-    halving beta sequence and Richardson-extrapolates to beta -> 0
-    (orders 1 and 2; the imaginary part decays linearly where a
+    Evaluates M+ (role "F+") or M- (role "F-") at alpha + i beta for
+    beta = 0.1, 0.05, ..., 0.1 / 32 and Richardson-extrapolates to
+    beta -> 0 (orders 1 and 2; the imaginary part decays linearly where a
     dichotomy persists on the real axis).  ``real_limit`` reports whether
     the imaginary part vanished below tol.
     """
     if role not in ("F+", "F-"):
         raise ValueError("role must be 'F+' or 'F-'")
-    if beta_sequence is None:
-        beta_sequence = [0.1 * 0.5 ** k for k in range(6)]
-    betas = list(beta_sequence)
-    if len(betas) < 3:
-        raise ValueError("need at least 3 beta values to extrapolate")
     evaluate = weyl_plus if role == "F+" else weyl_minus
     vals = []
-    for b in betas:
-        wm = evaluate(field, omega, complex(alpha, b), tol=weyl_tol,
+    for b in _HALVING_BETAS:
+        wm = evaluate(field, omega, complex(alpha, b), tol=1e-9,
                       family=family, method=method)
         vals.append(wm.M.astype(complex))
-    # Neville elimination of the leading beta and beta^2 terms (betas halve).
-    first = [2.0 * vals[k + 1] - vals[k] for k in range(len(vals) - 1)]
-    second = [(4.0 * first[k + 1] - first[k]) / 3.0 for k in range(len(first) - 1)]
-    diffs = [float(np.linalg.norm(second[k + 1] - second[k], 2))
-             for k in range(len(second) - 1)]
-    scale = max(1.0, float(np.linalg.norm(second[-1], 2)))
-    if len(diffs) >= 2 and diffs[-1] > max(2.0 * diffs[-2], 10.0 * tol * scale):
+    F, diffs = _neville_halving(vals)
+    scale = max(1.0, float(np.linalg.norm(F, 2)))
+    if diffs[-1] > max(2.0 * diffs[-2], 10.0 * tol * scale):
         raise DivergentLimit(
             f"boundary extrapolation diverging at alpha = {alpha:g}: "
             f"increments {diffs[-2]:.3g} -> {diffs[-1]:.3g}"
         )
-    F = second[-1]
     F, sym_defect = _symmetrized(F)
     imag_norm = float(np.linalg.norm(np.imag(F), 2))
     is_real = imag_norm <= tol * max(1.0, float(np.linalg.norm(F, 2)))
     M = np.real(F) if is_real else F
     return WeylMatrix(
         M=M, role=role, omega=omega, lam=complex(alpha),
-        convergence_error=diffs[-1] if diffs else float("nan"),
+        convergence_error=diffs[-1],
         T_used=float("nan"), symmetry_defect=sym_defect, real_limit=is_real,
     )

@@ -67,17 +67,10 @@ class _ArgTracker:
     sample resolution dt.  The samples of a chunk are one
     ``ChunkedPropagator.sampled`` stack times F."""
 
-    def __init__(
-        self,
-        field: CoefficientField,
-        omega: BasePoint,
-        dt: float,
-        chunk: float = 1.0,
-        tol: float = 1e-10,
-    ):
+    def __init__(self, field: CoefficientField, omega: BasePoint, dt: float):
         if field.is_complex:
             raise InvalidCoefficients("rotation_number requires a real field")
-        self.prop = ChunkedPropagator(field, omega, h=chunk, tol=tol)
+        self.prop = ChunkedPropagator(field, omega, h=1.0, tol=1e-10)
         self.dt0 = dt
         self.n = field.n
         self.F = np.eye(2 * self.n)[:, :self.n]
@@ -147,28 +140,27 @@ def rotation_number(
     field: CoefficientField,
     omega: BasePoint | None = None,
     T: float = 64.0,
-    dt: float = 0.1,
     tol: float | None = None,
-    T_max: float = 8192.0,
 ) -> RotationEstimate:
     """(1/T) x unwrapped arg det(U1(T, omega) - i U2(T, omega)).
 
     With tol set, the horizon doubles until the error bar drops below tol
-    (or T_max is hit; the returned error_bar is honest either way).  The
-    bar combines the T-vs-T/2 discrepancy with the spread over delayed
-    read-off points.  dt is halved, up to 20 times, whenever an argument
-    step reaches pi/2; UnwrapFailure if that never resolves.
+    (or T = 8192 is reached; the returned error_bar is honest either
+    way).  The bar combines the T-vs-T/2 discrepancy with the spread over
+    delayed read-off points.  The sample step, first 0.1, is halved, up to
+    20 times, whenever an argument step reaches pi/2; UnwrapFailure if
+    that never resolves.
     """
     if omega is None:
         omega = field.flow.origin()
-    tracker = _ArgTracker(field, omega, dt)
+    tracker = _ArgTracker(field, omega, 0.1)
     tracker.advance_to(T / 2.0)
     arg_half = tracker.arg
     tracker.advance_to(T)
     value = tracker.arg / tracker.t
     err = abs(value - arg_half / (T / 2.0))
     err = max(err, _readoff_spread(tracker, value))
-    while tol is not None and err > tol and tracker.t < T_max - 1e-9:
+    while tol is not None and err > tol and tracker.t < 8192.0 - 1e-9:
         arg_half = tracker.arg
         T_half = tracker.t
         tracker.advance_to(2.0 * T_half)
@@ -186,7 +178,6 @@ def rotation_profile(
     delta=None,
     alpha_grid: Sequence[float] = (),
     T: float = 64.0,
-    dt: float = 0.1,
     tol: float | None = 1e-3,
     omega: BasePoint | None = None,
 ) -> RotationProfile:
@@ -199,7 +190,7 @@ def rotation_profile(
     field = _with_delta(field, delta)
     estimates = []
     for a in alphas:
-        estimates.append(rotation_number(perturb_h2(field, a), omega, T=T, dt=dt, tol=tol))
+        estimates.append(rotation_number(perturb_h2(field, a), omega, T=T, tol=tol))
     defect = 0.0
     for (a0, e0), (a1, e1) in zip(
         zip(alphas, estimates), zip(alphas[1:], estimates[1:])
@@ -212,13 +203,11 @@ def rotation_profile(
     )
 
 
-def ed_candidates_from_rotation(
-    profile: RotationProfile,
-    flat_tol: float | None = None,
-) -> list[dict]:
+def ed_candidates_from_rotation(profile: RotationProfile) -> list[dict]:
     """Maximal alpha-subintervals where the profile is constant within
-    tolerance; plateaus of the rotation number are where a dichotomy can
-    live, so each is a candidate for confirmation by detect_ed."""
+    twice the summed error bars; plateaus of the rotation number are
+    where a dichotomy can live, so each is a candidate for confirmation
+    by detect_ed."""
     rows = profile.rows()
     if not rows:
         return []
@@ -228,8 +217,7 @@ def ed_candidates_from_rotation(
     for i in range(1, len(rows) + 1):
         if i < len(rows):
             a, v, e, _ = rows[i]
-            tol_i = flat_tol if flat_tol is not None else 2.0 * (e + ref[2]) + 1e-12
-            flat = abs(v - ref[1]) <= tol_i
+            flat = abs(v - ref[1]) <= 2.0 * (e + ref[2]) + 1e-12
         else:
             flat = False
         if not flat:

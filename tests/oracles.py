@@ -25,17 +25,19 @@ def expm_transfer(field, t: float) -> np.ndarray:
     return expm(t * H)
 
 
-def ivp_transfer(field, omega, t: float, rtol: float = 1e-12) -> np.ndarray:
+def ivp_transfer(field, omega, t: float, rtol: float = 1e-12,
+                 atol: float = 1e-14) -> np.ndarray:
     """U(t, omega) by dense integration of U' = H(omega.s) U with an
-    off-the-shelf high-order solver."""
+    off-the-shelf high-order solver (complex for a complex field)."""
     n2 = 2 * field.n
 
     def rhs(s, u):
         H = eval_H(field, advance(field.flow, omega, s))
         return (H @ u.reshape(n2, n2)).ravel()
 
-    sol = solve_ivp(rhs, (0.0, t), np.eye(n2).ravel(), method="DOP853",
-                    rtol=rtol, atol=1e-14, dense_output=False)
+    U0 = np.eye(n2, dtype=complex if field.is_complex else float)
+    sol = solve_ivp(rhs, (0.0, t), U0.ravel(), method="DOP853",
+                    rtol=rtol, atol=atol, dense_output=False)
     assert sol.success, sol.message
     return sol.y[:, -1].reshape(n2, n2)
 

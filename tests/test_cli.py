@@ -76,6 +76,15 @@ def test_lq_solution_files(tmp_path):
         assert abs(u + x) <= 1e-8
 
 
+def test_lq_report_horizon_follows_the_t_flag(tmp_path):
+    # --T 64 is the flag's value for lq too, not its default
+    assert main(["lq", "lq-scalar", "--T", "64", "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "lq.json").read_text())
+    assert data["config"]["T"] == 64.0
+    _, rows = read_rows(tmp_path / "lq_trajectory.csv")
+    assert float(rows[-1][0]) == 64.0
+
+
 def test_classify_reports_the_alternative(tmp_path):
     rc = main(["classify", "ex1", "--out", str(tmp_path)])
     assert rc == 0

@@ -165,6 +165,12 @@ KERNEL_FIELDS = _kernel_fields()
 KERNEL_OMEGA = BasePoint((0.3, 0.8))
 
 
+def _dense(f, omega, t0, t1, tol=1e-10):
+    """U from t0 to t1 by the dense DOP853 oracle at rtol tol and atol
+    tol / 100."""
+    return ivp_transfer(f, advance(f.flow, omega, t0), t1 - t0, rtol=tol, atol=tol * 1e-2)
+
+
 def _defect(U):
     """||U^T J U - J|| / max(1, ||U||^2), also for complex U: the transfer
     matrices of complex lambda are complex symplectic."""
@@ -183,11 +189,10 @@ def test_kernel_chunks_match_the_adaptive_reference(name, k, direction, length):
     sign = 1.0 if direction == "forward" else -1.0
     t0 = float(k if sign > 0 else k + 1)
     for j in range(1, m + 1):
-        want = transfer_matrix(f, KERNEL_OMEGA, t0, t0 + sign * L * j / m, tol=1e-13,
-                               method="adaptive")
+        want = _dense(f, KERNEL_OMEGA, t0, t0 + sign * L * j / m, tol=1e-13)
         assert _rel_err(S[j], want) <= 1e-10
     whole = prop.forward(k) if sign > 0 else prop.backward(k)
-    want = transfer_matrix(f, KERNEL_OMEGA, t0, t0 + sign, tol=1e-13, method="adaptive")
+    want = _dense(f, KERNEL_OMEGA, t0, t0 + sign, tol=1e-13)
     assert _rel_err(whole, want) <= 1e-10
     assert whole.dtype == (complex if name == "complex" else float)
 
@@ -197,7 +202,7 @@ def test_kernel_transfer_over_long_spans_matches_the_adaptive_reference(name):
     f = KERNEL_FIELDS[name]
     for t0, t1 in ((0.0, 3.6), (2.5, -1.2)):
         got = transfer_matrix(f, KERNEL_OMEGA, t0, t1, tol=1e-11)
-        want = transfer_matrix(f, KERNEL_OMEGA, t0, t1, tol=1e-13, method="adaptive")
+        want = _dense(f, KERNEL_OMEGA, t0, t1, tol=1e-13)
         assert _rel_err(got, want) <= 1e-10
 
 
@@ -206,8 +211,7 @@ def test_kernel_symplectic_defect_is_no_worse_than_the_adaptive_route(name):
     f = KERNEL_FIELDS[name]
     spans = [(0.0, 1.0), (3.0, 4.0), (1.0, 0.0), (-2.0, -2.6), (0.0, 6.0)]
     kernel = [_defect(transfer_matrix(f, KERNEL_OMEGA, a, b)) for a, b in spans]
-    adaptive = [_defect(transfer_matrix(f, KERNEL_OMEGA, a, b, method="adaptive"))
-                for a, b in spans]
+    adaptive = [_defect(_dense(f, KERNEL_OMEGA, a, b)) for a, b in spans]
     assert max(kernel) <= max(adaptive)
     assert max(kernel) <= 1e-14
 
@@ -219,8 +223,7 @@ def test_kernel_sample_counts_need_not_divide_the_step_count(torus_demo):
         S = prop.sampled(2, m)
         assert S.shape == (m + 1, 2, 2)
         np.testing.assert_array_equal(S[0], np.eye(2))
-        want = transfer_matrix(torus_demo, om, 2.0, 2.0 + 2.0 / m, tol=1e-13,
-                               method="adaptive")
+        want = _dense(torus_demo, om, 2.0, 2.0 + 2.0 / m, tol=1e-13)
         assert _rel_err(S[2], want) <= 1e-10
 
 
@@ -254,6 +257,10 @@ def test_torus_answers_make_no_integrator_call(torus_demo, monkeypatch):
     weyl_plus(torus_demo, om, lam=0.0)
     weyl_minus(torus_demo, om, lam=0.0)
     rotation_number(torus_demo, om, T=16.0)
+    assert cocycle_check(torus_demo, om, 3.0, 4.5)["defect"] <= 1e-8
+    assert not fundamental_matrix(torus_demo, om, 5.0).degraded
+    frame = SolutionFrame(L1=np.eye(1), L2=np.eye(1), t=0.0, omega=om)
+    propagate_frame(torus_demo, frame, 2.0)
     assert len(calls) == 0
 
 
@@ -497,7 +504,7 @@ def test_kernel_retries_only_the_chunks_that_fail_their_comparison(monkeypatch):
     for t0, got in zip(starts, batch):
         one = propagator._magnus_chunk(f, om, [t0], 1.0, 1, 1e-10)[0]
         assert np.max(np.abs(got - one)) <= 1e-15 * np.max(np.abs(one))
-        want = transfer_matrix(f, om, t0, t0 + 1.0, tol=1e-13, method="adaptive")
+        want = _dense(f, om, t0, t0 + 1.0, tol=1e-13)
         assert _rel_err(got[-1], want) <= 1e-9
 
 
