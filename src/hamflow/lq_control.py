@@ -12,32 +12,31 @@ quadratic form of -M+.
 matrices over segments at most 1 / max ||H|| long: M+ from the Weyl route
 at the end of the report interval is swept backward to every segment
 start, the direction in which the plane attracts, and the state advances
-one segment at a time, restarted on the plane.  The reported value is quadrature of the supply
-rate along the trajectory plus an explicit exponential tail bound; the
-closed-form value matrix -M+ is kept alongside so the two routes check
-each other.  ``compare_control`` integrates a perturbed open-loop control
-with DOP853, since the perturbation is an arbitrary callable; its
-right-hand side reads [[A, B], [G, g], [g', R]] from one trigonometric
-table compiled per call and u_hat from the spline's piecewise
-coefficients, so no evaluation goes through ``advance`` or
-``BlockMap.__call__``.
+one segment at a time, restarted on the plane.  The reported value is
+quadrature of the supply rate along the trajectory plus an explicit
+exponential tail bound; the closed-form value matrix -M+ is kept
+alongside so the two routes check each other.  ``compare_control`` costs
+a perturbed open-loop control on the same kernel: the state, its outer
+product and the running cost solve one linear system, whose generator
+reads A and G from one trigonometric table compiled per call and u_hat
+from the spline's piecewise coefficients, so no evaluation goes through
+``advance`` or ``BlockMap.__call__``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._json import Encodable, jsonable
 from .base_flow import BaseFlow, advance, make_flow
 from .dichotomy import DichotomyReport, detect_ed, nonoscillation_check
 from .errors import InvalidCoefficients, NotSolvable, SingularR, ToolkitError
 from .hamiltonian import BlockMap, CoefficientField, CompiledField, J_matrix
-from .propagator import ChunkedPropagator
+from .propagator import ChunkedPropagator, _magnus_chunk
 from .riccati_weyl import _PROPAGATION_TOL, WeylMatrix, weyl_plus
 
 __all__ = [
@@ -61,6 +60,14 @@ _SEGMENT_RATE = 1.0
 _CHUNK_PANELS = 64
 # How far the swept M+(0) may stray from the Weyl route's, in error estimates
 _SWEEP_FACTOR = 100.0
+# compare_control's chunks span about _COST_SPAN time units; sampling up
+# to _COST_KNOTS knots per chunk costs at most twice the kernel's 32 steps.
+# A kernel call takes _COST_CHUNKS chunks: fewer than the kernel's budget
+# allows at n = 1, which keeps the node stacks small (0.9 MiB less peak
+# memory on a scalar problem over T = 20) and runs no slower
+_COST_SPAN = 2.0
+_COST_KNOTS = 64
+_COST_CHUNKS = 4
 
 
 def _as_block(M, n: int, what: str) -> BlockMap:
@@ -368,6 +375,79 @@ def synthesize(
     )
 
 
+def _perturbation(values: list, ts: list, m: int) -> np.ndarray:
+    """The values of delta_u at the times ts as a (len(ts), m) array;
+    ToolkitError names the first one that is not m finite numbers."""
+    try:
+        du = np.array(values, dtype=float).reshape(len(ts), m)
+        if np.isfinite(du).all():
+            return du
+    except (TypeError, ValueError):
+        pass
+    for t, value in zip(ts, values):
+        try:
+            row = np.asarray(value, dtype=float).reshape(m)
+        except (TypeError, ValueError):
+            row = np.full(m, np.nan)
+        if not np.isfinite(row).all():
+            raise ToolkitError(f"delta_u({t:g}) = {value!r}: need m = {m} finite numbers")
+    return np.array([np.asarray(value, dtype=float).reshape(m) for value in values])
+
+
+def _cost_system(problem: LQProblem, solution: LQSolution, delta_u) -> SimpleNamespace:
+    """The perturbed cost as a linear system w' = L(t) w, read by the
+    Magnus kernel as a field of n = d / 2.  Under u = u_hat + delta_u the
+    state w = [vec(x x'), x, 1, c] of even dimension d = n^2 + n + 2 has
+      (x x')' = A x x' + x x' A' + (B u) x' + x (B u)',
+      x' = A x + (B u) 1,
+      c' = tr(G x x') / 2 + x' g u + (u' R u / 2) 1,
+    so c is the running cost.  ``H_at`` reads A and G from one table
+    compiled per call, and u_hat by Horner on the spline pieces."""
+    from scipy.interpolate import CubicSpline
+
+    n, m = problem.n, problem.m
+    d, one = n * n + n + 2, n * n + n  # one: the index of the constant 1 in w
+    spline = CubicSpline(solution.t, solution.u, axis=0)
+    knots, pieces = spline.x, spline.c
+
+    def lift(A, G, b, gu):
+        # L without its u' R u entry, linear in A, G, b = B u and gu = g u
+        L = np.zeros((d, d), dtype=np.result_type(A, G))
+        I, b = np.eye(n), b[:, None]
+        L[:n * n, :n * n] = np.kron(A, I) + np.kron(I, A)
+        L[:n * n, n * n:one] = np.kron(b, I) + np.kron(I, b)
+        L[n * n:one, n * n:one] = A
+        L[n * n:one, one:one + 1] = b
+        L[-1, :n * n] = 0.5 * G.T.ravel()
+        L[-1, n * n:one] = gu
+        return L
+
+    dtype = complex if problem.A.is_complex or problem.G.is_complex else float
+    zero, O = np.zeros(n), np.zeros((n, n))
+    # the part of L linear in A and G, evaluated by the code of
+    # CoefficientField.H_at, which reads only .compiled and .flow
+    table = SimpleNamespace(flow=problem.flow, compiled=CompiledField.compile(
+        (problem.A, problem.G), lambda A, G: lift(A, G, zero, zero), problem.flow.dim, dtype))
+    # the part of L linear in u, one d x d slice per input
+    Lu = np.array([lift(O, O, problem.B[:, k], problem.g[:, k])
+                   for k in range(m)]).reshape(m, d * d)
+
+    def H_at(omega, ts):
+        ts = np.asarray(ts, dtype=float)
+        flat = ts.ravel()
+        i = np.minimum(np.searchsorted(knots, flat, side="right"), len(knots) - 1) - 1
+        h = (flat - knots[i])[:, None]
+        c = pieces[:, i]
+        times = flat.tolist()
+        u = (((c[0] * h + c[1]) * h + c[2]) * h + c[3]
+             + _perturbation([delta_u(t) for t in times], times, m))
+        L = CoefficientField.H_at(table, omega, ts) + (u @ Lu).reshape(ts.shape + (d, d))
+        L[..., -1, one] += 0.5 * np.einsum("si,ij,sj->s", u, problem.R, u).reshape(ts.shape)
+        return L
+
+    return SimpleNamespace(n=d // 2, is_complex=dtype is complex, H_at=H_at)
+
+
 def compare_control(
     problem: LQProblem,
     solution: LQSolution,
@@ -383,10 +463,9 @@ def compare_control(
 
     T_active must lie in [0, solution.t[-1]], where the cubic spline of
     u_hat interpolates, and delta_u(t) must be m finite numbers; anything
-    else raises ToolkitError.  Each DOP853 evaluation reads one table
-    compiled per call: M = [[A, B], [G, g], [g', R]] as a trigonometric
-    polynomial in t, so with v = [x; u], M v holds x' in its first n
-    rows and the supply rate is v' (M v)[n:] / 2.
+    else raises ToolkitError.  The cost is read off the state of one
+    linear system (``_cost_system``) that the Magnus kernel carries over
+    chunks of about two time units, with no quadrature.
     """
     t_end = float(solution.t[-1])
     T_active = t_end if T_active is None else float(T_active)
@@ -394,59 +473,25 @@ def compare_control(
         raise ToolkitError(
             f"T_active must lie in [0, {t_end:g}], the synthesized interval; "
             f"got {T_active!r}")
-    n, m = problem.n, problem.m
-    from scipy.interpolate import CubicSpline
-
-    # u_hat(t) by Horner on the spline piece containing t: per piece, the
-    # m tuples of cubic coefficients
-    spline = CubicSpline(solution.t, solution.u, axis=0)
-    knots = spline.x.tolist()
-    pieces = np.moveaxis(spline.c, 0, -1).tolist()
-    last = len(knots) - 1
-
-    def assemble(A, G):
-        M = np.zeros((2 * n + m, n + m), dtype=np.result_type(A, G))
-        M[:n, :n] = A
-        M[n:2 * n, :n] = G
-        return M
-
-    dtype = complex if problem.A.is_complex or problem.G.is_complex else float
-    compiled = CompiledField.compile((problem.A, problem.G), assemble, problem.flow.dim,
-                                     dtype)
-    M0 = compiled.const
-    M0[:n, n:] = problem.B
-    M0[n:2 * n, n:] = problem.g
-    M0[2 * n:, :n] = problem.g.T
-    M0[2 * n:, n:] = problem.R
-    # M(t) = [1, cos 2 pi phi(t), sin 2 pi phi(t)] @ table
-    table = np.vstack([M0.ravel(), compiled.CS])
-    k0, rate = (a.tolist() for a in compiled.phase_rates(problem.flow, problem.flow.origin()))
-
-    def rhs(t, state):
-        t = float(t)
-        i = min(bisect_right(knots, t), last) - 1
-        h = t - knots[i]
-        value = delta_u(t)
-        try:
-            du = np.asarray(value, dtype=float).ravel().tolist()
-        except (TypeError, ValueError):
-            du = []
-        if len(du) != m or not all(map(math.isfinite, du)):
-            raise ToolkitError(f"delta_u({t:g}) = {value!r}: need m = {m} finite numbers")
-        u = [((a * h + b) * h + c) * h + d + e for (a, b, c, d), e in zip(pieces[i], du)]
-        # each phase is reduced mod 1 before it is scaled by 2 pi, as in H_at
-        phase = [2.0 * math.pi * ((a + t * b) % 1.0) for a, b in zip(k0, rate)]
-        trig = np.array([1.0, *map(math.cos, phase), *map(math.sin, phase)])
-        v = np.array([*state[:n].tolist(), *u])
-        Mv = (trig @ table).reshape(M0.shape) @ v
-        Mv[n] = 0.5 * (v @ Mv[n:])  # the supply rate, in place of row n
-        return Mv[:n + 1]
-
-    sol = solve_ivp(
-        rhs, (0.0, T_active), np.concatenate([problem.x0, [0.0]]),
-        method="DOP853", rtol=1e-10, atol=1e-13,
-    )
-    if not sol.success:
-        raise NotSolvable(f"comparison integration failed: {sol.message}")
-    xT = sol.y[:-1, -1]
-    return float(sol.y[-1, -1] + 0.5 * xT @ solution.value_matrix @ xT)
+    n, x0 = problem.n, problem.x0
+    system = _cost_system(problem, solution, delta_u)
+    w = np.concatenate([np.outer(x0, x0).ravel(), x0, [1.0, 0.0]])
+    # chunks of K report intervals; where K is at most _COST_KNOTS the kernel
+    # samples every knot of u_hat's spline, so that no Magnus step straddles
+    # one: the third derivative of u_hat jumps there (between denser knots
+    # it jumps little)
+    dt = float(solution.t[1] - solution.t[0])
+    K = max(1, round(_COST_SPAN / dt))
+    m = K if K <= _COST_KNOTS else 1
+    full = int(T_active / (K * dt) + 1e-9)
+    rest = T_active - full * K * dt
+    runs = [(np.arange(k, min(k + _COST_CHUNKS, full)) * K * dt, K * dt, m)
+            for k in range(0, full, _COST_CHUNKS)]
+    if rest > 1e-9 * dt:
+        runs.append(([full * K * dt], rest, min(m, math.ceil(rest / dt - 1e-9))))
+    for starts, span, samples in runs:
+        for U in _magnus_chunk(system, problem.flow.origin(), starts, span, samples,
+                               _PROPAGATION_TOL):
+            w = U[-1] @ w
+    xT = w[n * n:n * n + n]
+    return float(w[-1] + 0.5 * xT @ solution.value_matrix @ xT)

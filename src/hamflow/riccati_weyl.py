@@ -10,10 +10,8 @@ H instead, and periodic ones the stable/unstable subspace of the
 one-period monodromy matrix.  When the split is not clean, a periodic
 field falls back to horizon doubling; a constant one has an eigenvalue
 on the imaginary axis, no decaying plane, and raises at once.  The
-Riccati flow itself blows up in finite time exactly where the graph
-representation degenerates, so the plane route is the primary one;
-direct Riccati stepping is provided separately and the two are
-cross-checked in the test suite.
+Riccati flow is the graph of a carried plane as well, and escapes in
+finite time exactly where that graph degenerates.
 
 The spectral parameter enters through the perturbation families: by
 default lambda shifts the lower-left block (H2 -> H2 - lambda Delta), the
@@ -24,11 +22,11 @@ the field as given) are selectable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import schur
 
 from .base_flow import BasePoint
@@ -37,12 +35,11 @@ from .errors import (
     FiniteEscape,
     NoConvergence,
     NonInvertibleTopBlock,
-    StiffnessError,
     ToolkitError,
     WeylNonexistence,
 )
 from .hamiltonian import CoefficientField, J_matrix, perturb_h2, perturb_h3
-from .propagator import ChunkedPropagator, transfer_matrix
+from .propagator import ChunkedPropagator, _positive_qr, transfer_matrix
 
 __all__ = [
     "WeylMatrix",
@@ -67,6 +64,10 @@ _FLOQUET_MARGIN = 1e-4
 # Imaginary parts of the spectral parameter at which boundary limits (and
 # Stieltjes inversions) sample the Weyl function, halving towards 0
 _HALVING_BETAS = tuple(0.1 * 0.5 ** k for k in range(6))
+# Norm of M past which a Riccati solution has left the chart, and its
+# samples per unit of time and of max ||H||
+_ESCAPE_NORM = 1e6
+_RICCATI_SAMPLES = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +125,14 @@ def riccati_flow(
     t: float,
     tol: float = 1e-10,
 ) -> WeylMatrix:
-    """Integrate M' = -M H3 M - M H1 - H1^T M + H2 along the orbit.
+    """Carry M0 along the orbit by M' = -M H3 M - M H1 - H1^T M + H2.
 
-    Raises FiniteEscape with the detected escape time when ||M|| crosses
-    1e6; the caller may continue in the inverse chart.
+    M(s) = Y X^{-1} is the graph of the frame [[X], [Y]] = U(s) [[I], [M0]],
+    sampled on the chunk transfer matrices.  FiniteEscape reports the
+    first time ||M|| reaches 1e6, bisected in the first sample interval
+    where it does or, on a real field, det X changes sign (||M|| > 1e6
+    lasts only about 2e-6 around a pole); the caller may continue in the
+    inverse chart.
     """
     M0 = np.atleast_2d(np.asarray(M0))
     n = field.n
@@ -136,39 +141,49 @@ def riccati_flow(
     sym_defect = np.linalg.norm(M0 - M0.T, 2)
     if sym_defect > 1e-10 * max(1.0, np.linalg.norm(M0, 2)):
         raise ValueError("M0 must be symmetric")
-    dtype = complex if (field.is_complex or np.iscomplexobj(M0)) else float
-    y0 = M0.astype(dtype).reshape(-1)
 
-    def rhs(s, y):
-        M = y.reshape(n, n)
-        H1, H2, H3 = field.eval_blocks(omega, s)
-        dM = -M @ H3 @ M - M @ H1 - H1.T @ M + H2
-        return dM.reshape(-1)
+    def graph(F):
+        # M, ||M|| and det X of a stack of frames [[X], [Y]]; ||M|| is inf
+        # where X is singular
+        X, Y = np.swapaxes(F[:, :n], -1, -2), np.swapaxes(F[:, n:], -1, -2)
+        det = np.linalg.det(X)
+        M = np.swapaxes(np.linalg.solve(np.where((det == 0)[:, None, None], np.eye(n), X), Y),
+                        -1, -2)
+        return M, np.where(det == 0, np.inf, np.linalg.norm(M, axis=(1, 2))), det
 
-    def escape(s, y):
-        return float(np.linalg.norm(y) - 1e6)
-
-    escape.terminal = True
-    escape.direction = 1.0
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-        events=escape,
-    )
-    if sol.status == 1:
-        t_esc = float(sol.t_events[0][0])
-        raise FiniteEscape(
-            f"Riccati solution left the chart near t = {t_esc:.6g}", t_escape=t_esc
-        )
-    if not sol.success:
-        raise StiffnessError(f"Riccati integration stalled: {sol.message}",
-                             t_reached=float(sol.t[-1]))
-    M, defect = _symmetrized(sol.y[:, -1].reshape(n, n))
+    pieces = max(1, math.ceil(abs(t) - 1e-12))
+    h = abs(t) / pieces
+    H = field.H_at(omega, np.linspace(0.0, t, 8 * pieces + 1))
+    m = _RICCATI_SAMPLES * math.ceil(max(1.0, float(np.max(np.linalg.norm(H, 2, axis=(1, 2))))))
+    direction = "forward" if t >= 0 else "backward"
+    chunks = range(pieces) if t >= 0 else range(-1, -pieces - 1, -1)
+    prop = ChunkedPropagator(field, omega, h=h, tol=tol)
+    prop.fill(chunks, direction, m)
+    real = not (field.is_complex or np.iscomplexobj(M0))
+    F = np.vstack([np.eye(n), M0])
+    for j, k in enumerate(chunks):
+        Fs = prop.sampled(k, m, direction) @ F
+        M, norms, det = graph(Fs)
+        hits = norms[1:] >= _ESCAPE_NORM
+        if real:
+            hits |= np.sign(det[1:]) != np.sign(det[:-1])
+        if hits.any():
+            i = int(np.argmax(hits))
+            t_i = lo = math.copysign(h * (j + i / m), t)
+            hi = math.copysign(h * (j + (i + 1) / m), t)
+            while abs(hi - lo) > 1e-14 * max(1.0, abs(hi)):
+                mid = 0.5 * (lo + hi)
+                U = transfer_matrix(field, omega, t_i, mid, tol=tol)
+                _, norm, d = graph((U @ Fs[i])[None])
+                if norm[0] >= _ESCAPE_NORM or (real and np.sign(d[0]) != np.sign(det[i])):
+                    hi = mid
+                else:
+                    lo = mid
+            raise FiniteEscape(f"Riccati solution left the chart near t = {hi:.6g}",
+                               t_escape=float(hi))
+        # QR after every chunk; the positive diagonal of R keeps the sign of det X
+        F, _ = _positive_qr(Fs[-1])
+    M, defect = _symmetrized(M[-1])
     return WeylMatrix(M=M, role="flow", omega=omega, lam=0.0,
                       convergence_error=float(tol), T_used=float(t),
                       symmetry_defect=defect)

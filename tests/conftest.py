@@ -88,19 +88,19 @@ def random_trig_field(rng: np.random.Generator, n: int, flow):
     )
 
 
-def count_solve_ivp_calls(monkeypatch) -> list:
-    """Route the solve_ivp of every hamflow module that imports it through
-    a counter; the returned list grows by one entry per call."""
-    import sys
+def count_ode_solvers(monkeypatch) -> list:
+    """Count the ODE solvers that scipy.integrate starts, however they are
+    reached: the returned list grows by one entry per solver."""
+    from scipy.integrate import OdeSolver
 
-    calls: list = []
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("hamflow") and hasattr(mod, "solve_ivp"):
-            def counting(*args, _orig=mod.solve_ivp, **kwargs):
-                calls.append(1)
-                return _orig(*args, **kwargs)
-            monkeypatch.setattr(mod, "solve_ivp", counting)
-    return calls
+    starts: list = []
+
+    def counting(self, *args, _orig=OdeSolver.__init__, **kwargs):
+        starts.append(type(self).__name__)
+        _orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(OdeSolver, "__init__", counting)
+    return starts
 
 
 def near_jordan_field(n: int, betas, scales, shears):

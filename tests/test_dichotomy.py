@@ -30,7 +30,7 @@ from hamflow.propagator import ChunkedPropagator, _positive_qr
 from hamflow.riccati_weyl import plane_distance, weyl_minus, weyl_plus
 
 from conftest import (
-    count_solve_ivp_calls,
+    count_ode_solvers,
     near_jordan_field,
     random_periodic_field,
     random_spn_field,
@@ -225,10 +225,10 @@ def test_bounded_witness_on_periodic_field():
 
 
 def test_constant_field_classification_makes_no_integrator_call(abnormal, monkeypatch):
-    calls = count_solve_ivp_calls(monkeypatch)
+    starts = count_ode_solvers(monkeypatch)
     rep = classify_family(abnormal, probes=(0.0, 1j))
     assert rep.alternative == "O2"
-    assert len(calls) == 0
+    assert starts == []
 
 
 @pytest.mark.parametrize("eps", [2.9996, 2.99995])

@@ -23,7 +23,7 @@ from hamflow.param_scan import (
     weyl_sampler,
 )
 
-from conftest import count_solve_ivp_calls
+from conftest import count_ode_solvers
 from oracles import point_mass_sampler, sqrt_density_mass
 
 
@@ -165,10 +165,10 @@ def test_alpha_star_on_a_constant_field_doubles_no_horizon(ex2, monkeypatch):
 
 
 def test_rho_curve_on_a_constant_field_makes_no_integrator_call(ex2, monkeypatch):
-    calls = count_solve_ivp_calls(monkeypatch)
+    starts = count_ode_solvers(monkeypatch)
     row = rho_curve(ex2, alpha_grid=[0.5]).rho_table[0]
     assert abs(row["rho"] - 1.0) <= 1e-3
-    assert len(calls) == 0
+    assert starts == []
 
 
 # ------------------------------------------------ margin-guided bisection

@@ -246,12 +246,28 @@ def test_kernel_raises_stiffness_past_its_step_cap():
         transfer_matrix(f, f.flow.origin(), 0.0, 1.0)
 
 
+def test_no_hamflow_module_holds_an_integrator():
+    """No module reaches an ODE integrator, and only param_scan (for
+    stieltjes_invert) a quadrature routine of scipy.integrate."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import hamflow
+
+    sources = {name: inspect.getsource(importlib.import_module(f"hamflow.{name}"))
+               for _, name, _ in pkgutil.iter_modules(hamflow.__path__)}
+    assert [name for name, src in sources.items() if "solve_ivp" in src] == []
+    assert [name for name, src in sources.items() if "scipy.integrate" in src] == ["param_scan"]
+    assert [name for name, src in sources.items() if "quad_vec" in src] == ["param_scan"]
+
+
 def test_torus_answers_make_no_integrator_call(torus_demo, monkeypatch):
     from hamflow import detect_ed, rotation_number, weyl_minus, weyl_plus
 
-    from conftest import count_solve_ivp_calls
+    from conftest import count_ode_solvers
 
-    calls = count_solve_ivp_calls(monkeypatch)
+    starts = count_ode_solvers(monkeypatch)
     om = torus_demo.flow.origin()
     assert detect_ed(torus_demo, om).verdict == "ED"
     weyl_plus(torus_demo, om, lam=0.0)
@@ -261,7 +277,7 @@ def test_torus_answers_make_no_integrator_call(torus_demo, monkeypatch):
     assert not fundamental_matrix(torus_demo, om, 5.0).degraded
     frame = SolutionFrame(L1=np.eye(1), L2=np.eye(1), t=0.0, omega=om)
     propagate_frame(torus_demo, frame, 2.0)
-    assert len(calls) == 0
+    assert starts == []
 
 
 def _hamiltonian_stack(rng, n, count, complex_):

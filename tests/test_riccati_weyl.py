@@ -4,7 +4,7 @@ import pytest
 import hamflow.propagator as propagator
 import hamflow.riccati_weyl as riccati_weyl
 from hamflow.base_flow import BasePoint, advance, make_flow
-from hamflow.errors import NoConvergence, ToolkitError, WeylNonexistence
+from hamflow.errors import FiniteEscape, NoConvergence, ToolkitError, WeylNonexistence
 from hamflow.hamiltonian import BlockMap, CoefficientField, TrigTerm, constant_field, perturb_h2
 from hamflow.riccati_weyl import (
     apply_family,
@@ -16,8 +16,8 @@ from hamflow.riccati_weyl import (
     weyl_plus,
 )
 
-from conftest import random_periodic_field, random_spn_field
-from oracles import schur_stable_weyl, schur_unstable_weyl
+from conftest import random_periodic_field, random_spn_field, random_trig_field
+from oracles import riccati_reference, schur_stable_weyl, schur_unstable_weyl
 
 
 @pytest.mark.parametrize("lam", [-2.0, -1.0, 0.0, 1.0, 5.0])
@@ -203,6 +203,40 @@ def test_weyl_plane_is_riccati_invariant(ex2):
     M = np.real(weyl_plus(ex2).M)
     out = riccati_flow(ex2, om, M, 3.0)
     np.testing.assert_allclose(out.M, M, atol=1e-8)
+
+
+def tangent_field():
+    """H1 = 0, H2 = -1, H3 = 1: M' = -M^2 - 1, so M = tan(atan M0 - t)."""
+    return constant_field([[0.0]], [[-1.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("M0", [0.0, 0.3])
+@pytest.mark.parametrize("t", [-1.0, 0.5, 1.0])
+def test_riccati_flow_follows_the_tangent(M0, t):
+    f = tangent_field()
+    W = riccati_flow(f, f.flow.origin(), [[M0]], t)
+    assert abs(W.M[0, 0] - np.tan(np.arctan(M0) - t)) <= 1e-10
+
+
+@pytest.mark.parametrize("M0", [0.0, 0.7, -2.0])
+def test_riccati_flow_escapes_where_the_tangent_reaches_the_bound(M0):
+    """|M| stays above 1e6 for only about 2e-6 around the pole at
+    atan M0 + pi / 2, and it reaches 1e6 first at atan M0 + atan 1e6."""
+    f = tangent_field()
+    with pytest.raises(FiniteEscape) as escape:
+        riccati_flow(f, f.flow.origin(), [[M0]], 5.0)
+    assert abs(escape.value.t_escape - (np.arctan(M0) + np.arctan(1e6))) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [-3.0, 3.0])
+def test_riccati_flow_matches_the_dop853_reference(torus_demo, t):
+    flow = make_flow({"kind": "torus", "nu": [1.0, 2.0 ** 0.5]})
+    torus2 = random_trig_field(np.random.default_rng(7), 2, flow)
+    for f, M0 in ((torus_demo, [[0.2]]), (torus2, [[0.3, 0.1], [0.1, -0.2]])):
+        om = f.flow.origin()
+        got = riccati_flow(f, om, M0, t).M
+        want = riccati_reference(f, om, M0, t)
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want))), f.name
 
 
 def test_principal_functions_ex3_are_minus_plus_one(ex3):
