@@ -56,8 +56,8 @@ class RunConfig(Encodable):
     jobs: int
 
     def __post_init__(self):
-        if self.tol <= 0.0 or self.T <= 0.0:
-            raise ToolkitError("tolerances and horizons must be positive")
+        if not (0.0 < self.tol < np.inf and 0.0 < self.T < np.inf):
+            raise ToolkitError("tolerances and horizons must be positive and finite")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:

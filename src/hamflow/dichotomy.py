@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import schur
 
 from ._json import Encodable
 from .base_flow import BasePoint
@@ -31,7 +32,14 @@ from .hamiltonian import (
     perturb_h3,
     swap_variables,
 )
-from .propagator import ChunkedPropagator, SolutionFrame, _positive_qr, transfer_matrix
+from .propagator import (
+    ChunkedPropagator,
+    SolutionFrame,
+    _at_samples,
+    _positive_qr,
+    expm,
+    transfer_matrix,
+)
 from .riccati_weyl import _PROPAGATION_TOL, _floquet_split, plane_distance
 
 __all__ = [
@@ -102,6 +110,8 @@ _SV_THRESHOLD = 1e-8
 # counts a dip as a suspect
 _UWD_DT = 0.05
 _DET_TOL = 1e-9
+# Times at which uwd_test spot-checks H3 >= 0 on a nonconstant field
+_H3_SPOT_TIMES = (0.0, 0.37, 1.91, 5.3)
 # Atkinson: Gram minima above _POS_TOL are positive; a witness direction
 # must keep its residual below _ZERO_TOL
 _POS_TOL = 1e-7
@@ -180,15 +190,18 @@ def _spectral_point(prop: ChunkedPropagator, th: EDThresholds) -> PointEvidence 
     angle = principal_angle(lp, lm)
     if not (agree <= th.agreement and angle >= th.angle_min):
         return None
-    # eta walks the planes over 8 chunks, as after a horizon-16 ED verdict
-    # of the doubling route
+    # eta over 8 chunks, as after a horizon-16 ED verdict of the doubling
+    # route: on a constant field from the generator restricted to each
+    # plane, otherwise by walking the planes
+    eta = _generator_eta(field.constant_matrix(), beta) if field.is_autonomous else None
     return PointEvidence(
         omega=omega, verdict="ED", exponents=tuple(chi), margin_history=history,
         frame_agreement=agree, principal_angle=angle, T_used=float(period),
         l_plus=SolutionFrame.from_stacked(lp, 0.0, omega),
         l_minus=SolutionFrame.from_stacked(lm, 0.0, omega),
         reason="Floquet multipliers split off the unit circle",
-        beta_point=beta, eta_point=_eta_estimate(prop, lp, lm, beta, 16),
+        beta_point=beta,
+        eta_point=_eta_estimate(prop, lp, lm, beta, 16) if eta is None else eta,
     )
 
 
@@ -290,6 +303,30 @@ def _doubling_point(
         principal_angle=last_angle, T_used=history[-1][0],
         l_plus=None, l_minus=None, reason=reason,
     )
+
+
+def _generator_eta(H: np.ndarray, beta: float) -> float | None:
+    """Uniformity constant of a constant field from the generator
+    restricted to each plane: T the leading block of H's Schur form
+    ordered by the sign of the real part, the worst of ||exp(k T)||
+    e^{beta k} on the decaying plane and ||exp(-k T)|| e^{beta k} on the
+    growing one over k = 1..8, and at least 1.  The other plane never
+    enters, so its growth cannot swamp the decay being measured.  None
+    when the ordered form does not split H into two halves of size n."""
+    n = H.shape[0] // 2
+    output = "complex" if np.iscomplexobj(H) else "real"
+    gens = []
+    for sort, sign in (("lhp", 1.0), ("rhp", -1.0)):
+        T, _, sdim = schur(H, output=output, sort=sort)
+        if sdim != n:
+            return None
+        gens.append(sign * T[:n, :n])
+    E = expm(np.stack(gens))
+    powers = [E]
+    for _ in range(7):
+        powers.append(powers[-1] @ E)
+    norms = np.linalg.norm(np.stack(powers), 2, axis=(-2, -1))
+    return float(max(1.0, np.max(norms * np.exp(beta * np.arange(1.0, 9.0))[:, None])))
 
 
 def _eta_estimate(
@@ -422,12 +459,16 @@ class UWDReport(Encodable):
     h3_flagged: bool = False
 
 
-def _h3_psd_spotcheck(field: CoefficientField, omega: BasePoint) -> bool:
-    for t in (0.0, 0.37, 1.91, 5.3):
-        _, _, H3 = field.eval_blocks(omega, t)
-        if np.linalg.eigvalsh(0.5 * (H3 + H3.T)).min() < -1e-10:
-            return False
-    return True
+def _h3_psd_spotcheck(field: CoefficientField, grid: Sequence[BasePoint]) -> bool:
+    """H3 >= 0 at the spot-check times of every base point, or once for a
+    constant field."""
+    n = field.n
+    if field.is_autonomous:
+        H = field.H_at(grid[0], 0.0)
+    else:
+        H = np.stack([field.H_at(w, _H3_SPOT_TIMES) for w in grid])
+    H3 = H[..., :n, n:]
+    return bool(np.linalg.eigvalsh(0.5 * (H3 + np.swapaxes(H3, -1, -2))).min() >= -1e-10)
 
 
 def uwd_test(
@@ -440,54 +481,76 @@ def uwd_test(
     track the determinant of its top block.
 
     The plane is carried by one sampled chunk propagator per base point
-    (the cached matrix exponential on constant fields) and is
-    re-orthonormalized chunkwise with a positive-diagonal QR, which
+    and is re-orthonormalized chunkwise with a positive-diagonal QR, which
     rescales the determinant by a positive factor and so preserves its
-    zeros and (real case) sign changes.  Suspects are sign changes and
-    near-zero dips; the verdict is true when the final half of [0, t_max]
-    is clean, and t0_hat is the last suspect time.
+    zeros and (real case) sign changes.  On a constant field every chunk
+    has the same sample stack, so the whole chunks are one carry of the
+    frames, one product and one determinant call; other fields, and a
+    partial last chunk, take one chunk at a time.  Suspects are sign
+    changes and near-zero dips; the verdict is true when the final half
+    of [0, t_max] is clean, and t0_hat is the last suspect time.
     """
     if field.is_complex:
         raise InvalidCoefficients("uwd_test requires a real field")
+    if not 0.0 < t_max < np.inf:
+        raise ToolkitError(f"uwd_test needs a finite positive horizon, not t_max = {t_max}")
     grid = _as_grid(field, omega_grid)
-    flagged = not all(_h3_psd_spotcheck(field, w) for w in grid)
+    flagged = not _h3_psd_spotcheck(field, grid)
     n = field.n
-    all_suspects: list[float] = []
+    per_unit = round(1.0 / _UWD_DT)
+    suspects: list[float] = []
     profile: list[tuple[float, float]] = []
     for omega in grid:
         prop = ChunkedPropagator(field, omega, h=1.0, tol=tol)
         F = np.vstack([np.zeros((n, n)), np.eye(n)])
-        prev_det = None
-        for ts, S in _chunks(prop, t_max, "forward", round(1.0 / _UWD_DT)):
+        whole = int(t_max // prop.h) if field.is_autonomous else 0
+        if whole:
+            # the whole chunks at the times _chunks gives them
+            ts = (np.arange(whole)[:, None] * prop.h
+                  + prop.h * np.arange(per_unit + 1) / per_unit)
+            frames = prop.carry(F, whole, per_unit)
+            Fs = _at_samples(prop.sampled(0, per_unit), frames[:-1])
+            _uwd_scan(field, omega, ts, Fs, True, tol, suspects, profile)
+            F = frames[-1]
+        for j, (ts, S) in enumerate(_chunks(prop, t_max, "forward", per_unit, start=whole)):
             Fs = S @ F
-            dets = np.linalg.det(Fs[:, :n, :])
-            for j in range(1, len(ts)):
-                t, d = float(ts[j]), float(dets[j])
-                if prev_det is not None:
-                    if prev_det * d < 0.0:
-                        all_suspects.append(_refine_crossing(
-                            field, omega, Fs[j - 1], ts[j - 1], t, tol))
-                    elif abs(d) < _DET_TOL:
-                        all_suspects.append(t)
-                elif abs(d) < _DET_TOL and t > 2.0 * _UWD_DT:
-                    all_suspects.append(t)
-                prev_det = d
-                profile.append((t, d))
-            Q, _ = _positive_qr(Fs[-1])
-            F = Q
-            # positive det(R): rescaling keeps the tracked sign meaningful
-            prev_det = _top_det(F)
-    all_suspects.sort()
-    t0_hat = all_suspects[-1] if all_suspects else 0.0
-    verdict = not any(s > 0.5 * t_max for s in all_suspects)
+            _uwd_scan(field, omega, ts[None], Fs[None], whole + j == 0, tol,
+                      suspects, profile)
+            F, _ = _positive_qr(Fs[-1])
+    suspects.sort()
+    t0_hat = suspects[-1] if suspects else 0.0
+    verdict = not any(s > 0.5 * t_max for s in suspects)
     if len(profile) > 800:
         stride = len(profile) // 800 + 1
         profile = profile[::stride]
     return UWDReport(
         verdict=verdict, t0_hat=float(t0_hat),
-        min_det_profile=tuple(profile), suspects=tuple(all_suspects),
+        min_det_profile=tuple(profile), suspects=tuple(suspects),
         det_tol=_DET_TOL, t_max=t_max, h3_flagged=flagged,
     )
+
+
+def _uwd_scan(field: CoefficientField, omega: BasePoint, ts: np.ndarray,
+              Fs: np.ndarray, first: bool, tol: float,
+              suspects: list, profile: list) -> None:
+    """Record the samples of K chunks: Fs[k, j] is the plane at ts[k, j],
+    each chunk from its renormalized start frame Fs[k, 0], whose top
+    determinant is the one its first sample is compared with.  A sign
+    change is refined by bisection, a dip below the determinant tolerance
+    is a suspect at its sample; the first sample of the walk (``first``)
+    has no predecessor and counts only as a dip after 2 dt."""
+    n = field.n
+    dets = np.linalg.det(Fs[..., :n, :])
+    prev, cur = dets[:, :-1], dets[:, 1:]
+    cross = prev * cur < 0.0
+    dip = ~cross & (np.abs(cur) < _DET_TOL)
+    if first:
+        cross[0, 0] = False
+        dip[0, 0] = abs(cur[0, 0]) < _DET_TOL and ts[0, 1] > 2.0 * _UWD_DT
+    for k, j in zip(*np.nonzero(cross)):
+        suspects.append(_refine_crossing(field, omega, Fs[k, j], ts[k, j], ts[k, j + 1], tol))
+    suspects.extend(ts[:, 1:][dip].tolist())
+    profile.extend(zip(ts[:, 1:].ravel().tolist(), cur.ravel().tolist()))
 
 
 def _top_det(F: np.ndarray) -> float:
@@ -524,12 +587,13 @@ class AtkinsonReport(Encodable):
 
 
 def _chunks(prop: ChunkedPropagator, horizon: float, direction: str,
-            per_unit: int, refine: int = 1):
+            per_unit: int, refine: int = 1, start: int = 0):
     """Walk the chunks from t = 0 to +-horizon, the last one possibly
-    partial.  Yields (times, S): S[j] maps z at the chunk start to z at
-    times[j], with refine * max(2, ceil(length * per_unit)) intervals."""
+    partial, from chunk ``start`` on.  Yields (times, S): S[j] maps z at
+    the chunk start to z at times[j], with refine * max(2, ceil(length *
+    per_unit)) intervals."""
     sign = 1.0 if direction == "forward" else -1.0
-    t, j = 0.0, 0
+    t, j = start * prop.h, start
     while t < horizon - 1e-12:
         L = min(prop.h, horizon - t)
         m = refine * max(2, int(np.ceil(L * per_unit)))

@@ -453,6 +453,13 @@ def _positive_qr(F: np.ndarray):
     return Q, R
 
 
+def _at_samples(S: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """S[j] F[k] for every map S[j] of an (m + 1, 2n, 2n) sample stack
+    and every frame F[k] of a (K, 2n, c) stack, from one matrix product:
+    a (K, m + 1, 2n, c) array."""
+    return np.moveaxis(np.tensordot(S, F, axes=(2, 1)), 2, 0)
+
+
 class ChunkedPropagator:
     """Cached transfer matrices over unit-time chunks along one orbit.
 
@@ -539,9 +546,10 @@ class ChunkedPropagator:
         (m + 1, 2n, 2n) stack whose first entry is the identity.  Forward
         chunks start at k h, backward ones at (k + 1) h.
 
-        Constant fields take expm(tau H), cached per offset tau; other
-        fields one Magnus kernel call per chunk, or per range that
-        ``fill`` was asked for."""
+        Constant fields take expm(tau H) at every offset tau in one stack
+        exponential, the same stack for every chunk; other fields one
+        Magnus kernel call per chunk, or per range that ``fill`` was asked
+        for."""
         L = self.h if length is None else float(length)
         sign = 1.0 if direction == "forward" else -1.0
         auto = self.field.is_autonomous
@@ -549,13 +557,39 @@ class ChunkedPropagator:
         S = self._sampled.get(key)
         if S is None:
             if auto:
-                S = np.stack([self._expm_step(tau)
-                              for tau in sign * L * np.arange(m + 1) / m])
+                taus = sign * L * np.arange(m + 1) / m
+                S = expm(taus[:, None, None] * self.field.constant_matrix())
             else:
                 S = _magnus_chunk(self.field, self.omega, self._starts((k,), sign),
                                   sign * L, m, self.tol)[0]
             self._sampled[key] = S
         return S
+
+    def carry(self, F0: np.ndarray, K: int, m: int) -> np.ndarray:
+        """The frames at the starts of K + 1 consecutive whole forward
+        chunks of a constant field, the first F0: F_{k+1} is the Q of the
+        positive QR of P F_k, P = S[-1] the last entry of S = ``sampled(0,
+        m)``.  P is where a chunk-by-chunk walk over the samples S F_k
+        ends, so these are that walk's frames.  A (K + 1, 2n, c) stack.
+
+        A single column has no Gram-Schmidt to keep stable: F_k is the
+        direction of P^k F0, however it was scaled on the way.  Its frames
+        double instead, the same up to rounding: those of chunks L..2L-1
+        are P^L times those of chunks 0..L-1, with P^L squared up and
+        rescaled."""
+        P = self.sampled(0, m)[-1]
+        if np.shape(F0)[-1] == 1:
+            F, M = np.asarray(F0)[None], P
+            while len(F) <= K:
+                F = np.concatenate([F, _positive_qr(M @ F)[0]])
+                M = M @ M
+                M = M / np.max(np.abs(M))
+            return F[:K + 1]
+        F = np.empty((K + 1,) + np.shape(F0), dtype=np.result_type(F0, P))
+        F[0] = F0
+        for k in range(K):
+            F[k + 1], _ = _positive_qr(P @ F[k])
+        return F
 
     def pieces(self, k: int, m: int, length: float | None = None) -> np.ndarray:
         """Transfer matrices over each of m equal pieces of the first

@@ -18,9 +18,9 @@ import numpy as np
 
 from ._json import Encodable
 from .base_flow import BasePoint
-from .errors import InvalidCoefficients, UnwrapFailure
+from .errors import InvalidCoefficients, ToolkitError, UnwrapFailure
 from .hamiltonian import CoefficientField, _with_delta, perturb_h2
-from .propagator import ChunkedPropagator, _positive_qr
+from .propagator import ChunkedPropagator, _at_samples, _positive_qr
 
 __all__ = [
     "RotationEstimate",
@@ -65,7 +65,10 @@ class _ArgTracker:
     """Carries the first n columns F of U(t, omega) chunk by chunk (all
     that det(U1 - i U2) reads), accumulating the unwrapped argument at
     sample resolution dt.  The samples of a chunk are one
-    ``ChunkedPropagator.sampled`` stack times F."""
+    ``ChunkedPropagator.sampled`` stack times F.  A constant field has
+    the same stack for every chunk, so ``advance_to`` carries its frames
+    first and takes the samples of all its chunks as one product and one
+    determinant call; ``advance_chunk`` is the chunk-by-chunk route."""
 
     def __init__(self, field: CoefficientField, omega: BasePoint, dt: float):
         if field.is_complex:
@@ -83,36 +86,71 @@ class _ArgTracker:
     def _samples(self, dt: float) -> int:
         return max(1, int(np.ceil(self.prop.h / dt)))
 
-    def advance_chunk(self) -> None:
-        h, n = self.prop.h, self.n
-        dt = min(self.dt0, h)
+    def _increments(self, mats: np.ndarray) -> np.ndarray:
+        """Argument increments of det(U1 - i U2) between consecutive
+        samples: (..., m + 1, 2n, n) -> (..., m)."""
+        n = self.n
+        dets = np.linalg.det(mats[..., :n, :] - 1j * mats[..., n:, :])
+        return np.angle(dets[..., 1:] * np.conj(dets[..., :-1]))
+
+    def _resolve(self, k: int, F: np.ndarray, dt: float):
+        """The increments of chunk k from frame F at the first sample
+        step, from dt halving, whose increments all stay below pi/2; with
+        the number of samples and the last sample."""
         for _ in range(_MAX_DT_HALVINGS + 1):
             m = self._samples(dt)
-            mats = self.prop.sampled(self.k, m) @ self.F
-            dets = np.linalg.det(mats[:, :n] - 1j * mats[:, n:])
-            incs = np.angle(dets[1:] * np.conj(dets[:-1]))
+            mats = self.prop.sampled(k, m) @ F
+            incs = self._increments(mats)
             if np.all(np.abs(incs) < 0.5 * np.pi):
-                self.arg += sum(incs.tolist())
-                self.steps += m
-                self.F, _ = _positive_qr(mats[-1])
-                self.k += 1
-                self.t += h
-                self.history.append((self.t, self.arg))
-                return
+                return incs, m, mats[-1]
             dt *= 0.5
         raise UnwrapFailure(
             f"argument step stayed >= pi/2 after {_MAX_DT_HALVINGS} dt halvings "
-            f"near t = {self.t:.6g}"
+            f"near t = {self.t + (k - self.k) * self.prop.h:.6g}"
         )
 
+    def advance_chunk(self) -> None:
+        incs, m, end = self._resolve(self.k, self.F, min(self.dt0, self.prop.h))
+        self.arg += sum(incs.tolist())
+        self.steps += m
+        self.F, _ = _positive_qr(end)
+        self.k += 1
+        self.t += self.prop.h
+        self.history.append((self.t, self.arg))
+
     def advance_to(self, T: float) -> None:
-        # the chunks up to T at the first-try resolution, in one fill
+        h = self.prop.h
         count, t = 0, self.t
         while t < T - 1e-9:
-            count, t = count + 1, t + self.prop.h
-        self.prop.fill(range(self.k, self.k + count), m=self._samples(min(self.dt0, self.prop.h)))
-        while self.t < T - 1e-9:
-            self.advance_chunk()
+            count, t = count + 1, t + h
+        if not count:
+            return
+        dt = min(self.dt0, h)
+        m = self._samples(dt)
+        if not self.prop.field.is_autonomous:
+            # the chunks up to T at the first-try resolution, in one fill
+            self.prop.fill(range(self.k, self.k + count), m=m)
+            for _ in range(count):
+                self.advance_chunk()
+            return
+        frames = self.prop.carry(self.F, count, m)
+        incs = self._increments(_at_samples(self.prop.sampled(0, m), frames[:-1]))
+        # per chunk, summed in sample order
+        sums = np.cumsum(incs, axis=1)[:, -1]
+        ms = np.full(count, m)
+        for j in np.flatnonzero(~np.all(np.abs(incs) < 0.5 * np.pi, axis=1)):
+            # only these chunks go through the dt-halving retry; the frame
+            # each ends on is the same whatever the step
+            sub, ms[j], _ = self._resolve(self.k + j, frames[j], dt)
+            sums[j] = sum(sub.tolist())
+        # chunk after chunk, in the order advance_chunk adds them
+        ts = np.cumsum(np.concatenate(([self.t], np.full(count, h))))[1:]
+        args = np.cumsum(np.concatenate(([self.arg], sums)))[1:]
+        self.history.extend(zip(ts.tolist(), args.tolist()))
+        self.F = frames[-1]
+        self.k += count
+        self.t, self.arg = float(ts[-1]), float(args[-1])
+        self.steps += int(ms.sum())
 
 
 def _readoff_spread(tracker: _ArgTracker, value: float) -> float:
@@ -151,6 +189,8 @@ def rotation_number(
     20 times, whenever an argument step reaches pi/2; UnwrapFailure if
     that never resolves.
     """
+    if not 0.0 < T < np.inf:
+        raise ToolkitError(f"rotation_number needs a finite positive horizon, not T = {T}")
     if omega is None:
         omega = field.flow.origin()
     tracker = _ArgTracker(field, omega, 0.1)

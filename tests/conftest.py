@@ -103,6 +103,20 @@ def count_ode_solvers(monkeypatch) -> list:
     return starts
 
 
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Count the calls of ``owner.name`` (a module function or a class
+    attribute): the returned list grows by one entry per call."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counted(*args, _orig=original, **kwargs):
+        calls.append(1)
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def near_jordan_field(n: int, betas, scales, shears):
     """A constant field with eigenvalues +-beta_i close to a Jordan block:
     per degree of freedom the generator [[0, s], [beta^2 / s, 0]] with

@@ -14,8 +14,10 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, schur, solve_continuous_are
 
 from hamflow.base_flow import advance
+from hamflow.dichotomy import _chunks, _refine_crossing
 from hamflow.hamiltonian import eval_H
 from hamflow.lq_control import build_hamiltonian
+from hamflow.propagator import ChunkedPropagator, _positive_qr
 from hamflow.riccati_weyl import weyl_plus
 
 
@@ -80,6 +82,31 @@ def schur_unstable_weyl(H: np.ndarray) -> np.ndarray:
     assert sdim == n, f"unstable subspace has dimension {sdim}, want {n}"
     F = Z[:, :n]
     return np.linalg.solve(F[:n, :].T, F[n:, :].T).T
+
+
+def uwd_walk_reference(field, omega, t_max: float, tol: float = 1e-10):
+    """The uwd_test scan of one base point, walked one chunk at a time
+    with a sample-by-sample loop: (suspects, [(t, det)] profile).  The
+    library scans the whole chunks of a constant field in one batch."""
+    n = field.n
+    prop = ChunkedPropagator(field, omega, h=1.0, tol=tol)
+    F = np.vstack([np.zeros((n, n)), np.eye(n)])
+    suspects, profile = [], []
+    prev = None
+    for ts, S in _chunks(prop, t_max, "forward", 20):
+        Fs = S @ F
+        dets = np.linalg.det(Fs[:, :n, :])
+        for j in range(1, len(ts)):
+            t, d = float(ts[j]), float(dets[j])
+            if prev is not None and prev * d < 0.0:
+                suspects.append(_refine_crossing(field, omega, Fs[j - 1], ts[j - 1], t, tol))
+            elif abs(d) < 1e-9 and (prev is not None or t > 0.1):
+                suspects.append(t)
+            prev = d
+            profile.append((t, d))
+        F, _ = _positive_qr(Fs[-1])
+        prev = float(np.linalg.det(F[:n, :]))
+    return sorted(suspects), profile
 
 
 def scalar_lq_dp(horizon: float = 20.0, h: float = 1e-3, x0: float = 1.0) -> float:

@@ -139,6 +139,12 @@ def test_nonpositive_tolerance_is_an_error(tmp_path):
     assert main(["weyl", "ex2", "--tol=-1", "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("args", [["--T", "inf"], ["--T", "nan"], ["--tol", "inf"]])
+def test_horizon_or_tolerance_that_is_not_finite_is_an_error(tmp_path, args, capsys):
+    assert main(["rotation", "ex3", *args, "--out", str(tmp_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_malformed_bracket_is_an_error(tmp_path):
     assert main(["scan", "ex2", "--bracket", "1", "--out", str(tmp_path)]) == 1
 

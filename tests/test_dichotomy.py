@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamflow.propagator as propagator
 from hamflow.dichotomy import (
     EDThresholds,
     _doubling_point,
+    _eta_estimate,
     _spectral_point,
     atkinson_check,
     bounded_solution_witness,
@@ -16,6 +18,7 @@ from hamflow.dichotomy import (
     uwd_test,
 )
 from hamflow.base_flow import advance, make_flow
+from hamflow.errors import ToolkitError
 from hamflow.hamiltonian import (
     BlockMap,
     CoefficientField,
@@ -30,12 +33,13 @@ from hamflow.propagator import ChunkedPropagator, _positive_qr
 from hamflow.riccati_weyl import plane_distance, weyl_minus, weyl_plus
 
 from conftest import (
+    count_calls,
     count_ode_solvers,
     near_jordan_field,
     random_periodic_field,
     random_spn_field,
 )
-from oracles import ivp_transfer
+from oracles import ivp_transfer, uwd_walk_reference
 
 
 def test_hyperbolic_constant_field_is_ed():
@@ -335,3 +339,93 @@ def test_uwd_profile_matches_dense_ivp_on_torus_field(torus_demo):
 
 def test_uwd_holds_near_the_regularization_boundary(ex2):
     assert uwd_test(regularize(perturb_h2(ex2, 0.25), 2.9)).verdict is True
+
+
+_ALPHAS = np.linspace(-2.0, 6.0, 17)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
+@pytest.mark.parametrize("t_max", [40.0, 12.5])
+def test_uwd_constant_path_matches_the_chunk_by_chunk_walk(name, t_max):
+    # whole chunks of a constant field are scanned in one batch; a
+    # partial last one (t_max = 12.5) goes chunk by chunk
+    f0 = get_preset(name).field
+    for a in _ALPHAS:
+        f = perturb_h2(f0, a)
+        rep = uwd_test(f, t_max=t_max)
+        suspects, profile = uwd_walk_reference(f, f.flow.origin(), t_max)
+        assert list(rep.suspects) == suspects, a
+        assert rep.verdict == (not any(s > 0.5 * t_max for s in suspects))
+        assert rep.t0_hat == (suspects[-1] if suspects else 0.0)
+        if len(profile) > 800:
+            profile = profile[::len(profile) // 800 + 1]
+        got, want = np.array(rep.min_det_profile), np.array(profile)
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert np.all(np.abs(got[:, 1] - want[:, 1])
+                      <= 1e-13 * np.maximum(1.0, np.abs(want[:, 1]))), a
+
+
+@pytest.mark.parametrize("name,alpha", [("ex3", 0.0), ("ex4", 0.5)])
+def test_constant_uwd_makes_one_exponential_and_one_det_call_per_base_point(
+        monkeypatch, name, alpha):
+    f = perturb_h2(get_preset(name).field, alpha)
+    grid = [f.flow.origin()] * 2
+    expms = count_calls(monkeypatch, propagator, "expm")
+    dets = count_calls(monkeypatch, np.linalg, "det")
+    uwd_test(f, grid, t_max=40.0)
+    # (ex4's suspects are dips, which need no refinement)
+    assert len(expms) == 2 and len(dets) == 2
+
+
+def test_uwd_spotchecks_a_constant_h3_once(monkeypatch):
+    # H3 = -1 < 0; z1 = -sinh t through the vertical plane, so no sign
+    # change to refine
+    f = constant_field([[0.0]], [[-1.0]], [[-1.0]])
+    blocks = count_calls(monkeypatch, CoefficientField, "eval_blocks")
+    eig = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    assert uwd_test(f, t_max=4.0).h3_flagged
+    # the one eval_blocks call assembles the sample stack's generator
+    assert len(eig) == 1 and len(blocks) == 1
+    assert not uwd_test(get_preset("ex3").field, t_max=4.0).h3_flagged
+
+
+@pytest.mark.parametrize("t_max", [float("nan"), -3.0, 0.0, float("inf")])
+def test_uwd_rejects_a_horizon_that_is_not_finite_and_positive(ex3, t_max):
+    with pytest.raises(ToolkitError):
+        uwd_test(ex3, t_max=t_max)
+
+
+def _lq_field(a: float):
+    """The Hamiltonian of x' = a x + u, G = R = 1: symmetric, so its
+    eigenvectors are orthogonal and the dichotomy constant is exactly 1."""
+    return constant_field([[a]], [[1.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("a", [-5.0, -20.0, -40.0])
+def test_eta_of_the_stiff_scalar_lq_problems_is_one(a):
+    rep = detect_ed(_lq_field(a))
+    assert rep.verdict == "ED"
+    assert 1.0 <= rep.eta_hat <= 1.0 + 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_eta_of_symmetric_constant_fields_is_one(n, seed):
+    # H = [[A, S], [S, -A]] with A, S symmetric and S > 0 is symmetric and
+    # nonsingular: its spectrum is real and off the imaginary axis
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    B = rng.standard_normal((n, n))
+    S = B @ B.T + 0.3 * np.eye(n)
+    rep = detect_ed(constant_field(A + A.T, S, S))
+    assert rep.verdict == "ED"
+    assert rep.eta_hat <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
+def test_eta_of_the_constant_presets_matches_the_plane_walk(name):
+    f = get_preset(name).field
+    prop = ChunkedPropagator(f, f.flow.origin(), h=1.0, tol=1e-11)
+    ev = _spectral_point(prop, EDThresholds())
+    walked = _eta_estimate(prop, ev.l_plus.stacked, ev.l_minus.stacked, ev.beta_point, 16)
+    assert abs(ev.eta_point - walked) <= 1e-12

@@ -240,6 +240,19 @@ def test_stiff_scalar_problems_keep_their_accuracy(a, T_report, n_samples):
     assert np.isfinite(s.truncation_bound) and np.isfinite(s.decay_margin)
 
 
+def test_truncation_bound_of_a_stiff_problem_bounds_its_tail():
+    # A = -20: z(t) decays exactly like e^{-beta t} and eta = 1, so the bound
+    # (1/2) c_S |z(T)|^2 / (2 beta) is the tail (1/2) int_T^inf |z|^2 itself;
+    # at T = 2 the squares are still normal numbers
+    p = LQProblem.from_data([[-20.0]], [[1.0]], [[1.0]], x0=[1.0])
+    s = synthesize(p, T_report=2.0)
+    assert s.eta_hat <= 1.0 + 1e-9
+    tail = 0.5 * float(s.value_matrix[0, 0]) * float(s.x[-1, 0]) ** 2
+    assert 0.0 < s.truncation_bound < np.inf
+    assert s.truncation_bound >= tail * (1.0 - 1e-9)
+    assert s.truncation_bound <= 2.0 * tail
+
+
 @pytest.mark.parametrize("n_samples", [5, 401])
 def test_stiff_periodic_problem_keeps_its_accuracy(n_samples):
     """A = -20 + 15 cos(2 pi t / 4): at samples a whole number of periods

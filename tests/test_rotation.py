@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamflow.hamiltonian import constant_field
+from hamflow.errors import ToolkitError
+from hamflow.hamiltonian import constant_field, perturb_h2
+from hamflow.presets import get_preset
 from hamflow.rotation import (
+    _ArgTracker,
     ed_candidates_from_rotation,
     rotation_number,
     rotation_profile,
 )
+
+from conftest import count_calls
 
 
 @pytest.mark.parametrize("lam,want", [(-4.0, 0.0), (0.0, 0.0), (0.9, 0.0),
@@ -99,3 +104,55 @@ def test_tracked_argument_matches_the_full_fundamental_matrix(name, alpha):
     want = np.unwrap(np.angle(dets))[::10] - np.angle(dets[0])
     got = np.array([a for _, a in tracker.history])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _both_routes(f, horizons):
+    """One tracker advanced by the batched constant path, one chunk by
+    chunk, to the same horizons."""
+    batched, stepped = (_ArgTracker(f, f.flow.origin(), 0.1) for _ in range(2))
+    for T in horizons:
+        batched.advance_to(T)
+        while stepped.t < T - 1e-9:
+            stepped.advance_chunk()
+    return batched, stepped
+
+
+def _assert_same_walk(batched, stepped):
+    assert batched.steps == stepped.steps and batched.k == stepped.k
+    got, want = np.array(batched.history), np.array(stepped.history)
+    assert np.array_equal(got[:, 0], want[:, 0])
+    # rotation values, the argument over the time
+    assert np.all(np.abs(got[1:, 1] - want[1:, 1]) <= 1e-14 * want[1:, 0])
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
+def test_constant_path_matches_the_chunk_by_chunk_tracker(name):
+    for alpha in np.linspace(-2.0, 6.0, 9):
+        f = perturb_h2(get_preset(name).field, alpha)
+        _assert_same_walk(*_both_routes(f, (32.0, 64.0, 512.0)))
+
+
+@pytest.mark.parametrize("s,c", [(20.0, 4.0), (1.0, 20.0)])
+def test_only_the_chunks_whose_steps_reach_a_quarter_turn_retry(s, c):
+    # H = [[0, s], [-c^2 / s, 0]] turns at rate c, fastest where |z2| is
+    # large: with s = 20 only some chunks need a finer step, with c = 20
+    # every one does
+    f = constant_field([[0.0]], [[-c * c / s]], [[s]])
+    batched, stepped = _both_routes(f, (16.0, 32.0))
+    assert batched.steps > 320
+    _assert_same_walk(batched, stepped)
+    assert abs(batched.arg / batched.t - c) <= 0.1
+
+
+def test_rotation_makes_one_det_call_per_advance(ex3, monkeypatch):
+    dets = count_calls(monkeypatch, np.linalg, "det")
+    advances = count_calls(monkeypatch, _ArgTracker, "advance_to")
+    est = rotation_number(ex3, tol=1e-6)
+    assert est.T_used == 8192.0
+    assert len(dets) == len(advances) == 9
+
+
+@pytest.mark.parametrize("T", [0.0, -4.0, float("nan"), float("inf")])
+def test_rotation_rejects_a_horizon_that_is_not_finite_and_positive(ex3, T):
+    with pytest.raises(ToolkitError):
+        rotation_number(ex3, T=T)
