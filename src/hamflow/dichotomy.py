@@ -193,7 +193,10 @@ def _spectral_point(prop: ChunkedPropagator, th: EDThresholds) -> PointEvidence 
     # eta over 8 chunks, as after a horizon-16 ED verdict of the doubling
     # route: on a constant field from the generator restricted to each
     # plane, otherwise by walking the planes
-    eta = _generator_eta(field.constant_matrix(), beta) if field.is_autonomous else None
+    if field.is_autonomous:
+        eta = _generator_eta(field.constant_matrix(), beta)
+    else:
+        eta = _eta_estimate(prop, lp, lm, beta, 16)
     return PointEvidence(
         omega=omega, verdict="ED", exponents=tuple(chi), margin_history=history,
         frame_agreement=agree, principal_angle=angle, T_used=float(period),
@@ -201,7 +204,7 @@ def _spectral_point(prop: ChunkedPropagator, th: EDThresholds) -> PointEvidence 
         l_minus=SolutionFrame.from_stacked(lm, 0.0, omega),
         reason="Floquet multipliers split off the unit circle",
         beta_point=beta,
-        eta_point=_eta_estimate(prop, lp, lm, beta, 16) if eta is None else eta,
+        eta_point=eta,
     )
 
 
@@ -305,28 +308,30 @@ def _doubling_point(
     )
 
 
-def _generator_eta(H: np.ndarray, beta: float) -> float | None:
+def _generator_eta(H: np.ndarray, beta: float) -> float:
     """Uniformity constant of a constant field from the generator
     restricted to each plane: T the leading block of H's Schur form
     ordered by the sign of the real part, the worst of ||exp(k T)||
     e^{beta k} on the decaying plane and ||exp(-k T)|| e^{beta k} on the
     growing one over k = 1..8, and at least 1.  The other plane never
-    enters, so its growth cannot swamp the decay being measured.  None
-    when the ordered form does not split H into two halves of size n."""
+    enters, so its growth cannot swamp the decay being measured.  Each
+    block is shifted by beta before its exponential, so the powers are
+    the products themselves and neither factor can overflow.
+
+    Only reached with beta >= beta_min > 0: H's eigenvalues pair as
+    lambda <-> -lambda and all have |Re lambda| >= beta, so each ordered
+    form splits off exactly n of them."""
     n = H.shape[0] // 2
     output = "complex" if np.iscomplexobj(H) else "real"
     gens = []
     for sort, sign in (("lhp", 1.0), ("rhp", -1.0)):
-        T, _, sdim = schur(H, output=output, sort=sort)
-        if sdim != n:
-            return None
-        gens.append(sign * T[:n, :n])
+        T = schur(H, output=output, sort=sort)[0]
+        gens.append(sign * T[:n, :n] + beta * np.eye(n))
     E = expm(np.stack(gens))
     powers = [E]
     for _ in range(7):
         powers.append(powers[-1] @ E)
-    norms = np.linalg.norm(np.stack(powers), 2, axis=(-2, -1))
-    return float(max(1.0, np.max(norms * np.exp(beta * np.arange(1.0, 9.0))[:, None])))
+    return float(max(1.0, np.max(np.linalg.norm(np.stack(powers), 2, axis=(-2, -1)))))
 
 
 def _eta_estimate(
@@ -485,10 +490,11 @@ def uwd_test(
     rescales the determinant by a positive factor and so preserves its
     zeros and (real case) sign changes.  On a constant field every chunk
     has the same sample stack, so the whole chunks are one carry of the
-    frames, one product and one determinant call; other fields, and a
-    partial last chunk, take one chunk at a time.  Suspects are sign
-    changes and near-zero dips; the verdict is true when the final half
-    of [0, t_max] is clean, and t0_hat is the last suspect time.
+    frames, one product and one determinant call per block of
+    ``ChunkedPropagator.carry``; other fields, and a partial last chunk,
+    take one chunk at a time.  Suspects are sign changes and near-zero
+    dips; the verdict is true when the final half of [0, t_max] is clean,
+    and t0_hat is the last suspect time.
     """
     if field.is_complex:
         raise InvalidCoefficients("uwd_test requires a real field")
@@ -504,13 +510,12 @@ def uwd_test(
         prop = ChunkedPropagator(field, omega, h=1.0, tol=tol)
         F = np.vstack([np.zeros((n, n)), np.eye(n)])
         whole = int(t_max // prop.h) if field.is_autonomous else 0
-        if whole:
+        for lo, frames in prop.carry(F, whole, per_unit):
             # the whole chunks at the times _chunks gives them
-            ts = (np.arange(whole)[:, None] * prop.h
+            ts = ((lo + np.arange(len(frames) - 1))[:, None] * prop.h
                   + prop.h * np.arange(per_unit + 1) / per_unit)
-            frames = prop.carry(F, whole, per_unit)
             Fs = _at_samples(prop.sampled(0, per_unit), frames[:-1])
-            _uwd_scan(field, omega, ts, Fs, True, tol, suspects, profile)
+            _uwd_scan(field, omega, ts, Fs, lo == 0, tol, suspects, profile)
             F = frames[-1]
         for j, (ts, S) in enumerate(_chunks(prop, t_max, "forward", per_unit, start=whole)):
             Fs = S @ F

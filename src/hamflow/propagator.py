@@ -21,6 +21,7 @@ disconjugacy tests) survives, not the overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -211,6 +212,10 @@ _MAGNUS_MAX_STEPS = 8192
 # form), that one kernel call builds: a batch of chunks is split to stay
 # within it, so memory does not grow with the number of chunks requested
 _MAGNUS_BUDGET = 16384
+# Largest sample stack, in matrix entries, that one block of
+# ``ChunkedPropagator.carry`` spans: a few MiB with its determinants, and
+# 11915 chunks of a one-column frame at ten samples per chunk
+_CARRY_BUDGET = 1 << 18
 
 
 def _commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -434,8 +439,11 @@ def _positive_qr(F: np.ndarray):
     be a (..., 2n, c) stack, factored slice by slice.  A single column is
     divided by its norm (a zero column is kept)."""
     if F.shape[-1] == 1 and F.ndim == 2:
-        # one frame: the scalar route costs less per call
-        r = float(np.linalg.norm(F))
+        # one frame: the norm as np.linalg.norm takes it, without its
+        # dispatch, which costs more than the sum itself
+        x = F.ravel()
+        r = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag) if F.dtype.kind == "c"
+                      else x.dot(x))
         return (F / r if r > 0.0 else F), np.array([[r]])
     if F.shape[-1] == 1:
         # the norms as np.linalg.norm takes them: one BLAS dot per part
@@ -565,31 +573,30 @@ class ChunkedPropagator:
             self._sampled[key] = S
         return S
 
-    def carry(self, F0: np.ndarray, K: int, m: int) -> np.ndarray:
+    def carry(self, F0: np.ndarray, K: int, m: int):
         """The frames at the starts of K + 1 consecutive whole forward
         chunks of a constant field, the first F0: F_{k+1} is the Q of the
         positive QR of P F_k, P = S[-1] the last entry of S = ``sampled(0,
         m)``.  P is where a chunk-by-chunk walk over the samples S F_k
-        ends, so these are that walk's frames.  A (K + 1, 2n, c) stack.
+        ends, so these are that walk's frames.
 
-        A single column has no Gram-Schmidt to keep stable: F_k is the
-        direction of P^k F0, however it was scaled on the way.  Its frames
-        double instead, the same up to rounding: those of chunks L..2L-1
-        are P^L times those of chunks 0..L-1, with P^L squared up and
-        rescaled."""
+        Yields (k, frames) per block of b chunks k..k+b-1: frames is their
+        (b + 1, 2n, c) stack of start frames and the next chunk's, so
+        consecutive blocks share one frame.  A block's samples S F_k hold
+        at most ``_CARRY_BUDGET`` matrix entries, so memory does not grow
+        with K."""
+        if K <= 0:
+            return
         P = self.sampled(0, m)[-1]
-        if np.shape(F0)[-1] == 1:
-            F, M = np.asarray(F0)[None], P
-            while len(F) <= K:
-                F = np.concatenate([F, _positive_qr(M @ F)[0]])
-                M = M @ M
-                M = M / np.max(np.abs(M))
-            return F[:K + 1]
-        F = np.empty((K + 1,) + np.shape(F0), dtype=np.result_type(F0, P))
-        F[0] = F0
-        for k in range(K):
-            F[k + 1], _ = _positive_qr(P @ F[k])
-        return F
+        F0 = np.asarray(F0)
+        per = max(1, _CARRY_BUDGET // ((m + 1) * F0.size))
+        for lo in range(0, K, per):
+            F = np.empty((min(per, K - lo) + 1,) + F0.shape, dtype=np.result_type(F0, P))
+            F[0] = F0
+            for k in range(len(F) - 1):
+                F[k + 1], _ = _positive_qr(P @ F[k])
+            yield lo, F
+            F0 = F[-1]
 
     def pieces(self, k: int, m: int, length: float | None = None) -> np.ndarray:
         """Transfer matrices over each of m equal pieces of the first

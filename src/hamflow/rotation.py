@@ -68,7 +68,8 @@ class _ArgTracker:
     ``ChunkedPropagator.sampled`` stack times F.  A constant field has
     the same stack for every chunk, so ``advance_to`` carries its frames
     first and takes the samples of all its chunks as one product and one
-    determinant call; ``advance_chunk`` is the chunk-by-chunk route."""
+    determinant call per block of ``ChunkedPropagator.carry``;
+    ``advance_chunk`` is the chunk-by-chunk route."""
 
     def __init__(self, field: CoefficientField, omega: BasePoint, dt: float):
         if field.is_complex:
@@ -133,22 +134,31 @@ class _ArgTracker:
             for _ in range(count):
                 self.advance_chunk()
             return
-        frames = self.prop.carry(self.F, count, m)
-        incs = self._increments(_at_samples(self.prop.sampled(0, m), frames[:-1]))
+        S = self.prop.sampled(0, m)
+        for _, frames in self.prop.carry(self.F, count, m):
+            self._advance_block(frames, S, dt)
+
+    def _advance_block(self, frames: np.ndarray, S: np.ndarray, dt: float) -> None:
+        """Advance over the whole chunks of a constant field whose start
+        frames, and the next chunk's, are ``frames``, from their samples
+        S F at the first-try step dt."""
+        m = len(S) - 1
+        h = self.prop.h
+        incs = self._increments(_at_samples(S, frames[:-1]))
         # per chunk, summed in sample order
         sums = np.cumsum(incs, axis=1)[:, -1]
-        ms = np.full(count, m)
+        ms = np.full(len(sums), m)
         for j in np.flatnonzero(~np.all(np.abs(incs) < 0.5 * np.pi, axis=1)):
             # only these chunks go through the dt-halving retry; the frame
             # each ends on is the same whatever the step
             sub, ms[j], _ = self._resolve(self.k + j, frames[j], dt)
             sums[j] = sum(sub.tolist())
         # chunk after chunk, in the order advance_chunk adds them
-        ts = np.cumsum(np.concatenate(([self.t], np.full(count, h))))[1:]
+        ts = np.cumsum(np.concatenate(([self.t], np.full(len(sums), h))))[1:]
         args = np.cumsum(np.concatenate(([self.arg], sums)))[1:]
         self.history.extend(zip(ts.tolist(), args.tolist()))
         self.F = frames[-1]
-        self.k += count
+        self.k += len(sums)
         self.t, self.arg = float(ts[-1]), float(args[-1])
         self.steps += int(ms.sum())
 

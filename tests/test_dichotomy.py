@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamflow.dichotomy as dichotomy
 import hamflow.propagator as propagator
 from hamflow.dichotomy import (
     EDThresholds,
     _doubling_point,
     _eta_estimate,
+    _generator_eta,
     _spectral_point,
     atkinson_check,
     bounded_solution_witness,
@@ -344,6 +346,20 @@ def test_uwd_holds_near_the_regularization_boundary(ex2):
 _ALPHAS = np.linspace(-2.0, 6.0, 17)
 
 
+def _assert_uwd_matches_the_walk(f, t_max):
+    rep = uwd_test(f, t_max=t_max)
+    suspects, profile = uwd_walk_reference(f, f.flow.origin(), t_max)
+    assert list(rep.suspects) == suspects
+    assert rep.verdict == (not any(s > 0.5 * t_max for s in suspects))
+    assert rep.t0_hat == (suspects[-1] if suspects else 0.0)
+    if len(profile) > 800:
+        profile = profile[::len(profile) // 800 + 1]
+    got, want = np.array(rep.min_det_profile), np.array(profile)
+    assert np.array_equal(got[:, 0], want[:, 0])
+    assert np.all(np.abs(got[:, 1] - want[:, 1])
+                  <= 1e-13 * np.maximum(1.0, np.abs(want[:, 1])))
+
+
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
 @pytest.mark.parametrize("t_max", [40.0, 12.5])
 def test_uwd_constant_path_matches_the_chunk_by_chunk_walk(name, t_max):
@@ -351,18 +367,18 @@ def test_uwd_constant_path_matches_the_chunk_by_chunk_walk(name, t_max):
     # partial last one (t_max = 12.5) goes chunk by chunk
     f0 = get_preset(name).field
     for a in _ALPHAS:
-        f = perturb_h2(f0, a)
-        rep = uwd_test(f, t_max=t_max)
-        suspects, profile = uwd_walk_reference(f, f.flow.origin(), t_max)
-        assert list(rep.suspects) == suspects, a
-        assert rep.verdict == (not any(s > 0.5 * t_max for s in suspects))
-        assert rep.t0_hat == (suspects[-1] if suspects else 0.0)
-        if len(profile) > 800:
-            profile = profile[::len(profile) // 800 + 1]
-        got, want = np.array(rep.min_det_profile), np.array(profile)
-        assert np.array_equal(got[:, 0], want[:, 0])
-        assert np.all(np.abs(got[:, 1] - want[:, 1])
-                      <= 1e-13 * np.maximum(1.0, np.abs(want[:, 1]))), a
+        _assert_uwd_matches_the_walk(perturb_h2(f0, a), t_max)
+
+
+@pytest.mark.parametrize("name,alpha", [("ex3", -2.0), ("ex3", 1.0), ("ex4", 0.5)])
+def test_uwd_of_a_long_horizon_goes_in_blocks_of_the_same_walk(monkeypatch, name, alpha):
+    f = perturb_h2(get_preset(name).field, alpha)
+    # three chunks of 21 samples of the 2n x n frame per block
+    monkeypatch.setattr(propagator, "_CARRY_BUDGET", 3 * 21 * 2 * f.n ** 2)
+    blocks = count_calls(monkeypatch, dichotomy, "_at_samples")
+    _assert_uwd_matches_the_walk(f, 40.0)
+    # ceil(40 / 3) blocks
+    assert len(blocks) == 14
 
 
 @pytest.mark.parametrize("name,alpha", [("ex3", 0.0), ("ex4", 0.5)])
@@ -401,11 +417,28 @@ def _lq_field(a: float):
     return constant_field([[a]], [[1.0]], [[1.0]])
 
 
-@pytest.mark.parametrize("a", [-5.0, -20.0, -40.0])
+# At A = -90 the one-chunk monodromy matrix loses its e^{-90} multiplier
+# to rounding, so the spectral route gives way to the plane walk, whose
+# e^{beta k} factor overflows
+_PHI_LOSES_ITS_DECAYING_MULTIPLIER = pytest.mark.xfail(
+    raises=RuntimeWarning, strict=True,
+    reason="the Floquet split of Phi fails and the plane walk overflows")
+
+
+@pytest.mark.parametrize("a", [-5.0, -20.0, -40.0, -100.0, pytest.param(
+    -90.0, marks=_PHI_LOSES_ITS_DECAYING_MULTIPLIER)])
 def test_eta_of_the_stiff_scalar_lq_problems_is_one(a):
     rep = detect_ed(_lq_field(a))
     assert rep.verdict == "ED"
     assert 1.0 <= rep.eta_hat <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("a", [-90.0, -100.0, -300.0])
+def test_generator_eta_does_not_overflow_past_e_to_the_709(a):
+    # beta > 88.7: e^{8 beta} alone is not a float
+    H = _lq_field(a).constant_matrix()
+    beta = float(np.hypot(a, 1.0))
+    assert 1.0 <= _generator_eta(H, beta) <= 1.0 + 1e-9
 
 
 @settings(max_examples=30, deadline=None)

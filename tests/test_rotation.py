@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hamflow.propagator as propagator
 from hamflow.errors import ToolkitError
 from hamflow.hamiltonian import constant_field, perturb_h2
 from hamflow.presets import get_preset
@@ -142,6 +143,17 @@ def test_only_the_chunks_whose_steps_reach_a_quarter_turn_retry(s, c):
     assert batched.steps > 320
     _assert_same_walk(batched, stepped)
     assert abs(batched.arg / batched.t - c) <= 0.1
+
+
+@pytest.mark.parametrize("name", ["ex3", "ex4"])
+def test_long_advances_go_in_blocks_of_the_same_walk(monkeypatch, name):
+    f = perturb_h2(get_preset(name).field, 1.5)
+    # five chunks of 11 samples of the 2n x n frame per block
+    monkeypatch.setattr(propagator, "_CARRY_BUDGET", 5 * 11 * 2 * f.n ** 2)
+    blocks = count_calls(monkeypatch, _ArgTracker, "_advance_block")
+    _assert_same_walk(*_both_routes(f, (32.0, 64.0)))
+    # ceil(32 / 5) blocks per advance
+    assert len(blocks) == 2 * 7
 
 
 def test_rotation_makes_one_det_call_per_advance(ex3, monkeypatch):
