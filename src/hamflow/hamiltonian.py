@@ -272,19 +272,42 @@ class CoefficientField:
         if len(c.K) == 0:
             return np.broadcast_to(c.const, ts.shape + c.const.shape)
         k0, rate = c.phase_rates(self.flow, omega)
-        # the phase is reduced mod 1 before it is scaled by 2 pi; x - floor(x)
-        # is x % 1.0 exactly, at a fraction of the cost
-        phase = k0 + np.multiply.outer(ts, rate)
-        phase -= np.floor(phase)
-        phase *= 2.0 * np.pi
-        L = phase.shape[-1]
-        trig = np.empty(phase.shape[:-1] + (2 * L,))
-        np.cos(phase, out=trig[..., :L])
-        np.sin(phase, out=trig[..., L:])
+        trig = _cos_sin(k0 + np.multiply.outer(ts, rate))
         # one product for all times, not one per leading index
-        H = (trig.reshape(-1, 2 * L) @ c.CS).reshape(ts.shape + c.const.shape)
+        H = (trig.reshape(-1, len(c.CS)) @ c.CS).reshape(ts.shape + c.const.shape)
         H += c.const
         return H
+
+    @cached_property
+    def _real_table(self) -> CompiledField:
+        """``compiled`` in the real form [[X, -Y], [Y, X]] of X + iY."""
+        c, k = self.compiled, 2 * self.n
+        if not self.is_complex:
+            return c
+        return CompiledField(const=_real_form(c.const), K=c.K, CS=_real_form(
+            c.CS.reshape(-1, k, k)).reshape(len(c.CS), -1))
+
+    def moments(self, omega: BasePoint, t0s, offsets, weights) -> np.ndarray:
+        """sum_q weights[s, r, q] H(omega . (t0 + offsets[s, q])) for every
+        start t0 of ``t0s``: a (len(t0s), S, R, k, k) stack, in the real
+        form (k = 4n) where H is complex.  The trig is taken once per start
+        and once per offset, phases reduced mod 1; each start rotates the
+        table (C_j, S_j) by its phase a_j to (cos a_j C_j + sin a_j S_j,
+        cos a_j S_j - sin a_j C_j), and its sums are one product of the
+        weighted offset trig with that.  ``H_at`` is the reference."""
+        c = self._real_table
+        k0, rate = c.phase_rates(self.flow, omega)
+        L = len(rate)
+        a = _cos_sin(k0 + np.multiply.outer(t0s, rate))[:, :, None]
+        C, S = c.CS[:L], c.CS[L:]
+        # the constant is the last row of the table, its weight the last column
+        table = np.concatenate([a[:, :L] * C + a[:, L:] * S, a[:, :L] * S - a[:, L:] * C,
+                                np.broadcast_to(c.const.ravel(), (len(a), 1, c.const.size))],
+                               axis=1)
+        trig = np.concatenate([weights @ _cos_sin(np.multiply.outer(offsets, rate)),
+                               weights.sum(axis=-1)[..., None]], axis=-1)
+        sums = trig.reshape(-1, 2 * L + 1) @ table
+        return sums.reshape((len(a),) + weights.shape[:-1] + c.const.shape)
 
     def constant_matrix(self) -> np.ndarray:
         """The assembled matrix of an autonomous field."""
@@ -409,6 +432,28 @@ class CompiledField:
         else:
             nu = np.asarray(flow.nu, dtype=float)
         return self.K @ omega.as_array(), self.K @ nu
+
+
+def _cos_sin(turns: np.ndarray) -> np.ndarray:
+    """cos and sin of 2 pi turns, concatenated along the last axis, the
+    turns reduced mod 1 first (x - floor(x) is x % 1.0, at less cost)."""
+    phase = turns - np.floor(turns)
+    phase *= 2.0 * np.pi
+    return np.concatenate([np.cos(phase), np.sin(phase)], axis=-1)
+
+
+def _real_form(A: np.ndarray) -> np.ndarray:
+    """A complex stack X + iY as the real [[X, -Y], [Y, X]]; a real one
+    as it is.  Products of tiny complex matrices cost several times those
+    of real ones."""
+    if not np.iscomplexobj(A):
+        return A
+    k = A.shape[-1]
+    R = np.empty(A.shape[:-2] + (2 * k, 2 * k))
+    R[..., :k, :k] = R[..., k:, k:] = A.real
+    R[..., k:, :k] = A.imag
+    np.negative(A.imag, out=R[..., :k, k:])
+    return R
 
 
 def _assemble(H1, H2, H3, dtype) -> np.ndarray:

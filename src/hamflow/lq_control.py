@@ -35,8 +35,8 @@ from ._json import Encodable, jsonable
 from .base_flow import BaseFlow, advance, make_flow
 from .dichotomy import DichotomyReport, detect_ed, nonoscillation_check
 from .errors import InvalidCoefficients, NotSolvable, SingularR, ToolkitError
-from .hamiltonian import BlockMap, CoefficientField, CompiledField, J_matrix
-from .propagator import ChunkedPropagator, _magnus_chunk
+from .hamiltonian import BlockMap, CoefficientField, CompiledField, _real_form
+from .propagator import ChunkedPropagator, _magnus_chunk, _symplectic_inverse
 from .riccati_weyl import _PROPAGATION_TOL, WeylMatrix, weyl_plus
 
 __all__ = [
@@ -219,12 +219,6 @@ class LQSolution(Encodable):
         }
 
 
-def _symplectic_inverse(U: np.ndarray) -> np.ndarray:
-    """U^{-1} = -J U^T J of a symplectic matrix or a stack of them."""
-    J = J_matrix(U.shape[-1] // 2)
-    return -J @ np.swapaxes(U, -1, -2) @ J
-
-
 def synthesize(
     problem: LQProblem,
     T_report: float = 20.0,
@@ -353,9 +347,13 @@ def synthesize(
     tail = 0.5 * c_S * ez * ez / (2.0 * beta) if beta > 0 else float("inf")
     z0n = float(np.linalg.norm(Z[0]))
     if z0n > 0.0:
-        # in logarithms: e^{beta t} overflows where |z| has underflowed
+        # in logarithms: e^{beta t} overflows where |z| has underflowed, and
+        # log |z| = log max|z_i| + log |z / max|z_i||, since the squares of
+        # entries below 1e-154 underflow
+        top = np.max(np.abs(Z), axis=1)
         with np.errstate(divide="ignore"):
-            growth = np.log(np.linalg.norm(Z, axis=1)) + beta * t_eval
+            rest = np.linalg.norm(Z / np.where(top > 0.0, top, 1.0)[:, None], axis=1)
+            growth = np.log(top) + np.log(rest) + beta * t_eval
         decay = float(np.exp(np.max(growth)) / (eta * z0n))
     else:
         decay = 0.0
@@ -402,7 +400,8 @@ def _cost_system(problem: LQProblem, solution: LQSolution, delta_u) -> SimpleNam
       x' = A x + (B u) 1,
       c' = tr(G x x') / 2 + x' g u + (u' R u / 2) 1,
     so c is the running cost.  ``H_at`` reads A and G from one table
-    compiled per call, and u_hat by Horner on the spline pieces."""
+    compiled per call, and u_hat by Horner on the spline pieces;
+    ``moments`` sums its values with the kernel's weights."""
     from scipy.interpolate import CubicSpline
 
     n, m = problem.n, problem.m
@@ -445,7 +444,13 @@ def _cost_system(problem: LQProblem, solution: LQSolution, delta_u) -> SimpleNam
         L[..., -1, one] += 0.5 * np.einsum("si,ij,sj->s", u, problem.R, u).reshape(ts.shape)
         return L
 
-    return SimpleNamespace(n=d // 2, is_complex=dtype is complex, H_at=H_at)
+    def moments(omega, t0s, offsets, weights):
+        L = H_at(omega, np.add.outer(t0s, offsets))
+        sums = weights @ L.reshape(L.shape[:-2] + (d * d,))
+        return _real_form(sums.reshape(sums.shape[:-1] + (d, d)))
+
+    return SimpleNamespace(n=d // 2, is_complex=dtype is complex, H_at=H_at,
+                           moments=moments)
 
 
 def compare_control(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from ._json import Encodable
 from .base_flow import BasePoint
@@ -530,6 +529,8 @@ def stieltjes_invert(
     which converges to the interior measure plus half of each endpoint
     atom; the atoms themselves are the limits of beta Im G(alpha + i beta).
     """
+    from scipy.integrate import quad_vec
+
     if not alpha1 < alpha2:
         raise ValueError("alpha1 < alpha2 required")
     vals = []

@@ -1,10 +1,10 @@
 """Fundamental-matrix and frame propagation for z' = H(omega . t) z.
 
 Constant-coefficient fields take the matrix exponential.  Other fields
-take a sixth-order Magnus kernel: H at the Gauss nodes of the N and 2N
-steps comes from the compiled coefficients in one call, all 3N steps
-are one stack exponential, and the N-step product is compared with the
-2N-step one.  These are the only two routes; the test suite checks both
+take a sixth-order Magnus kernel: the moments of the N and 2N steps
+come from the compiled coefficients in one call, all 3N steps are one
+stack exponential, and the N-step product is compared with the 2N-step
+one.  These are the only two routes; the test suite checks both
 against a dense DOP853 integration of its own (``tests/oracles.py``),
 which evaluates H block by block and shares no code with the kernel.
 Symplectic defects ||U^T J U - J|| are
@@ -121,11 +121,9 @@ class SolutionFrame:
 # Higham (SIAM J. Matrix Anal. Appl. 26, 2005): the largest 1-norm for
 # which the [m/m] Pade approximant of exp is accurate to double precision,
 # and the numerator coefficients b_0..b_m of that approximant
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-               7: 9.504178996162932e-1, 9: 2.097847961257068e0,
-               13: 5.371920351148152e0}
+_PADE_THETA = {5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068e0, 13: 5.371920351148152e0}
 _PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
     5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
     7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
     9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
@@ -135,13 +133,37 @@ _PADE_B = {
          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
          16380.0, 182.0, 1.0),
 }
+# Bader, Blanes and Casas (Mathematics 7, 2019): the largest 1-norm for
+# which the Taylor polynomial of exp of degree m needs no scaling, its
+# tail times e^theta being 2^-53, and the coefficients 1 / j!
+_TAYLOR_THETA = {6: 1.771962949198399e-2, 9: 1.135367072544621e-1}
+_TAYLOR_C = 1.0 / np.array([math.factorial(j) for j in range(10)])
 
 
-def _pade_order(norm: float) -> tuple[int, int]:
-    """Degree m and scaling s of the approximant for largest 1-norm norm."""
-    m = next((d for d in (3, 5, 7, 9) if norm <= _PADE_THETA[d]), 13)
+def _approximant(norm: float) -> tuple:
+    """(function, arguments) of the approximant of exp for a stack of
+    largest 1-norm norm: Taylor of degree m, or Pade of degree m with
+    scaling s."""
+    m = next((d for d in (6, 9) if norm <= _TAYLOR_THETA[d]), None)
+    if m is not None:
+        return _taylor, (m,)
+    m = next((d for d in (5, 7, 9) if norm <= _PADE_THETA[d]), 13)
     s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13])))) if m == 13 else 0
-    return m, s
+    return _pade, (m, s)
+
+
+def _taylor(A: np.ndarray, m: int) -> np.ndarray:
+    """The Taylor polynomial of exp of degree m = 6 or 9, slice by slice of
+    a (..., k, k) array, by Paterson-Stockmeyer in blocks of three powers:
+    3 or 4 batched products."""
+    c, I = _TAYLOR_C, np.eye(A.shape[-1], dtype=A.dtype)
+    A2 = A @ A
+    A3 = A2 @ A
+    P = c[m] * A3 + c[m - 3] * I + c[m - 2] * A + c[m - 1] * A2
+    if m == 9:
+        P = A3 @ P + c[3] * I + c[4] * A + c[5] * A2
+    # adding I last keeps slices of small norm as accurate as scipy's
+    return I + (A + 0.5 * A2 + A3 @ P)
 
 
 def _pade(A: np.ndarray, m: int, s: int) -> np.ndarray:
@@ -181,31 +203,36 @@ def expm(A: np.ndarray) -> np.ndarray:
     (..., N, k, k) batch of such stacks.
 
     A single matrix goes to ``scipy.linalg.expm``.  A stack takes one
-    diagonal Pade approximant r_m with scaling and squaring (Higham 2005)
-    for all its slices: degree m and scaling s follow from the largest
-    1-norm in the stack, and the work is batched products, one batched
-    solve and s batched squarings.  Each stack of a batch gets the m and
-    s it would get alone, so its result does not depend on the other
-    stacks.  r_m(z) r_m(-z) = 1, so the exponential of a Hamiltonian
-    matrix comes out symplectic.  A stack with a non-finite entry comes
-    back as NaN."""
+    approximant for all its slices, chosen by its largest 1-norm: up to
+    0.1135 a Taylor polynomial within unit roundoff of exp, 3 or 4 batched
+    products; above, a diagonal Pade approximant r_m with scaling and
+    squaring (Higham 2005), which adds one batched solve.  Each stack of a
+    batch gets the approximant it would get alone, so its result does not
+    depend on the other stacks.  r_m(z) r_m(-z) = 1, so the exponential of
+    a Hamiltonian matrix comes out symplectic, the Taylor one to rounding.
+    A stack with a non-finite entry comes back as NaN."""
     A = np.asarray(A)
     if A.ndim == 2:
         return scipy.linalg.expm(A)
     stacks = A.reshape((-1,) + A.shape[-3:])
     norms = np.max(np.sum(np.abs(stacks), axis=-2), axis=(-2, -1), initial=0.0)
-    orders = [_pade_order(x) if np.isfinite(x) else None for x in norms]
-    if len(set(orders)) == 1 and orders[0] is not None:
-        return _pade(A, *orders[0])
+    choices = [_approximant(x) if np.isfinite(x) else None for x in norms]
+    if len(set(choices)) == 1 and choices[0] is not None:
+        f, args = choices[0]
+        return f(A, *args)
     out = np.full(stacks.shape, np.nan, dtype=np.result_type(A, float))
-    for order in set(orders) - {None}:
-        sel = [i for i, o in enumerate(orders) if o == order]
-        out[sel] = _pade(stacks[sel], *order)
+    for f, args in set(choices) - {None}:
+        sel = [i for i, c in enumerate(choices) if c == (f, args)]
+        out[sel] = f(stacks[sel], *args)
     return out.reshape(A.shape)
 
 
-# Gauss-Legendre nodes of the sixth-order commutator Magnus step
+# Gauss-Legendre nodes of the sixth-order commutator Magnus step, and the
+# map from h H at them to the step's moments a1, a2, a3
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
+_NODE_MOMENTS = np.array([[0.0, 1.0, 0.0],
+                          [-np.sqrt(15.0) / 3.0, 0.0, np.sqrt(15.0) / 3.0],
+                          [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
 _MAGNUS_MIN_STEPS = 32
 _MAGNUS_MAX_STEPS = 8192
 # Largest step stack, counted in matrix entries (steps x k^2 in the real
@@ -222,26 +249,10 @@ def _commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
 
 
-def _real_form(A: np.ndarray) -> np.ndarray:
-    """A complex stack X + iY as the real [[X, -Y], [Y, X]]; a real one
-    as it is.  Products of tiny complex matrices cost several times those
-    of real ones."""
-    if not np.iscomplexobj(A):
-        return A
-    k = A.shape[-1]
-    R = np.empty(A.shape[:-2] + (2 * k, 2 * k))
-    R[..., :k, :k] = R[..., k:, k:] = A.real
-    R[..., k:, :k] = A.imag
-    np.negative(A.imag, out=R[..., :k, k:])
-    return R
-
-
-def _magnus_exponent(A: np.ndarray) -> np.ndarray:
-    """The exponent of one sixth-order commutator Magnus step from h H at
-    its three Gauss nodes: (..., 3, k, k) -> (..., k, k)."""
-    a1 = A[..., 1, :, :]
-    a2 = (np.sqrt(15.0) / 3.0) * (A[..., 2, :, :] - A[..., 0, :, :])
-    a3 = (10.0 / 3.0) * (A[..., 2, :, :] - 2.0 * A[..., 1, :, :] + A[..., 0, :, :])
+def _magnus_exponent(a: np.ndarray) -> np.ndarray:
+    """The exponent of one sixth-order commutator Magnus step from its
+    moments a1, a2, a3: (..., 3, k, k) -> (..., k, k)."""
+    a1, a2, a3 = a[..., 0, :, :], a[..., 1, :, :], a[..., 2, :, :]
     C1 = _commutator(a1, a2)
     C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
     return a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0
@@ -252,16 +263,16 @@ def _magnus_steps(field: CoefficientField, omega: BasePoint, t0s: np.ndarray,
     """The step exponentials of N sixth-order Magnus steps over
     [t0, t0 + span] for every N in ``Ns`` and every start t0 of ``t0s``:
     per start the N-step stacks concatenated, (len(t0s), sum Ns, 2n, 2n)
-    in all, from one ``H_at`` and one ``expm`` call.  A complex field's
+    in all, from one ``moments`` and one ``expm`` call.  A complex field's
     steps come in the real form, (len(t0s), sum Ns, 4n, 4n).
 
     The step is the commutator form of Blanes, Casas and Ros (BIT 40,
     2000) with H at three Gauss nodes; each step is the exponential of a
     Hamiltonian matrix, so it is symplectic."""
-    h = np.concatenate([np.full(N, span / N) for N in Ns])[:, None, None, None]
+    h = np.concatenate([np.full(N, span / N) for N in Ns])
     ts = np.concatenate([span / N * (np.arange(N)[:, None] + _GAUSS_NODES) for N in Ns])
-    # nested, so that the node stack is freed before the exponentials
-    return expm(_magnus_exponent(_real_form(h * field.H_at(omega, t0s[:, None, None] + ts))))
+    # nested, so that the moment stack is freed before the exponentials
+    return expm(_magnus_exponent(field.moments(omega, t0s, ts, h[:, None, None] * _NODE_MOMENTS)))
 
 
 def _step_products(E: np.ndarray, m: int, cumulative: bool = True) -> np.ndarray:
@@ -461,6 +472,13 @@ def _positive_qr(F: np.ndarray):
     return Q, R
 
 
+def _symplectic_inverse(U: np.ndarray) -> np.ndarray:
+    """U^{-1} = -J U^T J of a symplectic matrix or a stack of them; the
+    plain transpose serves complex U too, since U^T J U = J."""
+    J = J_matrix(U.shape[-1] // 2)
+    return -J @ np.swapaxes(U, -1, -2) @ J
+
+
 def _at_samples(S: np.ndarray, F: np.ndarray) -> np.ndarray:
     """S[j] F[k] for every map S[j] of an (m + 1, 2n, 2n) sample stack
     and every frame F[k] of a (K, 2n, c) stack, from one matrix product:
@@ -473,8 +491,9 @@ class ChunkedPropagator:
 
     Chunk k >= 0 covers [k h, (k+1) h] forward; chunk k < 0 covers
     [k h, (k+1) h] as well (so chunk -1 is [-h, 0]).  ``forward(k)``
-    maps z(k h) to z((k+1) h); ``backward(k)`` is its inverse, computed
-    by integrating in reverse rather than by matrix inversion.
+    maps z(k h) to z((k+1) h); ``backward(k)`` is its inverse, the
+    symplectic inverse -J forward(k)^T J, so a reverse walk reuses the
+    forward chunks.
     ``sampled`` adds the transfer matrices to points inside a chunk, so
     one propagation serves every initial condition as a product U(t) X.
     ``fill`` computes every missing chunk of a range in one kernel call;
@@ -509,20 +528,22 @@ class ChunkedPropagator:
     def fill(self, chunks: Sequence[int], direction: str = "forward",
              m: int | None = None) -> None:
         """Compute every missing chunk among ``chunks`` with one Magnus
-        kernel call: the transfer matrices that ``forward``/``backward``
-        serve, or with m the sampled stacks that ``sampled(k, m,
+        kernel call: the transfer matrices that ``forward`` serves, and
+        the inverses of those that ``backward`` serves, or with m the
+        sampled stacks, integrated in ``direction``, that ``sampled(k, m,
         direction)`` serves.  Constant fields have nothing to fill."""
         if self.field.is_autonomous:
             return
         sign = 1.0 if direction == "forward" else -1.0
-        if m is None:
-            cache = self._fwd if sign > 0 else self._bwd
-            key = lambda k: k
-        else:
-            cache = self._sampled
-            key = lambda k: (k, sign, m, self.h)
+        cache = self._sampled if m else self._fwd if sign > 0 else self._bwd
+        key = (lambda k: (k, sign, m, self.h)) if m else (lambda k: k)
         missing = [k for k in dict.fromkeys(chunks) if key(k) not in cache]
         if not missing:
+            return
+        if cache is self._bwd:
+            self.fill(missing)
+            self._bwd.update(zip(missing, _symplectic_inverse(
+                np.stack([self._fwd[k] for k in missing]))))
             return
         S = _magnus_chunk(self.field, self.omega, self._starts(missing, sign),
                           sign * self.h, m or 1, self.tol)

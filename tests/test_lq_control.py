@@ -253,6 +253,17 @@ def test_truncation_bound_of_a_stiff_problem_bounds_its_tail():
     assert s.truncation_bound <= 2.0 * tail
 
 
+def test_decay_margin_of_a_stiff_problem_survives_underflow():
+    # A = -20 over T = 20: |z(t)| e^{beta t} = |z(0)|, so the margin is
+    # 1 / eta, though |z| falls below 1e-154, where its square underflows;
+    # the tail bound, about 1e-347, may underflow to 0
+    p = LQProblem.from_data([[-20.0]], [[1.0]], [[1.0]], x0=[1.0])
+    s = synthesize(p, T_report=20.0)
+    assert abs(s.x[-1, 0]) < 1e-154
+    assert abs(s.decay_margin - 1.0 / s.eta_hat) <= 1e-9
+    assert 0.0 <= s.truncation_bound < 1e-300
+
+
 @pytest.mark.parametrize("n_samples", [5, 401])
 def test_stiff_periodic_problem_keeps_its_accuracy(n_samples):
     """A = -20 + 15 cos(2 pi t / 4): at samples a whole number of periods
@@ -315,6 +326,14 @@ def test_import_loads_no_spline_module():
             "assert 'scipy.interpolate' not in sys.modules; "
             "hamflow.synthesize(scalar_lq_problem()); "
             "assert 'scipy.interpolate' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_integrate_or_optimize_module():
+    code = ("import sys, hamflow; "
+            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate'; "
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

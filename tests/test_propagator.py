@@ -301,14 +301,13 @@ def _nilpotent(n, norm, dtype):
     return H
 
 
-def _pade_branch(stack):
-    """(degree, scaling) the stack exponential picks for this stack."""
-    from hamflow.propagator import _PADE_THETA
+def _branch(stack):
+    """(approximant, degree, scaling) the stack exponential picks for this
+    stack."""
+    from hamflow.propagator import _approximant
 
-    norm = np.abs(stack).sum(-2).max()
-    m = next((d for d in (3, 5, 7, 9) if norm <= _PADE_THETA[d]), 13)
-    s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13])))) if m == 13 else 0
-    return m, s
+    f, args = _approximant(np.abs(stack).sum(-2).max())
+    return (f.__name__,) + tuple(args) + (0,) * (2 - len(args))
 
 
 def _slice_rel_err(got, want):
@@ -316,12 +315,14 @@ def _slice_rel_err(got, want):
                   / np.linalg.norm(want, 2, axis=(-2, -1)))
 
 
-# (1-norm of the random slices, of the nilpotent one): each Pade degree
-# (3, 5, 7, 9, 13) just below and just above the limits between them; a
-# nilpotent slice of 1-norm 20 puts the last stack on the scaling branch
-STACK_NORMS = [(1e-3, 1e-3), (0.0135, 0.0135), (0.0165, 0.0165), (0.228, 0.228),
-               (0.28, 0.28), (0.855, 0.855), (1.05, 1.05), (1.89, 1.89), (2.3, 2.3),
-               (3.0, 3.0), (3.0, 20.0)]
+# (1-norm of the random slices, of the nilpotent one): each Taylor degree
+# (6, 9) and Pade degree (5, 7, 9, 13) just below and just above the
+# limits between them; a nilpotent slice of 1-norm 20 puts the last stack
+# on the scaling branch
+STACK_NORMS = [(1e-3, 1e-3), (0.0135, 0.0135), (0.0175, 0.0175), (0.018, 0.018),
+               (0.112, 0.112), (0.115, 0.115), (0.228, 0.228), (0.28, 0.28),
+               (0.855, 0.855), (1.05, 1.05), (1.89, 1.89), (2.3, 2.3), (3.0, 3.0),
+               (3.0, 20.0)]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -338,7 +339,7 @@ def test_stack_expm_matches_scipy_slice_by_slice(n, complex_):
         H = np.concatenate([_with_norm(_hamiltonian_stack(rng, n, 6, complex_), norm),
                             np.zeros((1, 2 * n, 2 * n), dtype=dtype),
                             _nilpotent(n, nil_norm, dtype)[None]])
-        branches.add(_pade_branch(H))
+        branches.add(_branch(H))
         E = expm(H)
         assert E.dtype == dtype
         want = np.stack([scipy.linalg.expm(h) for h in H])
@@ -347,8 +348,9 @@ def test_stack_expm_matches_scipy_slice_by_slice(n, complex_):
         assert _slice_rel_err(E, want) <= (2e-15 if norm < 1.0 else 1e-13)
         np.testing.assert_array_equal(E[-2], np.eye(2 * n))
         np.testing.assert_allclose(E[-1], np.eye(2 * n) + H[-1], rtol=1e-15, atol=1e-15)
-    assert {m for m, _ in branches} == {3, 5, 7, 9, 13}
-    assert max(s for _, s in branches) > 0
+    assert {b[:2] for b in branches} == {("_taylor", 6), ("_taylor", 9), ("_pade", 5),
+                                         ("_pade", 7), ("_pade", 9), ("_pade", 13)}
+    assert max(s for _, _, s in branches) > 0
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -400,6 +402,25 @@ def test_stack_expm_of_a_non_finite_slice_is_non_finite():
         assert not np.all(np.isfinite(E))
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_taylor_stack_expm_matches_the_exact_exponential(n):
+    # just below 1-norm theta_6 and theta_9 the stack exponential is a
+    # Taylor polynomial whose tail stays below unit roundoff, so it is
+    # within a few roundoffs of a 40-digit exponential
+    import mpmath
+
+    from hamflow.propagator import _TAYLOR_THETA, expm
+
+    rng = np.random.default_rng(40 + n)
+    for m, theta in _TAYLOR_THETA.items():
+        H = _with_norm(_hamiltonian_stack(rng, n, 6, False), 0.999 * theta)
+        assert _branch(H) == ("_taylor", m, 0)
+        with mpmath.workdps(40):
+            want = np.stack([np.array(mpmath.expm(mpmath.matrix(h.tolist())).tolist(),
+                                      dtype=float) for h in H])
+        assert _slice_rel_err(expm(H), want) <= 4e-16
+
+
 def test_batched_stack_expm_takes_each_stack_alone():
     # stacks of a batch get the Pade degree and scaling of their own
     # norms, so each comes out as it would alone, a non-finite one too
@@ -418,38 +439,109 @@ def test_batched_stack_expm_takes_each_stack_alone():
 
 def test_one_stack_exponential_and_one_H_evaluation_per_accepted_attempt(monkeypatch,
                                                                          torus_demo):
-    # weyl_plus(torus-demo) carries two seeds over 64 unit chunks; every
-    # chunk settles on its first N = 32 / 2N = 64 attempt.  The 64 chunks
-    # are one range, computed once each in two kernel calls: 42 chunks of
-    # 96 steps of 2 x 2 fill the 16384-entry budget.
+    # weyl_plus(torus-demo) carries two seeds over 64 unit chunks backward;
+    # every chunk settles on its first N = 32 / 2N = 64 attempt.  The 64
+    # chunks are one range of forward chunks, inverted, computed once each
+    # in two kernel calls: 42 chunks of 96 steps of 2 x 2 fill the
+    # 16384-entry budget.  Each call takes its moments in one evaluation.
     import hamflow.propagator as propagator
     from hamflow import weyl_plus
     from hamflow.hamiltonian import CoefficientField
 
-    calls = {"expm": 0, "H_at": 0}
+    calls = {"expm": 0, "moments": 0}
     starts = []
-    expm, H_at, steps = propagator.expm, CoefficientField.H_at, propagator._magnus_steps
+    expm, moments, steps = propagator.expm, CoefficientField.moments, propagator._magnus_steps
 
     def counted_expm(A):
         calls["expm"] += 1
         return expm(A)
 
-    def counted_H_at(field, omega, ts):
-        calls["H_at"] += 1
-        return H_at(field, omega, ts)
+    def counted_moments(field, omega, t0s, offsets, weights):
+        calls["moments"] += 1
+        return moments(field, omega, t0s, offsets, weights)
 
     def counted_steps(field, omega, t0s, span, Ns):
-        assert tuple(Ns) == (32, 64)
+        assert tuple(Ns) == (32, 64) and span == 1.0
         starts.extend(t0s.tolist())
         return steps(field, omega, t0s, span, Ns)
     monkeypatch.setattr(propagator, "expm", counted_expm)
-    monkeypatch.setattr(CoefficientField, "H_at", counted_H_at)
+    monkeypatch.setattr(CoefficientField, "moments", counted_moments)
     monkeypatch.setattr(propagator, "_magnus_steps", counted_steps)
     W = weyl_plus(torus_demo, torus_demo.flow.origin(), lam=0.0)
     assert W.T_used == 64.0
-    # backward chunk k starts at k + 1
-    assert sorted(starts) == [float(k) for k in range(1, 65)]
-    assert calls == {"expm": 2, "H_at": 2}
+    # backward chunk k is the inverse of forward chunk k, which starts at k
+    assert sorted(starts) == [float(k) for k in range(64)]
+    assert calls == {"expm": 2, "moments": 2}
+
+
+def _node_sums(weights, H):
+    """The kernel's weights applied to H at the Gauss nodes of each step."""
+    from hamflow.hamiltonian import _real_form
+
+    return np.einsum("srq,tsqab->tsrab", weights, _real_form(H))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS) + ["periodic"])
+@pytest.mark.parametrize("span", [1.0, -1.0, 0.37])
+def test_moments_match_the_node_route(name, span):
+    # the moments of the N = 32 and 2N steps from the rotated table against
+    # the same weights applied to H_at at every node, and at one start to
+    # the block-by-block H_of_t; starts up to 31, where H_at's own phase
+    # rounding stays below 1e-13
+    from hamflow.propagator import _GAUSS_NODES, _NODE_MOMENTS
+
+    from conftest import random_periodic_field
+
+    if name == "periodic":
+        f, omega = random_periodic_field(np.random.default_rng(3), 2, 4.0), BasePoint((0.3,))
+    else:
+        f, omega = KERNEL_FIELDS[name], KERNEL_OMEGA
+    h = np.concatenate([np.full(N, span / N) for N in (32, 64)])
+    ts = np.concatenate([span / N * (np.arange(N)[:, None] + _GAUSS_NODES) for N in (32, 64)])
+    weights = h[:, None, None] * _NODE_MOMENTS
+    starts = np.array([-8.0, -3.0, 0.0, 0.4, 7.5, 31.0])
+    got = f.moments(omega, starts, ts, weights)
+    assert got.shape == (6, 96, 3) + (4 * f.n if f.is_complex else 2 * f.n,) * 2
+    want = _node_sums(weights, f.H_at(omega, starts[:, None, None] + ts))
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+    H = f.H_of_t(omega)
+    ref = _node_sums(weights, np.array([[[H(starts[3] + t) for t in row] for row in ts]]))
+    assert np.max(np.abs(got[3] - ref[0])) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_backward_chunks_match_the_reverse_integrated_chunks(name):
+    # backward(k) is the symplectic inverse of forward(k), also at complex
+    # lambda; integrated in reverse from (k + 1) h it is the same map
+    from hamflow.propagator import _magnus_chunk
+
+    f = KERNEL_FIELDS[name]
+    prop = ChunkedPropagator(f, KERNEL_OMEGA)
+    ks = [-5, -1, 0, 3]
+    prop.fill(ks, "backward")
+    want = _magnus_chunk(f, KERNEL_OMEGA, [k + 1.0 for k in ks], -1.0, 1, prop.tol)[:, -1]
+    for k, w in zip(ks, want):
+        assert _rel_err(prop.backward(k), w) <= 1e-14
+
+
+def test_detect_ed_on_a_torus_field_computes_only_forward_chunks(monkeypatch, torus_demo):
+    # the lp walk and the eta walk run over the inverses of the chunks of
+    # qr_exponents and of the lm walk, so the kernel sees each forward
+    # start of -16..15 once
+    import hamflow.propagator as propagator
+    from hamflow import detect_ed
+
+    starts = []
+    kernel = propagator._magnus_chunk
+
+    def recorded(field, omega, t0s, span, m, tol, cumulative=True):
+        assert (span, m) == (1.0, 1)
+        starts.extend(np.asarray(t0s).tolist())
+        return kernel(field, omega, t0s, span, m, tol, cumulative)
+    monkeypatch.setattr(propagator, "_magnus_chunk", recorded)
+    assert detect_ed(torus_demo, torus_demo.flow.origin()).verdict == "ED"
+    assert sorted(starts) == [float(k) for k in range(-16, 16)]
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))

@@ -149,13 +149,14 @@ def test_constant_field_with_imaginary_eigenvalues_has_no_weyl_function(monkeypa
 
 def test_weyl_seeds_share_one_chunk_cache(monkeypatch, torus_demo):
     # two random seeds, T doubled to 64: one stacked walk over the first
-    # four horizons, whose 64 chunks are one kernel call, each chunk once
+    # four horizons, whose 64 chunks are one kernel call, each chunk once;
+    # the walk runs backward over the inverses of the forward chunks
     integrations = _counting(monkeypatch, propagator, "_magnus_chunk")
     W = weyl_plus(torus_demo, torus_demo.flow.origin(), lam=0.0)
     assert W.T_used == 64.0
     assert len(integrations) == 1
     starts = integrations[0][2]
-    assert sorted(starts) == [float(k) for k in range(1, 65)]
+    assert sorted(starts) == [float(k) for k in range(64)]
 
 
 def test_weyl_minus_matches_unstable_schur_oracle():
