@@ -134,34 +134,30 @@ _PADE_B = {
          16380.0, 182.0, 1.0),
 }
 # Bader, Blanes and Casas (Mathematics 7, 2019): the largest 1-norm for
-# which the Taylor polynomial of exp of degree m needs no scaling, its
+# which the Taylor polynomial of exp of degree 9 needs no scaling, its
 # tail times e^theta being 2^-53, and the coefficients 1 / j!
-_TAYLOR_THETA = {6: 1.771962949198399e-2, 9: 1.135367072544621e-1}
+_TAYLOR_THETA = 1.135367072544621e-1
 _TAYLOR_C = 1.0 / np.array([math.factorial(j) for j in range(10)])
 
 
 def _approximant(norm: float) -> tuple:
     """(function, arguments) of the approximant of exp for a stack of
-    largest 1-norm norm: Taylor of degree m, or Pade of degree m with
-    scaling s."""
-    m = next((d for d in (6, 9) if norm <= _TAYLOR_THETA[d]), None)
-    if m is not None:
-        return _taylor, (m,)
+    largest 1-norm norm: Taylor, or Pade of degree m with scaling s."""
+    if norm <= _TAYLOR_THETA:
+        return _taylor, ()
     m = next((d for d in (5, 7, 9) if norm <= _PADE_THETA[d]), 13)
     s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13])))) if m == 13 else 0
     return _pade, (m, s)
 
 
-def _taylor(A: np.ndarray, m: int) -> np.ndarray:
-    """The Taylor polynomial of exp of degree m = 6 or 9, slice by slice of
-    a (..., k, k) array, by Paterson-Stockmeyer in blocks of three powers:
-    3 or 4 batched products."""
+def _taylor(A: np.ndarray) -> np.ndarray:
+    """The Taylor polynomial of exp of degree 9, slice by slice of a
+    (..., k, k) array, by Paterson-Stockmeyer in blocks of three powers:
+    4 batched products."""
     c, I = _TAYLOR_C, np.eye(A.shape[-1], dtype=A.dtype)
     A2 = A @ A
     A3 = A2 @ A
-    P = c[m] * A3 + c[m - 3] * I + c[m - 2] * A + c[m - 1] * A2
-    if m == 9:
-        P = A3 @ P + c[3] * I + c[4] * A + c[5] * A2
+    P = A3 @ (c[9] * A3 + c[6] * I + c[7] * A + c[8] * A2) + c[3] * I + c[4] * A + c[5] * A2
     # adding I last keeps slices of small norm as accurate as scipy's
     return I + (A + 0.5 * A2 + A3 @ P)
 
@@ -204,8 +200,8 @@ def expm(A: np.ndarray) -> np.ndarray:
 
     A single matrix goes to ``scipy.linalg.expm``.  A stack takes one
     approximant for all its slices, chosen by its largest 1-norm: up to
-    0.1135 a Taylor polynomial within unit roundoff of exp, 3 or 4 batched
-    products; above, a diagonal Pade approximant r_m with scaling and
+    0.1135 the degree-9 Taylor polynomial, within unit roundoff of exp, 4
+    batched products; above, a diagonal Pade approximant r_m with scaling and
     squaring (Higham 2005), which adds one batched solve.  Each stack of a
     batch gets the approximant it would get alone, so its result does not
     depend on the other stacks.  r_m(z) r_m(-z) = 1, so the exponential of
@@ -554,6 +550,8 @@ class ChunkedPropagator:
         return self._unit(self._fwd, k, "forward")
 
     def backward(self, k: int) -> np.ndarray:
+        """-J forward(k)^T J: the inverse only for H Hamiltonian at every
+        time, which ``CoefficientField.validate`` checks per coefficient."""
         return self._unit(self._bwd, k, "backward")
 
     def _unit(self, cache: dict, k: int, direction: str) -> np.ndarray:

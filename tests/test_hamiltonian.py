@@ -118,6 +118,23 @@ def test_asymmetric_h2_is_rejected():
         )
 
 
+@pytest.mark.parametrize("block", ["H2", "H3", "Delta"])
+@pytest.mark.parametrize("im", [0.0, 0.5])
+def test_an_antisymmetric_sin_term_is_rejected(block, im):
+    # sin vanishes at the origin, so only a check of every coefficient sees
+    # this term; a pair that cancels once k and -k are merged is symmetric
+    anti = {"re": [[0.0, 0.3], [-0.3, 0.0]], "im": [[0.0, im], [-im, 0.0]]}
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    data = {"n": 2, "flow": {"kind": "torus", "nu": [1.0, 1.618033988749895]},
+            "H1": [[-1.0, 0.2], [0.0, -1.0]], "H2": eye, "H3": eye, "Delta": eye}
+    data[block] = [{"k": [0, 0], "cos": eye}, {"k": [1, -1], "sin": anti},
+                   {"k": [-1, 1], "sin": anti}]
+    field_from_dict(data)
+    data[block] = data[block][:2]
+    with pytest.raises(InvalidCoefficients, match=f"{block} not symmetric"):
+        field_from_dict(data)
+
+
 def test_field_from_dict_roundtrip():
     f = get_preset("torus-demo").field
     g = field_from_dict(json.loads(json.dumps(f.to_dict())))
