@@ -2,16 +2,19 @@
 the Atkinson positivity check, and the O1/O2 classification of
 perturbation families.
 
-On constant and periodic fields, dichotomy detection first reads the
-multipliers of the one-period monodromy matrix: ED holds exactly when
-none lies on the unit circle.  Where that split is not clear, and on
-torus fields, detection is finite-time: exponents come from a chunked QR
-decomposition of the transfer operators at horizon T, and the decaying
-planes from carrying a generic seed plane in from +-T.  Both are doubled
-in T until they stabilize, and the verdict is three-valued because a
-uniform dichotomy is an asymptotic property that a finite computation
-can only support, never certify.  Every report embeds the thresholds it
-was judged against.
+Dichotomy detection first reads the Floquet exponents: on a constant
+field the real parts of H's eigenvalues, with the planes from H's own
+ordered Schur forms, on a periodic one log|multiplier| / period of the
+one-period monodromy matrix.  ED holds exactly when none is 0.  Where
+that split is not clear, and on torus fields, detection is finite-time:
+exponents come from a chunked QR decomposition of the transfer operators
+at horizon T, and the decaying planes from carrying a generic seed plane
+in from +-T.  Both are doubled in T until they stabilize, and the verdict
+is three-valued because a uniform dichotomy is an asymptotic property
+that a finite computation can only support, never certify.  Every report
+embeds the thresholds it was judged against.  On a constant field the
+whole chunks of the Gram and witness scans are one Gram congruence sum
+and one carried batch.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import schur
 
 from ._json import Encodable
 from .base_flow import BasePoint
@@ -148,27 +150,29 @@ def _analyze_point(
 
 
 def _spectral_point(prop: ChunkedPropagator, th: EDThresholds) -> PointEvidence | None:
-    """Verdict from the multipliers of the one-period monodromy matrix
-    (one chunk's expm for a constant field, which is periodic with any
-    period): a multiplier on the unit circle rules ED out, and a clean
-    split off it with transversal, well-conditioned invariant subspaces
-    is ED with the exact rate.  None when neither is clear, and on torus
-    flows, which have no period."""
+    """Verdict from the Floquet exponents (see the module docstring; a
+    constant field is periodic with any period, one chunk): an exponent 0
+    rules ED out, and a clean split of the ordered Schur forms with
+    transversal, well-conditioned invariant subspaces is ED with the exact
+    rate.  None when neither is clear, and on torus flows."""
     field, omega = prop.field, prop.omega
-    if field.is_autonomous:
-        Phi, period = prop.forward(0), prop.h
+    constant = field.is_autonomous
+    if constant:
+        M, period = field.constant_matrix(), prop.h
     elif field.flow.kind == "periodic":
         period = field.flow.period
-        Phi = transfer_matrix(field, omega, 0.0, period, tol=_PROPAGATION_TOL)
+        M = transfer_matrix(field, omega, 0.0, period, tol=_PROPAGATION_TOL)
     else:
         return None
-    if not np.all(np.isfinite(Phi)):
+    if not np.all(np.isfinite(M)):
         return None
-    # Phi is symplectic, so its multipliers pair as mu <-> 1/mu: the
-    # decaying exponents are the negated growing ones (a decaying
-    # multiplier may underflow to 0)
-    mods = np.sort(np.abs(np.linalg.eigvals(Phi)))[field.n:]
-    grow = np.log(mods) / period
+    # the spectrum pairs as mu <-> 1/mu (lambda <-> -lambda): the decaying
+    # exponents are the negated growing ones (a decaying multiplier may
+    # underflow to 0)
+    if constant:
+        grow = np.sort(np.linalg.eigvals(M).real)[field.n:]
+    else:
+        grow = np.log(np.sort(np.abs(np.linalg.eigvals(M)))[field.n:]) / period
     chi = np.sort(np.concatenate([grow, -grow]))[::-1]
     beta = float(np.min(np.abs(chi)))
     history = ((float(period), beta),)
@@ -182,8 +186,8 @@ def _spectral_point(prop: ChunkedPropagator, th: EDThresholds) -> PointEvidence 
     if beta < th.beta_min:
         return None
     try:
-        lp, err_p, _ = _floquet_split(Phi, "plus")
-        lm, err_m, _ = _floquet_split(Phi, "minus")
+        lp, err_p, _, T_plus = _floquet_split(M, "plus", constant)
+        lm, err_m, _, T_minus = _floquet_split(M, "minus", constant)
     except ToolkitError:
         return None
     agree = max(err_p, err_m)
@@ -193,8 +197,8 @@ def _spectral_point(prop: ChunkedPropagator, th: EDThresholds) -> PointEvidence 
     # eta over 8 chunks, as after a horizon-16 ED verdict of the doubling
     # route: on a constant field from the generator restricted to each
     # plane, otherwise by walking the planes
-    if field.is_autonomous:
-        eta = _generator_eta(field.constant_matrix(), beta)
+    if constant:
+        eta = _generator_eta(T_plus, T_minus, beta)
     else:
         eta = _eta_estimate(prop, lp, lm, beta, 16)
     return PointEvidence(
@@ -308,26 +312,22 @@ def _doubling_point(
     )
 
 
-def _generator_eta(H: np.ndarray, beta: float) -> float:
+def _generator_eta(T_plus: np.ndarray, T_minus: np.ndarray, beta: float) -> float:
     """Uniformity constant of a constant field from the generator
-    restricted to each plane: T the leading block of H's Schur form
-    ordered by the sign of the real part, the worst of ||exp(k T)||
-    e^{beta k} on the decaying plane and ||exp(-k T)|| e^{beta k} on the
-    growing one over k = 1..8, and at least 1.  The other plane never
-    enters, so its growth cannot swamp the decay being measured.  Each
-    block is shifted by beta before its exponential, so the powers are
-    the products themselves and neither factor can overflow.
+    restricted to each plane: T_plus (T_minus) the leading block of H's
+    Schur form ordered by negative (positive) real part first, the worst
+    of ||exp(k T_plus)|| e^{beta k} on the decaying plane and
+    ||exp(-k T_minus)|| e^{beta k} on the growing one over k = 1..8, and
+    at least 1.  The other plane never enters, so its growth cannot swamp
+    the decay being measured.  Each block is shifted by beta before its
+    exponential, so the powers are the products themselves and neither
+    factor can overflow.
 
     Only reached with beta >= beta_min > 0: H's eigenvalues pair as
     lambda <-> -lambda and all have |Re lambda| >= beta, so each ordered
     form splits off exactly n of them."""
-    n = H.shape[0] // 2
-    output = "complex" if np.iscomplexobj(H) else "real"
-    gens = []
-    for sort, sign in (("lhp", 1.0), ("rhp", -1.0)):
-        T = schur(H, output=output, sort=sort)[0]
-        gens.append(sign * T[:n, :n] + beta * np.eye(n))
-    E = expm(np.stack(gens))
+    shift = beta * np.eye(T_plus.shape[0])
+    E = expm(np.stack([T_plus + shift, -T_minus + shift]))
     powers = [E]
     for _ in range(7):
         powers.append(powers[-1] @ E)
@@ -342,13 +342,13 @@ def _eta_estimate(
     m: int,
 ) -> float:
     """Uniformity constant: worst ratio of actual to ideal e^{-beta t} decay
-    along the carried planes.  The walk stops at half the carry horizon:
-    beyond that the planes' own truncation error grows faster than the
-    decay being measured."""
+    along the carried planes, inf beyond the float range.  The walk stops
+    at half the carry horizon: beyond that the planes' own truncation
+    error grows faster than the decay being measured."""
     m = max(1, m // 2)
     prop.fill(range(m), "forward")
     prop.fill(range(-m, 0), "backward")
-    eta = 1.0
+    log_eta = 0.0
     for frame, direction in ((lp, "forward"), (lm, "backward")):
         F = frame
         logc = 0.0
@@ -359,9 +359,10 @@ def _eta_estimate(
             Q, R = _positive_qr(F)
             growth = float(np.linalg.norm(R, 2))
             logc += np.log(max(growth, 1e-300))
-            eta = max(eta, float(np.exp(logc + beta * (k + 1))))
+            log_eta = max(log_eta, logc + beta * (k + 1))
             F = Q
-    return eta
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_eta))
 
 
 def detect_ed(
@@ -372,9 +373,9 @@ def detect_ed(
 ) -> DichotomyReport:
     """Three-valued exponential-dichotomy detector.
 
-    Per sampled base point of a constant or periodic field, the Floquet
-    multipliers decide when they are clearly on the unit circle (noED) or
-    clearly split off it (ED, with beta the smallest |Floquet exponent|).
+    Per sampled base point of a constant field (from H itself) or a
+    periodic one, the Floquet exponents decide when one is clearly 0
+    (noED) or all are clearly off 0 (ED, beta the smallest in modulus).
     Otherwise, and on torus fields, chunked-QR exponents at horizon T give the
     contraction margin, and generic planes carried in from +-T estimate
     the decaying/growing bundles.  T doubles until either the margin
@@ -621,6 +622,32 @@ def _delta_at(prop: ChunkedPropagator, times: np.ndarray) -> np.ndarray:
     return np.stack([prop.field.eval_delta(prop.omega, t) for t in times])
 
 
+def _whole_chunks(prop: ChunkedPropagator, horizon: float, use_delta: bool) -> int:
+    """The whole chunks of [0, horizon] that share chunk 0's samples and
+    weight: all on a constant field whose Delta is constant or unused."""
+    f = prop.field
+    same = f.is_autonomous and (not use_delta or f.delta.is_constant)
+    return int(horizon // prop.h) if same else 0
+
+
+def _simpson_gram(prop: ChunkedPropagator, ts: np.ndarray, Us: np.ndarray,
+                  sel: slice, use_delta: bool) -> np.ndarray:
+    """Composite Simpson rule of (Delta sel U)^* (Delta sel U) over the
+    uniform samples Us at ts."""
+    K = Us[:, sel, :]
+    if use_delta:
+        K = _delta_at(prop, ts) @ K
+    w = np.ones(len(ts))
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w *= abs(ts[1] - ts[0]) / 3.0
+    return np.einsum("j,jki,jkl->il", w, K.conj(), K)
+
+
+def _past_cap(U: np.ndarray) -> bool:
+    # ||U||_2 > 1e3, the Frobenius norm (never smaller) first
+    return bool(np.linalg.norm(U) > 1e3 and np.linalg.norm(U, 2) > 1e3)
+
+
 def _raw_gram(
     prop: ChunkedPropagator,
     rows: str | None,
@@ -628,29 +655,37 @@ def _raw_gram(
     use_delta: bool = True,
 ) -> tuple[np.ndarray, float]:
     """G = integral over [-T, T] of (sel U(t))^* Delta^* Delta (sel U(t)) dt
-    with T <= horizon shrunk so that ||U|| stays below 1e3 (the
-    integral only grows with T, so a capped T underestimates
+    with T <= horizon shrunk to the first chunk end where ||U||_2 exceeds
+    1e3 (the integral only grows with T, so a capped T underestimates
     conservatively).  rows selects z1, z2 or (None) all of the solution;
-    with use_delta=False the weight is the identity."""
+    with use_delta=False the weight is the identity.  Each of the
+    ``_whole_chunks`` adds U_k^* Gamma U_k, Gamma chunk 0's Gram and U_k
+    = S[-1]^k its start map; partial chunks and other fields go chunk by
+    chunk."""
     n2 = 2 * prop.field.n
     dtype = complex if prop.field.is_complex else float
     sel = _rows(prop.field.n, rows)
     G = np.zeros((n2, n2), dtype=dtype)
     T_eff = horizon
+    whole = _whole_chunks(prop, horizon, use_delta)
     for direction in ("forward", "backward"):
         U = np.eye(n2, dtype=dtype)
-        for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT, refine=2):
+        if whole:
+            ts, S = next(_chunks(prop, horizon, direction, _SAMPLES_PER_UNIT, refine=2))
+            starts = [U]
+            while len(starts) <= whole and not _past_cap(starts[-1]):
+                starts.append(S[-1] @ starts[-1])
+            U, Us = starts[-1], np.stack(starts[:-1])
+            Gamma = _simpson_gram(prop, ts, S, sel, use_delta)
+            G = G + (np.swapaxes(Us.conj(), -1, -2) @ Gamma @ Us).sum(axis=0)
+            if _past_cap(U):
+                T_eff = min(T_eff, len(Us) * prop.h)
+                continue
+        for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT, refine=2, start=whole):
             Us = S @ U
-            K = Us[:, sel, :]
-            if use_delta:
-                K = _delta_at(prop, ts) @ K
-            # composite Simpson on the uniform refinement
-            w = np.ones(len(ts))
-            w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-            w *= abs(ts[1] - ts[0]) / 3.0
-            G = G + np.einsum("j,jki,jkl->il", w, K.conj(), K)
+            G = G + _simpson_gram(prop, ts, Us, sel, use_delta)
             U = Us[-1]
-            if np.linalg.norm(U, 2) > 1e3:
+            if _past_cap(U):
                 T_eff = min(T_eff, abs(ts[-1]))
                 break
     return np.real_if_close(G), T_eff
@@ -710,25 +745,42 @@ def _witness_residual(
     c = Z0.shape[1]
     max_log_res = np.full(c, -np.inf)
     max_log_growth = np.zeros(c)
+    whole = _whole_chunks(prop, horizon, use_delta)
     for direction in ("forward", "backward"):
-        Z = Z0 / np.linalg.norm(Z0, axis=0)
         log_scale = np.zeros(c)
-        for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT):
-            Zs = S @ Z
-            blk = Zs[:, sel, :]
+        for ts, Zs in _witness_samples(prop, Z0 / np.linalg.norm(Z0, axis=0),
+                                       horizon, direction, whole):
+            blk = Zs[..., sel, :]
             if use_delta:
                 blk = _delta_at(prop, ts) @ blk
             with np.errstate(divide="ignore"):
-                log_res = np.log10(np.linalg.norm(blk, axis=1)).max(axis=0)
-            max_log_res = np.maximum(max_log_res, log_res + log_scale)
-            log_norm = np.log10(np.maximum(np.linalg.norm(Zs, axis=1), 1e-300))
-            max_log_growth = np.maximum(max_log_growth, log_norm.max(axis=0) + log_scale)
-            Z = Zs[-1]
-            nz = np.linalg.norm(Z, axis=0)
-            log_scale += np.log10(np.maximum(nz, 1e-300))
-            Z = Z / nz
+                log_res = np.log10(np.linalg.norm(blk, axis=-2)).max(axis=1)
+            log_norm = np.log10(np.maximum(np.linalg.norm(Zs, axis=-2), 1e-300))
+            # the raw scale at each chunk start, and past the last one
+            scale = np.cumsum(np.vstack([log_scale, log_norm[:, -1]]), axis=0)
+            max_log_res = np.maximum(max_log_res, (log_res + scale[:-1]).max(axis=0))
+            max_log_growth = np.maximum(max_log_growth,
+                                        (log_norm.max(axis=1) + scale[:-1]).max(axis=0))
+            log_scale = scale[-1]
     res = np.where(np.isfinite(max_log_res), 10.0 ** max_log_res, 0.0)
     return res, max_log_growth
+
+
+def _witness_samples(prop: ChunkedPropagator, Z: np.ndarray, horizon: float,
+                     direction: str, whole: int):
+    """The unit columns of Z over [0, +-horizon], renormalized at every
+    chunk start: (ts, Zs) per batch, Zs[k, j] the columns at sample j of
+    chunk k.  The ``_whole_chunks`` go as single-column frames through
+    ``carry``, one product per block; the rest one chunk at a time."""
+    if whole:
+        ts, S = next(_chunks(prop, horizon, direction, _SAMPLES_PER_UNIT))
+        for _, frames in prop.carry(Z.T[:, :, None], whole, len(S) - 1, direction):
+            yield ts, _at_samples(S, np.swapaxes(frames[:-1, :, :, 0], 1, 2))
+        Z = frames[-1, :, :, 0].T
+    for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT, start=whole):
+        Zs = S @ Z
+        yield ts, Zs[None]
+        Z = Zs[-1] / np.linalg.norm(Zs[-1], axis=0)
 
 
 def atkinson_check(

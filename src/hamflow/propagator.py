@@ -592,21 +592,22 @@ class ChunkedPropagator:
             self._sampled[key] = S
         return S
 
-    def carry(self, F0: np.ndarray, K: int, m: int):
-        """The frames at the starts of K + 1 consecutive whole forward
-        chunks of a constant field, the first F0: F_{k+1} is the Q of the
-        positive QR of P F_k, P = S[-1] the last entry of S = ``sampled(0,
-        m)``.  P is where a chunk-by-chunk walk over the samples S F_k
-        ends, so these are that walk's frames.
+    def carry(self, F0: np.ndarray, K: int, m: int, direction: str = "forward"):
+        """The frames at the starts of K + 1 consecutive whole chunks of a
+        constant field traversed in ``direction``, the first F0: F_{k+1}
+        is the Q of the positive QR of P F_k, P = S[-1] the last entry of
+        S = ``sampled(0, m, direction)``.  P is where a chunk-by-chunk walk
+        over the samples S F_k ends, so these are that walk's frames.  F0
+        may be a stack of frames, each factored on its own.
 
         Yields (k, frames) per block of b chunks k..k+b-1: frames is their
-        (b + 1, 2n, c) stack of start frames and the next chunk's, so
+        (b + 1, *F0.shape) stack of start frames and the next chunk's, so
         consecutive blocks share one frame.  A block's samples S F_k hold
         at most ``_CARRY_BUDGET`` matrix entries, so memory does not grow
         with K."""
         if K <= 0:
             return
-        P = self.sampled(0, m)[-1]
+        P = self.sampled(0, m, direction)[-1]
         F0 = np.asarray(F0)
         per = max(1, _CARRY_BUDGET // ((m + 1) * F0.size))
         for lo in range(0, K, per):

@@ -300,35 +300,41 @@ def _eig_plane(field: CoefficientField, side: str) -> tuple[np.ndarray, float]:
     return F, float(1e-15 * cond / max(gap, 1e-15))
 
 
-def _floquet_split(Phi: np.ndarray, side: str) -> tuple[np.ndarray, float, float]:
-    """Invariant subspace of a monodromy matrix Phi for its multipliers
-    inside (side plus) / outside (side minus) the unit circle, from an
-    ordered Schur form.  Returns (orthonormal frame, error bound, gap in
-    log|multiplier| between the two halves); raises if Phi is not finite
-    or that side does not hold exactly half of the multipliers."""
-    n = Phi.shape[0] // 2
-    if not np.all(np.isfinite(Phi)):
+def _floquet_split(M: np.ndarray, side: str, generator: bool = False
+                   ) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """Invariant subspace of a monodromy matrix M for its multipliers
+    inside (side plus) / outside (side minus) the unit circle, or of a
+    constant field's ``generator`` M for its eigenvalues left / right of
+    the imaginary axis, from an ordered Schur form.  Returns (orthonormal
+    frame, error bound, gap in log|multiplier| or real part between the
+    two halves, the form's leading block); raises if M is not finite or
+    that side does not hold exactly half of the spectrum."""
+    n = M.shape[0] // 2
+    if not np.all(np.isfinite(M)):
         raise ToolkitError("monodromy matrix is not finite")
-    T, Z, sdim = schur(Phi, output="complex" if np.iscomplexobj(Phi) else "real",
-                       sort="iuc" if side == "plus" else "ouc")
+    sort = ("lhp", "rhp") if generator else ("iuc", "ouc")
+    T, Z, sdim = schur(M, output="complex" if np.iscomplexobj(M) else "real",
+                       sort=sort[side != "plus"])
     if sdim != n:
         raise ToolkitError(f"{sdim} of {2 * n} Floquet multipliers on the {side} side")
     T11, T22 = T[:n, :n], T[n:, n:]
-    # Phi is symplectic, so its multipliers pair as mu <-> 1/mu: the gap
-    # is twice the smallest growing log|multiplier|, read off the half
-    # outside the circle (a decaying multiplier may underflow to 0)
+    # the spectrum pairs as mu <-> 1/mu (lambda <-> -lambda): the gap is
+    # twice the smallest growing exponent, read off the growing half (a
+    # decaying multiplier may underflow to 0)
     outside = np.linalg.eigvals(T22 if side == "plus" else T11)
-    margin = 2.0 * np.log(np.abs(outside)).min()
-    # Phi is symplectic (Phi^T J Phi = J, also for complex lambda), so its
-    # defect measures the integration error a posteriori.  An error E moves
-    # the invariant subspace by at most 2 ||E|| / sep(T11, T22) (Stewart).
-    scale = float(np.linalg.norm(Phi, 2))
+    margin = 2.0 * (outside.real if generator else np.log(np.abs(outside))).min()
+    # M is symplectic (M^T J M = J) or Hamiltonian (M^T J + J M = 0), also
+    # for complex lambda, so its defect measures its error a posteriori.
+    # An error E moves the invariant subspace by at most 2 ||E|| /
+    # sep(T11, T22) (Stewart).
+    scale = float(np.linalg.norm(M, 2))
     J = J_matrix(n)
-    rel = max(_PROPAGATION_TOL, float(np.linalg.norm(Phi.T @ J @ Phi - J, 2)) / scale ** 2)
+    defect = M.T @ J + J @ M if generator else M.T @ J @ M - J
+    rel = max(_PROPAGATION_TOL, float(np.linalg.norm(defect, 2)) / scale ** (1 if generator else 2))
     I = np.eye(n)
     sep = float(np.linalg.svd(np.kron(I, T11) - np.kron(T22.T, I), compute_uv=False)[-1])
     err = 2.0 * rel * scale / sep if sep > 0.0 else float("inf")
-    return Z[:, :n], err, float(margin)
+    return Z[:, :n], err, float(margin), T11
 
 
 def _floquet_plane(
@@ -339,7 +345,7 @@ def _floquet_plane(
     at the unit circle is not clean or the subspace error bound exceeds
     ``tol``."""
     Phi = transfer_matrix(field, omega, 0.0, field.flow.period, tol=_PROPAGATION_TOL)
-    F, err, margin = _floquet_split(Phi, side)
+    F, err, margin, _ = _floquet_split(Phi, side)
     if not margin > _FLOQUET_MARGIN:
         raise ToolkitError("no clean Floquet split at the unit circle")
     if not err <= tol:

@@ -14,7 +14,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, schur, solve_continuous_are
 
 from hamflow.base_flow import advance
-from hamflow.dichotomy import _chunks, _refine_crossing
+from hamflow.dichotomy import _SAMPLES_PER_UNIT, _chunks, _delta_at, _refine_crossing, _rows
 from hamflow.hamiltonian import eval_H
 from hamflow.lq_control import build_hamiltonian
 from hamflow.propagator import ChunkedPropagator, _positive_qr
@@ -107,6 +107,67 @@ def uwd_walk_reference(field, omega, t_max: float, tol: float = 1e-10):
         F, _ = _positive_qr(Fs[-1])
         prev = float(np.linalg.det(F[:n, :]))
     return sorted(suspects), profile
+
+
+def gram_walk_reference(prop, rows, horizon: float, use_delta: bool = True):
+    """The Gram matrix of ``dichotomy._raw_gram`` and its capped horizon,
+    walked one chunk at a time: each chunk's samples are products with the
+    unrenormalized map from t = 0, summed by Simpson's rule, and the walk
+    stops at the first chunk end where that map's 2-norm exceeds 1e3.  The
+    library sums the whole chunks of a constant field from one chunk's
+    Gram."""
+    n2 = 2 * prop.field.n
+    dtype = complex if prop.field.is_complex else float
+    sel = _rows(prop.field.n, rows)
+    G = np.zeros((n2, n2), dtype=dtype)
+    T_eff = horizon
+    for direction in ("forward", "backward"):
+        U = np.eye(n2, dtype=dtype)
+        for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT, refine=2):
+            Us = S @ U
+            K = Us[:, sel, :]
+            if use_delta:
+                K = _delta_at(prop, ts) @ K
+            w = np.ones(len(ts))
+            w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+            w *= abs(ts[1] - ts[0]) / 3.0
+            G = G + np.einsum("j,jki,jkl->il", w, K.conj(), K)
+            U = Us[-1]
+            if np.linalg.norm(U, 2) > 1e3:
+                T_eff = min(T_eff, abs(ts[-1]))
+                break
+    return np.real_if_close(G), T_eff
+
+
+def witness_walk_reference(prop, Z0: np.ndarray, rows, horizon: float,
+                           use_delta: bool = True):
+    """The log10 of the residual and the log10 growth of
+    ``dichotomy._witness_residual``, walked one chunk at a time with the
+    columns renormalized at every chunk start and the raw scale summed
+    chunk by chunk.  The library carries the whole chunks of a constant
+    field in one batch."""
+    sel = _rows(prop.field.n, rows)
+    c = Z0.shape[1]
+    max_log_res = np.full(c, -np.inf)
+    max_log_growth = np.zeros(c)
+    for direction in ("forward", "backward"):
+        Z = Z0 / np.linalg.norm(Z0, axis=0)
+        log_scale = np.zeros(c)
+        for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT):
+            Zs = S @ Z
+            blk = Zs[:, sel, :]
+            if use_delta:
+                blk = _delta_at(prop, ts) @ blk
+            with np.errstate(divide="ignore"):
+                log_res = np.log10(np.linalg.norm(blk, axis=1)).max(axis=0)
+            max_log_res = np.maximum(max_log_res, log_res + log_scale)
+            log_norm = np.log10(np.maximum(np.linalg.norm(Zs, axis=1), 1e-300))
+            max_log_growth = np.maximum(max_log_growth, log_norm.max(axis=0) + log_scale)
+            Z = Zs[-1]
+            nz = np.linalg.norm(Z, axis=0)
+            log_scale += np.log10(np.maximum(nz, 1e-300))
+            Z = Z / nz
+    return max_log_res, max_log_growth
 
 
 def scalar_lq_dp(horizon: float = 20.0, h: float = 1e-3, x0: float = 1.0) -> float:

@@ -10,7 +10,9 @@ from hamflow.dichotomy import (
     _doubling_point,
     _eta_estimate,
     _generator_eta,
+    _raw_gram,
     _spectral_point,
+    _witness_residual,
     atkinson_check,
     bounded_solution_witness,
     classify_family,
@@ -25,6 +27,7 @@ from hamflow.hamiltonian import (
     BlockMap,
     CoefficientField,
     TrigTerm,
+    _with_delta,
     constant_field,
     perturb_h2,
     perturb_h3,
@@ -32,7 +35,7 @@ from hamflow.hamiltonian import (
 )
 from hamflow.presets import get_preset
 from hamflow.propagator import ChunkedPropagator, _positive_qr
-from hamflow.riccati_weyl import plane_distance, weyl_minus, weyl_plus
+from hamflow.riccati_weyl import _floquet_split, plane_distance, weyl_minus, weyl_plus
 
 from conftest import (
     count_calls,
@@ -41,7 +44,12 @@ from conftest import (
     random_periodic_field,
     random_spn_field,
 )
-from oracles import ivp_transfer, uwd_walk_reference
+from oracles import (
+    gram_walk_reference,
+    ivp_transfer,
+    uwd_walk_reference,
+    witness_walk_reference,
+)
 
 
 def test_hyperbolic_constant_field_is_ed():
@@ -237,6 +245,78 @@ def test_constant_field_classification_makes_no_integrator_call(abnormal, monkey
     assert starts == []
 
 
+_PROBES = (0.0, 1.0, 1j, 1 + 1j)
+
+
+def _candidates(rng, field, c=6):
+    Z = rng.standard_normal((2 * field.n, c))
+    return Z + 1j * rng.standard_normal(Z.shape) if field.is_complex else Z
+
+
+def _assert_scans_match_the_walks(field, horizon, rng):
+    """The Gram and witness scans of ``field`` against the chunk-by-chunk
+    walks of tests/oracles.py: G within 1e-12 relative with the same
+    capped horizon, and the log10 residuals and growths within 1e-12."""
+    prop = ChunkedPropagator(field, field.flow.origin(), h=1.0)
+    Z0 = _candidates(rng, field)
+    for rows, use_delta in (("z2", True), (None, False), ("z1", False)):
+        G, T_eff = _raw_gram(prop, rows, horizon, use_delta)
+        G_ref, T_ref = gram_walk_reference(prop, rows, horizon, use_delta)
+        assert T_eff == T_ref
+        assert np.abs(G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
+        res, growth = _witness_residual(prop, Z0, rows or "z2", horizon, use_delta)
+        log_ref, growth_ref = witness_walk_reference(prop, Z0, rows or "z2", horizon,
+                                                     use_delta)
+        with np.errstate(divide="ignore"):
+            log_res = np.log10(res)
+        assert np.array_equal(np.isfinite(log_res), np.isfinite(log_ref))
+        finite = np.isfinite(log_ref)
+        assert np.all(np.abs(log_res[finite] - log_ref[finite]) <= 1e-12)
+        assert np.all(np.abs(growth - growth_ref) <= 1e-12)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "abnormal"])
+@pytest.mark.parametrize("horizon", [6.0, 7.5, 16.0, 32.0])
+def test_constant_scans_match_the_chunk_by_chunk_walks(name, horizon):
+    # whole chunks of a constant field are one Gram and one carried
+    # batch; a partial last one (horizon 7.5) goes chunk by chunk
+    rng = np.random.default_rng(7)
+    for lam in _PROBES:
+        _assert_scans_match_the_walks(perturb_h3(get_preset(name).field, lam), horizon, rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1),
+       horizon=st.sampled_from([6.0, 7.5, 16.0]))
+def test_scans_of_random_constant_fields_match_the_walks(n, seed, horizon):
+    rng = np.random.default_rng(seed)
+    f = random_spn_field(rng, n, h2_pos=False, h3_pos=False)
+    B = rng.standard_normal((n, n))
+    _assert_scans_match_the_walks(perturb_h3(_with_delta(f, B @ B.T), 0.5), horizon, rng)
+
+
+# beta of every constant preset at the classify probes: 1 but for ex3,
+# H = [[0, 1 + lam], [1, 0]], and abnormal, which has no dichotomy
+_BETA = {"ex1": lambda lam: 1.0, "ex2": lambda lam: 1.0, "ex4": lambda lam: 1.0,
+         "ex3": lambda lam: abs(np.sqrt(1.0 + complex(lam)).real), "abnormal": None}
+
+
+@pytest.mark.parametrize("name", sorted(_BETA))
+def test_constant_verdicts_come_from_the_generator(monkeypatch, name):
+    forward = count_calls(monkeypatch, ChunkedPropagator, "forward")
+    f = get_preset(name).field
+    for field, lam in [(f, 0.0)] + [(perturb_h3(f, lam), lam) for lam in _PROBES]:
+        rep = detect_ed(field)
+        if _BETA[name] is None:
+            assert rep.verdict == "noED"
+            continue
+        assert rep.verdict == "ED"
+        assert rep.samples[0].reason == "Floquet multipliers split off the unit circle"
+        beta = _BETA[name](lam)
+        assert abs(rep.beta_hat - beta) <= 1e-12 * beta
+    assert forward == []
+
+
 @pytest.mark.parametrize("eps", [2.9996, 2.99995])
 def test_near_jordan_regularized_ex2_is_ed(ex2, eps):
     # eigenvalues +-sqrt(3 - eps)/2 = 0.01 and 0.0035, next to the Jordan
@@ -417,16 +497,9 @@ def _lq_field(a: float):
     return constant_field([[a]], [[1.0]], [[1.0]])
 
 
-# At A = -90 the one-chunk monodromy matrix loses its e^{-90} multiplier
-# to rounding, so the spectral route gives way to the plane walk, whose
-# e^{beta k} factor overflows
-_PHI_LOSES_ITS_DECAYING_MULTIPLIER = pytest.mark.xfail(
-    raises=RuntimeWarning, strict=True,
-    reason="the Floquet split of Phi fails and the plane walk overflows")
-
-
-@pytest.mark.parametrize("a", [-5.0, -20.0, -40.0, -100.0, pytest.param(
-    -90.0, marks=_PHI_LOSES_ITS_DECAYING_MULTIPLIER)])
+# beta = sqrt(a^2 + 1) > 88.7 from A = -89 on: H's own Schur forms split
+# the planes where expm(H) loses its e^{-beta} multiplier to rounding
+@pytest.mark.parametrize("a", [-5.0, -20.0, -40.0, -89.0, -90.0, -95.0, -100.0])
 def test_eta_of_the_stiff_scalar_lq_problems_is_one(a):
     rep = detect_ed(_lq_field(a))
     assert rep.verdict == "ED"
@@ -438,7 +511,18 @@ def test_generator_eta_does_not_overflow_past_e_to_the_709(a):
     # beta > 88.7: e^{8 beta} alone is not a float
     H = _lq_field(a).constant_matrix()
     beta = float(np.hypot(a, 1.0))
-    assert 1.0 <= _generator_eta(H, beta) <= 1.0 + 1e-9
+    T_plus = _floquet_split(H, "plus", generator=True)[3]
+    T_minus = _floquet_split(H, "minus", generator=True)[3]
+    assert 1.0 <= _generator_eta(T_plus, T_minus, beta) <= 1.0 + 1e-9
+
+
+def test_eta_estimate_beyond_the_float_range_is_inf(ex2):
+    # e^{800} is not a float: the walk's worst ratio comes back as inf,
+    # without an overflow warning
+    prop = ChunkedPropagator(ex2, ex2.flow.origin(), h=1.0, tol=1e-11)
+    ev = _spectral_point(prop, EDThresholds())
+    eta = _eta_estimate(prop, ev.l_plus.stacked, ev.l_minus.stacked, 800.0, 16)
+    assert eta == float("inf")
 
 
 @settings(max_examples=30, deadline=None)
