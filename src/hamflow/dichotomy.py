@@ -770,8 +770,9 @@ def _witness_samples(prop: ChunkedPropagator, Z: np.ndarray, horizon: float,
                      direction: str, whole: int):
     """The unit columns of Z over [0, +-horizon], renormalized at every
     chunk start: (ts, Zs) per batch, Zs[k, j] the columns at sample j of
-    chunk k.  The ``_whole_chunks`` go as single-column frames through
-    ``carry``, one product per block; the rest one chunk at a time."""
+    chunk k.  The ``_whole_chunks`` (constant Delta, so ts is chunk 0's)
+    go as single-column frames through ``carry``, one product per block;
+    the rest one chunk at a time."""
     if whole:
         ts, S = next(_chunks(prop, horizon, direction, _SAMPLES_PER_UNIT))
         for _, frames in prop.carry(Z.T[:, :, None], whole, len(S) - 1, direction):
