@@ -10,7 +10,6 @@ from .hamiltonian import (
     CoefficientField,
     PerturbationTag,
     constant_field,
-    eval_H,
     field_from_dict,
     general_perturb,
     J_matrix,
@@ -25,7 +24,6 @@ from .propagator import (
     SolutionFrame,
     cocycle_check,
     fundamental_matrix,
-    propagate_frame,
     transfer_matrix,
 )
 from .riccati_weyl import (
@@ -71,7 +69,6 @@ from .param_scan import (
     left_halfline_check,
     rho_curve,
     stieltjes_invert,
-    weakstar_convergence_check,
     weyl_monotonicity_check,
     weyl_sampler,
 )

@@ -12,13 +12,16 @@ at horizon T, and the decaying planes from carrying a generic seed plane
 in from +-T.  Both are doubled in T until they stabilize, and the verdict
 is three-valued because a uniform dichotomy is an asymptotic property
 that a finite computation can only support, never certify.  Every report
-embeds the thresholds it was judged against.  On a constant field the
-whole chunks of the Gram and witness scans are one Gram congruence sum
-and one carried batch.
+embeds the thresholds it was judged against.  Every renormalized frame
+walk here, the plane and exponent walks, the η̂ walk, the disconjugacy
+scan and the witness scan, is one ``ChunkedPropagator.carry`` over the
+whole chunks, on any field; on a constant field the whole chunks of the
+Gram scan are one congruence sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,7 +41,6 @@ from .propagator import (
     ChunkedPropagator,
     SolutionFrame,
     _at_samples,
-    _positive_qr,
     expm,
     transfer_matrix,
 )
@@ -346,21 +348,14 @@ def _eta_estimate(
     at half the carry horizon: beyond that the planes' own truncation
     error grows faster than the decay being measured."""
     m = max(1, m // 2)
-    prop.fill(range(m), "forward")
-    prop.fill(range(-m, 0), "backward")
     log_eta = 0.0
-    for frame, direction in ((lp, "forward"), (lm, "backward")):
-        F = frame
+    for frame, chunks, direction in ((lp, range(m), "forward"),
+                                     (lm, range(-1, -m - 1, -1), "backward")):
         logc = 0.0
-        for k in range(m):
-            idx = k if direction == "forward" else -(k + 1)
-            op = prop.forward(idx) if direction == "forward" else prop.backward(idx)
-            F = op @ F
-            Q, R = _positive_qr(F)
-            growth = float(np.linalg.norm(R, 2))
-            logc += np.log(max(growth, 1e-300))
-            log_eta = max(log_eta, logc + beta * (k + 1))
-            F = Q
+        for lo, _, Rs, _ in prop.carry(frame, chunks, direction=direction):
+            for k, R in enumerate(Rs, lo):
+                logc += np.log(max(float(np.linalg.norm(R, 2)), 1e-300))
+                log_eta = max(log_eta, logc + beta * (k + 1))
     with np.errstate(over="ignore"):
         return float(np.exp(log_eta))
 
@@ -489,13 +484,12 @@ def uwd_test(
     The plane is carried by one sampled chunk propagator per base point
     and is re-orthonormalized chunkwise with a positive-diagonal QR, which
     rescales the determinant by a positive factor and so preserves its
-    zeros and (real case) sign changes.  On a constant field every chunk
-    has the same sample stack, so the whole chunks are one carry of the
-    frames, one product and one determinant call per block of
-    ``ChunkedPropagator.carry``; other fields, and a partial last chunk,
-    take one chunk at a time.  Suspects are sign changes and near-zero
-    dips; the verdict is true when the final half of [0, t_max] is clean,
-    and t0_hat is the last suspect time.
+    zeros and (real case) sign changes.  The whole chunks of every field
+    are one ``ChunkedPropagator.carry`` of the frames, with one product
+    and one determinant call per block; a partial last chunk goes on its
+    own.  Suspects are sign changes and near-zero dips; the verdict is
+    true when the final half of [0, t_max] is clean, and t0_hat is the
+    last suspect time.
     """
     if field.is_complex:
         raise InvalidCoefficients("uwd_test requires a real field")
@@ -510,19 +504,18 @@ def uwd_test(
     for omega in grid:
         prop = ChunkedPropagator(field, omega, h=1.0, tol=tol)
         F = np.vstack([np.zeros((n, n)), np.eye(n)])
-        whole = int(t_max // prop.h) if field.is_autonomous else 0
-        for lo, frames in prop.carry(F, whole, per_unit):
+        whole = int(t_max // prop.h)
+        for lo, frames, _, S in prop.carry(F, range(whole), per_unit):
             # the whole chunks at the times _chunks gives them
             ts = ((lo + np.arange(len(frames) - 1))[:, None] * prop.h
                   + prop.h * np.arange(per_unit + 1) / per_unit)
-            Fs = _at_samples(prop.sampled(0, per_unit), frames[:-1])
-            _uwd_scan(field, omega, ts, Fs, lo == 0, tol, suspects, profile)
-            F = frames[-1]
-        for j, (ts, S) in enumerate(_chunks(prop, t_max, "forward", per_unit, start=whole)):
-            Fs = S @ F
-            _uwd_scan(field, omega, ts[None], Fs[None], whole + j == 0, tol,
+            _uwd_scan(field, omega, ts, _at_samples(S, frames[:-1]), lo == 0, tol,
                       suspects, profile)
-            F, _ = _positive_qr(Fs[-1])
+            F = frames[-1]
+        for ts, S in _chunks(prop, t_max, "forward", per_unit, start=whole):
+            # the partial last chunk
+            _uwd_scan(field, omega, ts[None], (S @ F)[None], whole == 0, tol,
+                      suspects, profile)
     suspects.sort()
     t0_hat = suspects[-1] if suspects else 0.0
     verdict = not any(s > 0.5 * t_max for s in suspects)
@@ -614,20 +607,13 @@ def _rows(n: int, rows: str | None) -> slice:
 
 
 def _delta_at(prop: ChunkedPropagator, times: np.ndarray) -> np.ndarray:
-    """Delta at each sample time, or the constant Delta (which broadcasts
-    over the sample axis)."""
+    """Delta at each sample time, a times.shape + (n, n) stack, or the
+    constant Delta (which broadcasts over the sample axes)."""
     delta = prop.field.delta
     if delta.is_constant:
         return delta.const
-    return np.stack([prop.field.eval_delta(prop.omega, t) for t in times])
-
-
-def _whole_chunks(prop: ChunkedPropagator, horizon: float, use_delta: bool) -> int:
-    """The whole chunks of [0, horizon] that share chunk 0's samples and
-    weight: all on a constant field whose Delta is constant or unused."""
-    f = prop.field
-    same = f.is_autonomous and (not use_delta or f.delta.is_constant)
-    return int(horizon // prop.h) if same else 0
+    D = np.stack([prop.field.eval_delta(prop.omega, t) for t in np.ravel(times)])
+    return D.reshape(np.shape(times) + D.shape[1:])
 
 
 def _simpson_gram(prop: ChunkedPropagator, ts: np.ndarray, Us: np.ndarray,
@@ -658,16 +644,18 @@ def _raw_gram(
     with T <= horizon shrunk to the first chunk end where ||U||_2 exceeds
     1e3 (the integral only grows with T, so a capped T underestimates
     conservatively).  rows selects z1, z2 or (None) all of the solution;
-    with use_delta=False the weight is the identity.  Each of the
-    ``_whole_chunks`` adds U_k^* Gamma U_k, Gamma chunk 0's Gram and U_k
-    = S[-1]^k its start map; partial chunks and other fields go chunk by
-    chunk."""
+    with use_delta=False the weight is the identity.  On a constant field
+    whose Delta is constant or unused, each whole chunk adds U_k^* Gamma
+    U_k, Gamma chunk 0's Gram and U_k = S[-1]^k its start map; partial
+    chunks and other fields go chunk by chunk."""
     n2 = 2 * prop.field.n
     dtype = complex if prop.field.is_complex else float
     sel = _rows(prop.field.n, rows)
     G = np.zeros((n2, n2), dtype=dtype)
     T_eff = horizon
-    whole = _whole_chunks(prop, horizon, use_delta)
+    f = prop.field
+    same = f.is_autonomous and (not use_delta or f.delta.is_constant)
+    whole = int(horizon // prop.h) if same else 0
     for direction in ("forward", "backward"):
         U = np.eye(n2, dtype=dtype)
         if whole:
@@ -745,11 +733,10 @@ def _witness_residual(
     c = Z0.shape[1]
     max_log_res = np.full(c, -np.inf)
     max_log_growth = np.zeros(c)
-    whole = _whole_chunks(prop, horizon, use_delta)
     for direction in ("forward", "backward"):
         log_scale = np.zeros(c)
         for ts, Zs in _witness_samples(prop, Z0 / np.linalg.norm(Z0, axis=0),
-                                       horizon, direction, whole):
+                                       horizon, direction):
             blk = Zs[..., sel, :]
             if use_delta:
                 blk = _delta_at(prop, ts) @ blk
@@ -767,21 +754,24 @@ def _witness_residual(
 
 
 def _witness_samples(prop: ChunkedPropagator, Z: np.ndarray, horizon: float,
-                     direction: str, whole: int):
+                     direction: str):
     """The unit columns of Z over [0, +-horizon], renormalized at every
-    chunk start: (ts, Zs) per batch, Zs[k, j] the columns at sample j of
-    chunk k.  The ``_whole_chunks`` (constant Delta, so ts is chunk 0's)
-    go as single-column frames through ``carry``, one product per block;
-    the rest one chunk at a time."""
-    if whole:
-        ts, S = next(_chunks(prop, horizon, direction, _SAMPLES_PER_UNIT))
-        for _, frames in prop.carry(Z.T[:, :, None], whole, len(S) - 1, direction):
-            yield ts, _at_samples(S, np.swapaxes(frames[:-1, :, :, 0], 1, 2))
+    chunk start: (ts, Zs) per batch, Zs[k, j] the columns at ts[k, j],
+    sample j of chunk k.  The whole chunks of every field go as
+    single-column frames through ``carry``, one product per block, with
+    per-chunk sample times; a partial last chunk goes on its own."""
+    sign = 1.0 if direction == "forward" else -1.0
+    whole = int(horizon // prop.h)
+    m = max(2, math.ceil(prop.h * _SAMPLES_PER_UNIT))
+    chunks = range(whole) if sign > 0 else range(-1, -whole - 1, -1)
+    for lo, frames, _, S in prop.carry(Z.T[:, :, None], chunks, m, direction):
+        # the whole chunks at the times _chunks gives them
+        ts = sign * ((lo + np.arange(len(frames) - 1))[:, None] * prop.h
+                     + prop.h * np.arange(m + 1) / m)
+        yield ts, _at_samples(S, np.swapaxes(frames[:-1, :, :, 0], 1, 2))
         Z = frames[-1, :, :, 0].T
     for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT, start=whole):
-        Zs = S @ Z
-        yield ts, Zs[None]
-        Z = Zs[-1] / np.linalg.norm(Zs[-1], axis=0)
+        yield ts[None], (S @ Z)[None]
 
 
 def atkinson_check(

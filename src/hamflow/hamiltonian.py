@@ -33,7 +33,6 @@ __all__ = [
     "BlockMap",
     "CoefficientField",
     "PerturbationTag",
-    "eval_H",
     "perturb_h3",
     "perturb_h2",
     "regularize",
@@ -309,10 +308,11 @@ class CoefficientField:
         return sums.reshape((len(a),) + weights.shape[:-1] + c.const.shape)
 
     def constant_matrix(self) -> np.ndarray:
-        """The assembled matrix of an autonomous field."""
+        """The assembled matrix of an autonomous field: the compiled
+        constant, read-only."""
         if not self.is_autonomous:
             raise InvalidCoefficients("field is not autonomous")
-        return self.H_of_t(self.flow.origin())(0.0)
+        return self.compiled.const
 
     def validate(self, sample_points: Sequence[BasePoint] | None = None) -> None:
         """Check that H2, H3 and Delta are symmetric coefficient by merged
@@ -407,6 +407,8 @@ class CompiledField:
                 if term.sin is not None:
                     parts[1, b] += flip * term.sin
         const = assemble(*const)
+        # shared by every caller of constant_matrix and H_at
+        const.flags.writeable = False
         keys = sorted(coef)
         CS = np.array([[assemble(*coef[k][j]) for k in keys] for j in (0, 1)],
                       dtype=dtype).reshape(2 * len(keys), const.size)
@@ -455,15 +457,6 @@ def _assemble(H1, H2, H3, dtype) -> np.ndarray:
     out[n:, :n] = H2
     out[n:, n:] = -H1.T
     return out
-
-
-def eval_H(field: CoefficientField, omega: BasePoint) -> np.ndarray:
-    """Assembled 2n x 2n matrix H(omega); validates block symmetry."""
-    H1, H2, H3 = field.eval_blocks(omega)
-    for name, M in (("H2", H2), ("H3", H3)):
-        if np.max(np.abs(M - M.T)) > _SYM_TOL * max(1.0, float(np.max(np.abs(M)))):
-            raise InvalidCoefficients(f"{name} not symmetric at {omega}")
-    return field.H_of_t(omega)(0.0)
 
 
 def _as_scalar(lam) -> float | complex:

@@ -38,7 +38,6 @@ __all__ = [
     "left_halfline_check",
     "herglotz_fit",
     "stieltjes_invert",
-    "weakstar_convergence_check",
     "weyl_sampler",
 ]
 
@@ -559,24 +558,3 @@ def stieltjes_invert(
         mass=np.real(limit), atom_lower=atoms[0], atom_upper=atoms[1],
         convergence_error=increments[-1], window=(alpha1, alpha2),
     )
-
-
-def weakstar_convergence_check(
-    sampler_sequence: Sequence[Sampler],
-    limit_sampler: Sampler,
-    test_window: tuple[float, float],
-) -> dict:
-    """Window masses of a sampler sequence against the limit sampler's;
-    the tail max defect should shrink as the sequence converges."""
-    a1, a2 = float(test_window[0]), float(test_window[1])
-    m_lim = stieltjes_invert(limit_sampler, a1, a2).mass
-    defects = []
-    for sampler in sampler_sequence:
-        m_k = stieltjes_invert(sampler, a1, a2).mass
-        defects.append(float(np.linalg.norm(m_k - m_lim, 2)))
-    tail = defects[len(defects) // 2:]
-    return {
-        "defects": defects,
-        "tail_max": max(tail) if tail else float("nan"),
-        "window": [a1, a2],
-    }

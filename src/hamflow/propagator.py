@@ -36,7 +36,6 @@ __all__ = [
     "CocycleValue",
     "SolutionFrame",
     "fundamental_matrix",
-    "propagate_frame",
     "cocycle_check",
     "transfer_matrix",
     "ChunkedPropagator",
@@ -102,11 +101,6 @@ class SolutionFrame:
     @property
     def stacked(self) -> np.ndarray:
         return np.vstack([self.L1, self.L2])
-
-    @property
-    def degenerate(self) -> bool:
-        s = np.linalg.svd(self.stacked, compute_uv=False)
-        return bool(s[-1] <= 1e-12 * max(1.0, s[0]))
 
     def weyl_matrix(self) -> np.ndarray:
         """Graph representation L2 L1^{-1}."""
@@ -397,21 +391,6 @@ def fundamental_matrix(
                         symplectic_defect=defect, degraded=degraded)
 
 
-def propagate_frame(
-    field: CoefficientField,
-    frame: SolutionFrame,
-    t: float,
-    tol: float = 1e-10,
-) -> SolutionFrame:
-    """Propagate a 2n x n frame by time t along the orbit; the returned
-    columns are honest solutions (no renormalization)."""
-    if frame.degenerate:
-        raise ValueError("refusing to propagate a degenerate frame")
-    t1 = frame.t + t
-    U = transfer_matrix(field, frame.omega, frame.t, t1, tol=tol)
-    return SolutionFrame.from_stacked(U @ frame.stacked, t=t1, omega=frame.omega)
-
-
 def cocycle_check(
     field: CoefficientField,
     omega: BasePoint,
@@ -477,8 +456,11 @@ def _symplectic_inverse(U: np.ndarray) -> np.ndarray:
 
 def _at_samples(S: np.ndarray, F: np.ndarray) -> np.ndarray:
     """S[j] F[k] for every map S[j] of an (m + 1, 2n, 2n) sample stack
-    and every frame F[k] of a (K, 2n, c) stack, from one matrix product:
-    a (K, m + 1, 2n, c) array."""
+    and every frame F[k] of a (K, 2n, c) stack, from one matrix product,
+    or S[k, j] F[k] for a (K, m + 1, 2n, 2n) stack of each frame's own
+    samples: a (K, m + 1, 2n, c) array."""
+    if S.ndim == 4:
+        return S @ F[:, None]
     return np.moveaxis(np.tensordot(S, F, axes=(2, 1)), 2, 0)
 
 
@@ -492,8 +474,9 @@ class ChunkedPropagator:
     forward chunks.
     ``sampled`` adds the transfer matrices to points inside a chunk, so
     one propagation serves every initial condition as a product U(t) X.
-    ``fill`` computes every missing chunk of a range in one kernel call;
-    the walks below fill their ranges before they look chunks up.
+    ``fill`` computes every missing chunk of a range in one kernel call.
+    ``carry`` is the one renormalized frame walk: it fills its range
+    first, and ``frame_chain`` and ``qr_exponents`` are carries.
     """
 
     def __init__(self, field: CoefficientField, omega: BasePoint,
@@ -592,30 +575,52 @@ class ChunkedPropagator:
             self._sampled[key] = S
         return S
 
-    def carry(self, F0: np.ndarray, K: int, m: int, direction: str = "forward"):
-        """The frames at the starts of K + 1 consecutive whole chunks of a
-        constant field traversed in ``direction``, the first F0: F_{k+1}
-        is the Q of the positive QR of P F_k, P = S[-1] the last entry of
-        S = ``sampled(0, m, direction)``.  P is where a chunk-by-chunk walk
-        over the samples S F_k ends, so these are that walk's frames.  F0
-        may be a stack of frames, each factored on its own.
+    def carry(self, F0: np.ndarray, chunks: Sequence[int], m: int | None = None,
+              direction: str = "forward"):
+        """The renormalized walk of the frame F0 over ``chunks`` traversed
+        in ``direction``: F_{k+1} R_k is the positive QR of P_k F_k, P_k
+        the unit map ``forward(k)`` or ``backward(k)``, or with m the last
+        entry of S_k = ``sampled(k, m, direction)``, where a walk over the
+        samples S_k F_k ends.  F0 may be a stack of frames, each factored
+        on its own.  The range is filled once, before the walk.
 
-        Yields (k, frames) per block of b chunks k..k+b-1: frames is their
-        (b + 1, *F0.shape) stack of start frames and the next chunk's, so
-        consecutive blocks share one frame.  A block's samples S F_k hold
-        at most ``_CARRY_BUDGET`` matrix entries, so memory does not grow
-        with K."""
-        if K <= 0:
-            return
-        P = self.sampled(0, m, direction)[-1]
+        Yields (lo, frames, Rs, S) per block of chunks[lo:lo + b]: frames
+        is the (b + 1, *F0.shape) stack of their start frames and the next
+        chunk's, so consecutive blocks share one frame.  Without m, Rs is
+        the list of their R factors and S None.  With m, S is the one
+        (m + 1, 2n, 2n) stack that every chunk of a constant field shares,
+        or the (b, m + 1, 2n, 2n) stack of the block's chunks of any other
+        field, and ``_at_samples(S, frames[:-1])`` takes either; Rs is
+        empty, since a walk over the samples reads those, and keeping every
+        R would cost a long walk 5 % of its time.  A block's samples S_k F_k,
+        and its own sample stacks, hold at most ``_CARRY_BUDGET`` matrix
+        entries, so memory does not grow with the range."""
+        self.fill(chunks, direction, m)
         F0 = np.asarray(F0)
-        per = max(1, _CARRY_BUDGET // ((m + 1) * F0.size))
-        for lo in range(0, K, per):
-            F = np.empty((min(per, K - lo) + 1,) + F0.shape, dtype=np.result_type(F0, P))
+        dtype = np.result_type(F0, complex if self.field.is_complex else float)
+        shared = self.field.is_autonomous
+        entries = F0.size if m is None else (m + 1) * (
+            F0.size + (0 if shared else (2 * self.field.n) ** 2))
+        per = max(1, _CARRY_BUDGET // entries)
+        unit = self.forward if direction == "forward" else self.backward
+        for lo in range(0, len(chunks), per):
+            block = chunks[lo:lo + per]
+            if m is None:
+                S, P = None, [unit(k) for k in block]
+            elif shared:
+                S = self.sampled(block[0], m, direction)
+                P = [S[-1]] * len(block)
+            else:
+                S = np.stack([self.sampled(k, m, direction) for k in block])
+                P = S[:, -1]
+            F = np.empty((len(block) + 1,) + F0.shape, dtype=dtype)
             F[0] = F0
-            for k in range(len(F) - 1):
-                F[k + 1], _ = _positive_qr(P @ F[k])
-            yield lo, F
+            Rs = []
+            for k, Pk in enumerate(P):
+                F[k + 1], R = _positive_qr(Pk @ F[k])
+                if S is None:
+                    Rs.append(R)
+            yield lo, F, Rs, S
             F0 = F[-1]
 
     def pieces(self, k: int, m: int, length: float | None = None) -> np.ndarray:
@@ -644,17 +649,18 @@ class ChunkedPropagator:
         F0 may also be a (B, 2n, c) stack of frames walked together, one
         stacked QR per chunk.  Member b then joins the walk at position
         joins[b] of ``chunks`` (nondecreasing; default 0 for all), so
-        walks that share their last chunks are one walk."""
+        walks that share their last chunks are one walk: one ``carry`` of
+        the members joined so far per segment between join positions."""
         chunks = list(chunks)
         self.fill(chunks, direction)
-        step = self.forward if direction == "forward" else self.backward
         dtype = complex if self.field.is_complex else float
         F = np.array(F0, dtype=np.result_type(F0, dtype), ndmin=3)
-        # members walked at each chunk
-        active = ([len(F)] * len(chunks) if joins is None else
-                  np.searchsorted(joins, np.arange(len(chunks)), side="right").tolist())
-        for a, k in zip(active, chunks):
-            F[:a], _ = _positive_qr(step(k) @ F[:a])
+        joins = [0] * len(F) if joins is None else list(joins)
+        cuts = sorted({len(chunks)} | {j for j in joins if j < len(chunks)})
+        for lo, hi in zip(cuts, cuts[1:]):
+            a = int(np.searchsorted(joins, lo, side="right"))
+            *_, (_, frames, _, _) = self.carry(F[:a], chunks[lo:hi], direction=direction)
+            F[:a] = frames[-1]
         return F.reshape(np.shape(F0))
 
     def qr_exponents(self, T: float) -> np.ndarray:
@@ -668,12 +674,9 @@ class ChunkedPropagator:
             self._qr = (np.eye(n2, dtype=complex if self.field.is_complex else float),
                         [np.zeros(n2)])
         Q, logs = self._qr
-        if len(logs) <= m:
-            todo = range(len(logs) - 1, m)
-            self.fill(todo)
-            for k in todo:
-                Q, R = _positive_qr(self.forward(k) @ Q)
+        for _, frames, Rs, _ in self.carry(Q, range(len(logs) - 1, m)):
+            for R in Rs:
                 logs.append(logs[-1] + np.log(np.abs(np.diagonal(R))))
-            self._qr = (Q, logs)
+            self._qr = (frames[-1], logs)
         chi = logs[m] / (m * self.h)
         return np.sort(chi)[::-1]

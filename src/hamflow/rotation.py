@@ -20,7 +20,7 @@ from ._json import Encodable
 from .base_flow import BasePoint
 from .errors import InvalidCoefficients, ToolkitError, UnwrapFailure
 from .hamiltonian import CoefficientField, _with_delta, perturb_h2
-from .propagator import ChunkedPropagator, _at_samples, _positive_qr
+from .propagator import ChunkedPropagator, _at_samples
 
 __all__ = [
     "RotationEstimate",
@@ -64,12 +64,10 @@ class RotationProfile:
 class _ArgTracker:
     """Carries the first n columns F of U(t, omega) chunk by chunk (all
     that det(U1 - i U2) reads), accumulating the unwrapped argument at
-    sample resolution dt.  The samples of a chunk are one
-    ``ChunkedPropagator.sampled`` stack times F.  A constant field has
-    the same stack for every chunk, so ``advance_to`` carries its frames
-    first and takes the samples of all its chunks as one product and one
-    determinant call per block of ``ChunkedPropagator.carry``;
-    ``advance_chunk`` is the chunk-by-chunk route."""
+    sample resolution dt.  ``advance_to`` carries the frames of every
+    field through ``ChunkedPropagator.carry`` and takes the samples of
+    each block's chunks, their sample stacks times their start frames, as
+    one product and one determinant call."""
 
     def __init__(self, field: CoefficientField, omega: BasePoint, dt: float):
         if field.is_complex:
@@ -97,63 +95,43 @@ class _ArgTracker:
     def _resolve(self, k: int, F: np.ndarray, dt: float):
         """The increments of chunk k from frame F at the first sample
         step, from dt halving, whose increments all stay below pi/2; with
-        the number of samples and the last sample."""
+        the number of samples."""
         for _ in range(_MAX_DT_HALVINGS + 1):
             m = self._samples(dt)
-            mats = self.prop.sampled(k, m) @ F
-            incs = self._increments(mats)
+            incs = self._increments(self.prop.sampled(k, m) @ F)
             if np.all(np.abs(incs) < 0.5 * np.pi):
-                return incs, m, mats[-1]
+                return incs, m
             dt *= 0.5
         raise UnwrapFailure(
             f"argument step stayed >= pi/2 after {_MAX_DT_HALVINGS} dt halvings "
             f"near t = {self.t + (k - self.k) * self.prop.h:.6g}"
         )
 
-    def advance_chunk(self) -> None:
-        incs, m, end = self._resolve(self.k, self.F, min(self.dt0, self.prop.h))
-        self.arg += sum(incs.tolist())
-        self.steps += m
-        self.F, _ = _positive_qr(end)
-        self.k += 1
-        self.t += self.prop.h
-        self.history.append((self.t, self.arg))
-
     def advance_to(self, T: float) -> None:
         h = self.prop.h
         count, t = 0, self.t
         while t < T - 1e-9:
             count, t = count + 1, t + h
-        if not count:
-            return
         dt = min(self.dt0, h)
-        m = self._samples(dt)
-        if not self.prop.field.is_autonomous:
-            # the chunks up to T at the first-try resolution, in one fill
-            self.prop.fill(range(self.k, self.k + count), m=m)
-            for _ in range(count):
-                self.advance_chunk()
-            return
-        S = self.prop.sampled(0, m)
-        for _, frames in self.prop.carry(self.F, count, m):
+        for _, frames, _, S in self.prop.carry(self.F, range(self.k, self.k + count),
+                                               self._samples(dt)):
             self._advance_block(frames, S, dt)
 
     def _advance_block(self, frames: np.ndarray, S: np.ndarray, dt: float) -> None:
-        """Advance over the whole chunks of a constant field whose start
-        frames, and the next chunk's, are ``frames``, from their samples
-        S F at the first-try step dt."""
-        m = len(S) - 1
+        """Advance over the chunks whose start frames, and the next chunk's,
+        are ``frames``, from their samples S F at the first-try step dt."""
+        m = S.shape[-3] - 1
         h = self.prop.h
         incs = self._increments(_at_samples(S, frames[:-1]))
         # per chunk, summed in sample order
         sums = np.cumsum(incs, axis=1)[:, -1]
         ms = np.full(len(sums), m)
         for j in np.flatnonzero(~np.all(np.abs(incs) < 0.5 * np.pi, axis=1)):
-            # only these chunks go through the dt-halving retry; the frame
-            # each ends on is the same whatever the step
-            sub, ms[j], _ = self._resolve(self.k + j, frames[j], dt)
+            # only these chunks go through the dt-halving retry; each ends
+            # on the frame carried by its first-try stack
+            sub, ms[j] = self._resolve(self.k + j, frames[j], dt)
             sums[j] = sum(sub.tolist())
-        # chunk after chunk, in the order advance_chunk adds them
+        # chunk after chunk, in the order a chunk-by-chunk walk adds them
         ts = np.cumsum(np.concatenate(([self.t], np.full(len(sums), h))))[1:]
         args = np.cumsum(np.concatenate(([self.arg], sums)))[1:]
         self.history.extend(zip(ts.tolist(), args.tolist()))

@@ -88,6 +88,19 @@ def random_trig_field(rng: np.random.Generator, n: int, flow):
     )
 
 
+def nonconstant_walk_fields() -> dict:
+    """Nonconstant fields to hold the batched walks to their chunk-by-chunk
+    references on: torus-demo, random trig fields over a golden-ratio
+    2-torus at n = 1 and 2, and a random periodic field."""
+    from hamflow.base_flow import make_flow
+
+    torus = make_flow({"kind": "torus", "nu": [1.0, (1.0 + 5.0 ** 0.5) / 2.0]})
+    return {"torus-demo": get_preset("torus-demo").field,
+            "trig-n1": random_trig_field(np.random.default_rng(1), 1, torus),
+            "trig-n2": random_trig_field(np.random.default_rng(2), 2, torus),
+            "periodic": random_periodic_field(np.random.default_rng(3), 1, 3.0)}
+
+
 def count_ode_solvers(monkeypatch) -> list:
     """Count the ODE solvers that scipy.integrate starts, however they are
     reached: the returned list grows by one entry per solver."""

@@ -15,7 +15,6 @@ from scipy.linalg import expm, schur, solve_continuous_are
 
 from hamflow.base_flow import advance
 from hamflow.dichotomy import _SAMPLES_PER_UNIT, _chunks, _delta_at, _refine_crossing, _rows
-from hamflow.hamiltonian import eval_H
 from hamflow.lq_control import build_hamiltonian
 from hamflow.propagator import ChunkedPropagator, _positive_qr
 from hamflow.riccati_weyl import weyl_plus
@@ -32,9 +31,10 @@ def ivp_transfer(field, omega, t: float, rtol: float = 1e-12,
     """U(t, omega) by dense integration of U' = H(omega.s) U with an
     off-the-shelf high-order solver (complex for a complex field)."""
     n2 = 2 * field.n
+    H_of_t = field.H_of_t(omega)
 
     def rhs(s, u):
-        H = eval_H(field, advance(field.flow, omega, s))
+        H = H_of_t(s)
         return (H @ u.reshape(n2, n2)).ravel()
 
     U0 = np.eye(n2, dtype=complex if field.is_complex else float)
@@ -107,6 +107,73 @@ def uwd_walk_reference(field, omega, t_max: float, tol: float = 1e-10):
         F, _ = _positive_qr(Fs[-1])
         prev = float(np.linalg.det(F[:n, :]))
     return sorted(suspects), profile
+
+
+def rotation_walk_reference(tracker, T: float) -> None:
+    """Advance a ``rotation._ArgTracker`` to T one chunk at a time: the
+    chunks up to T filled at the first-try resolution, then per chunk its
+    own dt-halving retry, its increments summed, and its last sample
+    renormalized by the positive QR.  The library scans each block of
+    chunks as one batch."""
+    prop, h = tracker.prop, tracker.prop.h
+    dt = min(tracker.dt0, h)
+    count, t = 0, tracker.t
+    while t < T - 1e-9:
+        count, t = count + 1, t + h
+    prop.fill(range(tracker.k, tracker.k + count), m=tracker._samples(dt))
+    for _ in range(count):
+        incs, m = tracker._resolve(tracker.k, tracker.F, dt)
+        tracker.arg += sum(incs.tolist())
+        tracker.steps += m
+        tracker.F, _ = _positive_qr((prop.sampled(tracker.k, m) @ tracker.F)[-1])
+        tracker.k += 1
+        tracker.t += h
+        tracker.history.append((tracker.t, tracker.arg))
+
+
+def unit_walk_reference(prop, F0, chunks, direction: str, joins=None):
+    """The walk of ``ChunkedPropagator.frame_chain`` one chunk at a time,
+    over the unit maps ``forward(k)`` or ``backward(k)``: member b of a
+    (B, 2n, c) stack F0 joins at position joins[b] of ``chunks``.  Returns
+    the frames at the end and the (a, c, c) R factors of the a members
+    walked at every chunk (a = 1 for a single frame)."""
+    step = prop.forward if direction == "forward" else prop.backward
+    dtype = complex if prop.field.is_complex else float
+    F = np.array(F0, dtype=np.result_type(F0, dtype), ndmin=3)
+    joins = [0] * len(F) if joins is None else list(joins)
+    Rs = []
+    for p, k in enumerate(chunks):
+        a = sum(j <= p for j in joins)
+        F[:a], R = _positive_qr(step(k) @ F[:a])
+        Rs.append(R)
+    return F.reshape(np.shape(F0)), Rs
+
+
+def qr_exponents_reference(prop, T: float) -> np.ndarray:
+    """``ChunkedPropagator.qr_exponents`` by one unit walk of the identity
+    from 0, the log|diag R| summed chunk by chunk."""
+    m = max(1, int(round(T / prop.h)))
+    _, Rs = unit_walk_reference(prop, np.eye(2 * prop.field.n), range(m), "forward")
+    logs = np.zeros(2 * prop.field.n)
+    for R in Rs:
+        logs = logs + np.log(np.abs(np.diagonal(R[0])))
+    return np.sort(logs / (m * prop.h))[::-1]
+
+
+def eta_walk_reference(prop, lp, lm, beta: float, m: int) -> float:
+    """``dichotomy._eta_estimate`` by unit walks of the two planes over
+    half the horizon, the log ||R||_2 summed chunk by chunk."""
+    m = max(1, m // 2)
+    log_eta = 0.0
+    for frame, chunks, direction in ((lp, range(m), "forward"),
+                                     (lm, range(-1, -m - 1, -1), "backward")):
+        _, Rs = unit_walk_reference(prop, frame, chunks, direction)
+        logc = 0.0
+        for k, R in enumerate(Rs):
+            logc += np.log(max(float(np.linalg.norm(R[0], 2)), 1e-300))
+            log_eta = max(log_eta, logc + beta * (k + 1))
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_eta))
 
 
 def gram_walk_reference(prop, rows, horizon: float, use_delta: bool = True):

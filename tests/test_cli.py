@@ -235,3 +235,24 @@ def test_malformed_lq_block_is_an_error(tmp_path, capsys, A):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_every_exported_function_is_toured_or_called():
+    """Every function that ``hamflow`` exports is named in the README's
+    library tour or called inside the package: the public surface holds
+    no function that neither documents nor serves anything."""
+    import inspect
+    import re
+    from pathlib import Path
+
+    import hamflow
+
+    package = Path(hamflow.__file__).resolve().parent
+    readme = (package.parents[1] / "README.md").read_text()
+    tour = readme[readme.index("## Library tour"):readme.index("## CLI")]
+    source = "\n".join(p.read_text() for p in sorted(package.glob("*.py")))
+    unused = [name for name, obj in vars(hamflow).items()
+              if inspect.isfunction(obj)
+              and not re.search(rf"\b{name}\b", tour)
+              and not re.search(rf"(?<!def )\b{name}\(", source)]
+    assert unused == []

@@ -41,6 +41,7 @@ from conftest import (
     count_calls,
     count_ode_solvers,
     near_jordan_field,
+    nonconstant_walk_fields,
     random_periodic_field,
     random_spn_field,
 )
@@ -275,14 +276,28 @@ def _assert_scans_match_the_walks(field, horizon, rng):
         assert np.all(np.abs(growth - growth_ref) <= 1e-12)
 
 
-@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "abnormal"])
+def _trig_delta_field():
+    """ex3's constant H over a period-3 flow, with Delta = 1 + cos(2 pi
+    t / 3) / 2 + sin(2 pi t / 3) / 4: a constant field whose Delta is not
+    constant, nor even in t."""
+    flow = make_flow({"kind": "periodic", "period": 3.0})
+    f = get_preset("ex3").field
+    delta = BlockMap(n=1, const=np.array([[1.0]]),
+                     terms=(TrigTerm(k=(1,), cos=np.array([[0.5]]), sin=np.array([[0.25]])),))
+    return CoefficientField(n=1, flow=flow, H1=f.H1, H2=f.H2, H3=f.H3, delta=delta)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4", "abnormal", "trig-delta",
+                                  "torus-demo", "trig-n1", "trig-n2", "periodic"])
 @pytest.mark.parametrize("horizon", [6.0, 7.5, 16.0, 32.0])
 def test_constant_scans_match_the_chunk_by_chunk_walks(name, horizon):
-    # whole chunks of a constant field are one Gram and one carried
-    # batch; a partial last one (horizon 7.5) goes chunk by chunk
+    # whole chunks of a constant field are one Gram, and of every field
+    # one carried batch; a partial last one (horizon 7.5) goes on its own
     rng = np.random.default_rng(7)
+    fields = {**nonconstant_walk_fields(), "trig-delta": _trig_delta_field()}
+    f = fields[name] if name in fields else get_preset(name).field
     for lam in _PROBES:
-        _assert_scans_match_the_walks(perturb_h3(get_preset(name).field, lam), horizon, rng)
+        _assert_scans_match_the_walks(perturb_h3(f, lam), horizon, rng)
 
 
 @settings(max_examples=20, deadline=None)
@@ -440,13 +455,16 @@ def _assert_uwd_matches_the_walk(f, t_max):
                   <= 1e-13 * np.maximum(1.0, np.abs(want[:, 1])))
 
 
-@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4",
+                                  "torus-demo", "trig-n1", "trig-n2", "periodic"])
 @pytest.mark.parametrize("t_max", [40.0, 12.5])
 def test_uwd_constant_path_matches_the_chunk_by_chunk_walk(name, t_max):
-    # whole chunks of a constant field are scanned in one batch; a
-    # partial last one (t_max = 12.5) goes chunk by chunk
-    f0 = get_preset(name).field
-    for a in _ALPHAS:
+    # whole chunks of every field are scanned in one batch per block; a
+    # partial last one (t_max = 12.5) goes on its own
+    fields = nonconstant_walk_fields()
+    f0, alphas = ((fields[name], (0.0, 1.5)) if name in fields
+                  else (get_preset(name).field, _ALPHAS))
+    for a in alphas:
         _assert_uwd_matches_the_walk(perturb_h2(f0, a), t_max)
 
 
@@ -480,8 +498,8 @@ def test_uwd_spotchecks_a_constant_h3_once(monkeypatch):
     blocks = count_calls(monkeypatch, CoefficientField, "eval_blocks")
     eig = count_calls(monkeypatch, np.linalg, "eigvalsh")
     assert uwd_test(f, t_max=4.0).h3_flagged
-    # the one eval_blocks call assembles the sample stack's generator
-    assert len(eig) == 1 and len(blocks) == 1
+    # the spot check and the sample stack read H from the compiled field
+    assert len(eig) == 1 and len(blocks) == 0
     assert not uwd_test(get_preset("ex3").field, t_max=4.0).h3_flagged
 
 

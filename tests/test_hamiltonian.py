@@ -13,7 +13,6 @@ from hamflow.hamiltonian import (
     J_matrix,
     TrigTerm,
     constant_field,
-    eval_H,
     field_from_dict,
     general_perturb,
     perturb_h2,
@@ -100,7 +99,7 @@ def test_perturbations_commute_with_evaluation(lam, eps):
     f = get_preset("torus-demo").field
     om = f.flow.origin()
     g = regularize(perturb_h2(f, lam), eps)
-    H = eval_H(g, om)
+    H = g.H_of_t(om)(0.0)
     H1, H2, H3 = f.eval_blocks(om)
     D = f.eval_delta(om)
     np.testing.assert_allclose(H[:1, :1], H1, atol=1e-12)
@@ -179,7 +178,7 @@ def test_attaching_delta_keeps_the_blocks_and_requires_a_direction(ex2):
     g = _with_delta(ex2, 2.0)
     om = g.flow.origin()
     np.testing.assert_array_equal(g.eval_delta(om), [[2.0]])
-    np.testing.assert_array_equal(eval_H(g, om), eval_H(ex2, om))
+    np.testing.assert_array_equal(g.H_of_t(om)(0.0), ex2.H_of_t(om)(0.0))
     assert g.name == ex2.name and _with_delta(ex2) is ex2
     bare = constant_field([[-1.0]], [[0.0]], [[1.0]])
     for call in (_with_delta, find_alpha_star, rho_curve, rotation_profile,

@@ -11,11 +11,17 @@ from hamflow.propagator import (
     SolutionFrame,
     cocycle_check,
     fundamental_matrix,
-    propagate_frame,
     transfer_matrix,
 )
 
-from oracles import expm_transfer, ivp_transfer
+from conftest import nonconstant_walk_fields
+from oracles import (
+    eta_walk_reference,
+    expm_transfer,
+    ivp_transfer,
+    qr_exponents_reference,
+    unit_walk_reference,
+)
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
@@ -73,15 +79,14 @@ def test_determinant_is_one(torus_demo):
     assert abs(np.linalg.det(U) - 1.0) <= 1e-9
 
 
-def test_propagate_frame_follows_transfer(ex2):
+def test_frame_carried_in_two_legs_follows_one_transfer(ex2):
+    # a frame carried in two legs spans the line of one transfer over both
     om = ex2.flow.origin()
     fr = SolutionFrame(L1=np.array([[1.0]]), L2=np.array([[0.5]]),
                        t=0.0, omega=om)
-    out = propagate_frame(ex2, fr, 2.0)
-    want = transfer_matrix(ex2, om, 0.0, 2.0) @ np.array([[1.0], [0.5]])
-    got = np.vstack([out.L1, out.L2])[:, 0]
-    want = want[:, 0]
-    # frames may come back orthonormalized; compare the spanned line
+    mid = transfer_matrix(ex2, om, 0.0, 0.75) @ fr.stacked
+    got = (transfer_matrix(ex2, om, 0.75, 2.0) @ mid)[:, 0]
+    want = (expm_transfer(ex2, 2.0) @ fr.stacked)[:, 0]
     cos = abs(got @ want) / (np.linalg.norm(got) * np.linalg.norm(want))
     assert 1.0 - cos <= 1e-10
 
@@ -246,6 +251,33 @@ def test_kernel_raises_stiffness_past_its_step_cap():
         transfer_matrix(f, f.flow.origin(), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4",
+                                  "torus-demo", "trig-n1", "trig-n2", "periodic"])
+def test_frame_chains_exponents_and_eta_are_the_unit_walk(name):
+    # frame_chain, qr_exponents and the eta walk are carries over the unit
+    # maps: bit for bit the chunk-by-chunk walk of tests/oracles.py over
+    # the same cached maps
+    from hamflow.dichotomy import _eta_estimate
+
+    f = nonconstant_walk_fields().get(name) or get_preset(name).field
+    prop = ChunkedPropagator(f, f.flow.origin(), h=1.0, tol=1e-11)
+    n = f.n
+    rng = np.random.default_rng(5)
+    seeds = np.linalg.qr(rng.standard_normal((3, 2 * n, n)))[0]
+    for chunks, direction in ((range(15, -1, -1), "backward"), (range(-16, 0), "forward")):
+        for joins in (None, [0, 4, 9]):
+            got = prop.frame_chain(seeds, chunks, direction, joins)
+            want, _ = unit_walk_reference(prop, seeds, chunks, direction, joins)
+            assert np.array_equal(got, want)
+    for T in (4.0, 9.0, 16.0):
+        assert np.array_equal(prop.qr_exponents(T), qr_exponents_reference(prop, T))
+    lp = prop.frame_chain(seeds[0], range(15, -1, -1), "backward")
+    lm = prop.frame_chain(seeds[0], range(-16, 0), "forward")
+    for beta in (0.05, 0.5):
+        want = eta_walk_reference(prop, lp, lm, beta, 16)
+        assert _eta_estimate(prop, lp, lm, beta, 16) == want
+
+
 def test_no_hamflow_module_holds_an_integrator():
     """No module reaches an ODE integrator, and only param_scan (for
     stieltjes_invert) a quadrature routine of scipy.integrate."""
@@ -276,7 +308,7 @@ def test_torus_answers_make_no_integrator_call(torus_demo, monkeypatch):
     assert cocycle_check(torus_demo, om, 3.0, 4.5)["defect"] <= 1e-8
     assert not fundamental_matrix(torus_demo, om, 5.0).degraded
     frame = SolutionFrame(L1=np.eye(1), L2=np.eye(1), t=0.0, omega=om)
-    propagate_frame(torus_demo, frame, 2.0)
+    transfer_matrix(torus_demo, om, frame.t, frame.t + 2.0) @ frame.stacked
     assert starts == []
 
 

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 import hamflow.propagator as propagator
 from hamflow.errors import ToolkitError
-from hamflow.hamiltonian import constant_field, perturb_h2
+from hamflow.base_flow import make_flow
+from hamflow.hamiltonian import (
+    BlockMap,
+    CoefficientField,
+    TrigTerm,
+    constant_field,
+    perturb_h2,
+)
 from hamflow.presets import get_preset
 from hamflow.rotation import (
     _ArgTracker,
@@ -14,7 +21,8 @@ from hamflow.rotation import (
     rotation_profile,
 )
 
-from conftest import count_calls
+from conftest import count_calls, nonconstant_walk_fields
+from oracles import rotation_walk_reference
 
 
 @pytest.mark.parametrize("lam,want", [(-4.0, 0.0), (0.0, 0.0), (0.9, 0.0),
@@ -108,13 +116,12 @@ def test_tracked_argument_matches_the_full_fundamental_matrix(name, alpha):
 
 
 def _both_routes(f, horizons):
-    """One tracker advanced by the batched constant path, one chunk by
-    chunk, to the same horizons."""
+    """One tracker advanced by blocks of its walk, one chunk by chunk
+    (tests/oracles.py), to the same horizons."""
     batched, stepped = (_ArgTracker(f, f.flow.origin(), 0.1) for _ in range(2))
     for T in horizons:
         batched.advance_to(T)
-        while stepped.t < T - 1e-9:
-            stepped.advance_chunk()
+        rotation_walk_reference(stepped, T)
     return batched, stepped
 
 
@@ -126,11 +133,18 @@ def _assert_same_walk(batched, stepped):
     assert np.all(np.abs(got[1:, 1] - want[1:, 1]) <= 1e-14 * want[1:, 0])
 
 
-@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4",
+                                  "torus-demo", "trig-n1", "trig-n2", "periodic"])
 def test_constant_path_matches_the_chunk_by_chunk_tracker(name):
-    for alpha in np.linspace(-2.0, 6.0, 9):
-        f = perturb_h2(get_preset(name).field, alpha)
-        _assert_same_walk(*_both_routes(f, (32.0, 64.0, 512.0)))
+    # nonconstant fields take the same walk, over fewer and shorter runs
+    fields = nonconstant_walk_fields()
+    if name in fields:
+        f0, alphas, horizons = fields[name], (0.0, 1.5), (8.0, 16.0)
+    else:
+        f0, alphas = get_preset(name).field, np.linspace(-2.0, 6.0, 9)
+        horizons = (32.0, 64.0, 512.0)
+    for alpha in alphas:
+        _assert_same_walk(*_both_routes(perturb_h2(f0, alpha), horizons))
 
 
 @pytest.mark.parametrize("s,c", [(20.0, 4.0), (1.0, 20.0)])
@@ -143,6 +157,16 @@ def test_only_the_chunks_whose_steps_reach_a_quarter_turn_retry(s, c):
     assert batched.steps > 320
     _assert_same_walk(batched, stepped)
     assert abs(batched.arg / batched.t - c) <= 0.1
+    # the same field with H2 varying by 10% along a torus orbit: a retried
+    # chunk ends on the frame its first-try stack carries, not on the
+    # retry's last sample, the same transfer matrix to rounding
+    flow = make_flow({"kind": "torus", "nu": [1.0, (1.0 + 5.0 ** 0.5) / 2.0]})
+    h2 = BlockMap(n=1, const=f.H2.const,
+                  terms=(TrigTerm(k=(1, 0), cos=0.1 * f.H2.const, sin=None),))
+    g = CoefficientField(n=1, flow=flow, H1=f.H1, H2=h2, H3=f.H3)
+    batched, stepped = _both_routes(g, (8.0, 16.0))
+    assert batched.steps > 160
+    _assert_same_walk(batched, stepped)
 
 
 @pytest.mark.parametrize("name", ["ex3", "ex4"])
