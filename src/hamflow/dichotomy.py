@@ -506,9 +506,7 @@ def uwd_test(
         F = np.vstack([np.zeros((n, n)), np.eye(n)])
         whole = int(t_max // prop.h)
         for lo, frames, _, S in prop.carry(F, range(whole), per_unit):
-            # the whole chunks at the times _chunks gives them
-            ts = ((lo + np.arange(len(frames) - 1))[:, None] * prop.h
-                  + prop.h * np.arange(per_unit + 1) / per_unit)
+            ts = _whole_chunk_times(prop, lo, len(frames) - 1, per_unit)
             _uwd_scan(field, omega, ts, _at_samples(S, frames[:-1]), lo == 0, tol,
                       suspects, profile)
             F = frames[-1]
@@ -600,6 +598,13 @@ def _chunks(prop: ChunkedPropagator, horizon: float, direction: str,
         yield sign * (t + L * np.arange(m + 1) / m), prop.sampled(k, m, direction, L)
         t += L
         j += 1
+
+
+def _whole_chunk_times(prop: ChunkedPropagator, lo: int, b: int, m: int,
+                       sign: float = 1.0) -> np.ndarray:
+    """Sample times of whole chunks lo .. lo + b - 1 going ``sign`` from
+    t = 0, m intervals each, as ``_chunks`` gives them: a (b, m + 1) array."""
+    return sign * ((lo + np.arange(b))[:, None] * prop.h + prop.h * np.arange(m + 1) / m)
 
 
 def _rows(n: int, rows: str | None) -> slice:
@@ -733,10 +738,12 @@ def _witness_residual(
     c = Z0.shape[1]
     max_log_res = np.full(c, -np.inf)
     max_log_growth = np.zeros(c)
+    # a constant Delta reads no sample times
+    timed = use_delta and not prop.field.delta.is_constant
     for direction in ("forward", "backward"):
         log_scale = np.zeros(c)
         for ts, Zs in _witness_samples(prop, Z0 / np.linalg.norm(Z0, axis=0),
-                                       horizon, direction):
+                                       horizon, direction, timed):
             blk = Zs[..., sel, :]
             if use_delta:
                 blk = _delta_at(prop, ts) @ blk
@@ -754,20 +761,19 @@ def _witness_residual(
 
 
 def _witness_samples(prop: ChunkedPropagator, Z: np.ndarray, horizon: float,
-                     direction: str):
+                     direction: str, timed: bool):
     """The unit columns of Z over [0, +-horizon], renormalized at every
     chunk start: (ts, Zs) per batch, Zs[k, j] the columns at ts[k, j],
     sample j of chunk k.  The whole chunks of every field go as
     single-column frames through ``carry``, one product per block, with
-    per-chunk sample times; a partial last chunk goes on its own."""
+    per-chunk sample times, or None for them unless ``timed``; a partial
+    last chunk goes on its own."""
     sign = 1.0 if direction == "forward" else -1.0
     whole = int(horizon // prop.h)
     m = max(2, math.ceil(prop.h * _SAMPLES_PER_UNIT))
     chunks = range(whole) if sign > 0 else range(-1, -whole - 1, -1)
     for lo, frames, _, S in prop.carry(Z.T[:, :, None], chunks, m, direction):
-        # the whole chunks at the times _chunks gives them
-        ts = sign * ((lo + np.arange(len(frames) - 1))[:, None] * prop.h
-                     + prop.h * np.arange(m + 1) / m)
+        ts = _whole_chunk_times(prop, lo, len(frames) - 1, m, sign) if timed else None
         yield ts, _at_samples(S, np.swapaxes(frames[:-1, :, :, 0], 1, 2))
         Z = frames[-1, :, :, 0].T
     for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT, start=whole):

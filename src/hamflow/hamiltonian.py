@@ -308,11 +308,10 @@ class CoefficientField:
         return sums.reshape((len(a),) + weights.shape[:-1] + c.const.shape)
 
     def constant_matrix(self) -> np.ndarray:
-        """The assembled matrix of an autonomous field: the compiled
-        constant, read-only."""
+        """The assembled matrix of an autonomous field."""
         if not self.is_autonomous:
             raise InvalidCoefficients("field is not autonomous")
-        return self.compiled.const
+        return self.H_of_t(self.flow.origin())(0.0)
 
     def validate(self, sample_points: Sequence[BasePoint] | None = None) -> None:
         """Check that H2, H3 and Delta are symmetric coefficient by merged
@@ -407,8 +406,6 @@ class CompiledField:
                 if term.sin is not None:
                     parts[1, b] += flip * term.sin
         const = assemble(*const)
-        # shared by every caller of constant_matrix and H_at
-        const.flags.writeable = False
         keys = sorted(coef)
         CS = np.array([[assemble(*coef[k][j]) for k in keys] for j in (0, 1)],
                       dtype=dtype).reshape(2 * len(keys), const.size)

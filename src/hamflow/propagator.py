@@ -593,8 +593,10 @@ class ChunkedPropagator:
         field, and ``_at_samples(S, frames[:-1])`` takes either; Rs is
         empty, since a walk over the samples reads those, and keeping every
         R would cost a long walk 5 % of its time.  A block's samples S_k F_k,
-        and its own sample stacks, hold at most ``_CARRY_BUDGET`` matrix
-        entries, so memory does not grow with the range."""
+        and the copy of its sample stacks, hold at most ``_CARRY_BUDGET``
+        matrix entries.  On a constant field memory therefore does not grow
+        with the range; any other field's fill keeps every chunk's sample
+        stack in the propagator, as its unit maps are kept."""
         self.fill(chunks, direction, m)
         F0 = np.asarray(F0)
         dtype = np.result_type(F0, complex if self.field.is_complex else float)

@@ -498,8 +498,8 @@ def test_uwd_spotchecks_a_constant_h3_once(monkeypatch):
     blocks = count_calls(monkeypatch, CoefficientField, "eval_blocks")
     eig = count_calls(monkeypatch, np.linalg, "eigvalsh")
     assert uwd_test(f, t_max=4.0).h3_flagged
-    # the spot check and the sample stack read H from the compiled field
-    assert len(eig) == 1 and len(blocks) == 0
+    # the one eval_blocks call assembles the sample stack's generator
+    assert len(eig) == 1 and len(blocks) == 1
     assert not uwd_test(get_preset("ex3").field, t_max=4.0).h3_flagged
 
 
