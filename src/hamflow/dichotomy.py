@@ -44,7 +44,7 @@ from .propagator import (
     expm,
     transfer_matrix,
 )
-from .riccati_weyl import _PROPAGATION_TOL, _floquet_split, plane_distance
+from .riccati_weyl import _PROPAGATION_TOL, _floquet_split, _spectral_matrix, plane_distance
 
 __all__ = [
     "EDThresholds",
@@ -152,20 +152,19 @@ def _analyze_point(
 
 
 def _spectral_point(prop: ChunkedPropagator, th: EDThresholds) -> PointEvidence | None:
-    """Verdict from the Floquet exponents (see the module docstring; a
-    constant field is periodic with any period, one chunk): an exponent 0
-    rules ED out, and a clean split of the ordered Schur forms with
-    transversal, well-conditioned invariant subspaces is ED with the exact
-    rate.  None when neither is clear, and on torus flows."""
+    """Verdict from the Floquet exponents of ``_spectral_matrix``: H on a
+    constant field (periodic with any period, one chunk), the monodromy
+    matrix on a periodic one.  An exponent 0 rules ED out, and a clean
+    split of the matrix's ordered Schur forms with transversal,
+    well-conditioned planes is ED with the exact rate; ``weyl_plus/minus``
+    read their planes off the same split.  The exponents are eig(M)'s,
+    not the Schur blocks', which can differ in the last bits.  None when
+    neither is clear, and on torus flows."""
     field, omega = prop.field, prop.omega
-    constant = field.is_autonomous
-    if constant:
-        M, period = field.constant_matrix(), prop.h
-    elif field.flow.kind == "periodic":
-        period = field.flow.period
-        M = transfer_matrix(field, omega, 0.0, period, tol=_PROPAGATION_TOL)
-    else:
+    spectral = _spectral_matrix(field, omega, prop.h)
+    if spectral is None:
         return None
+    M, period, constant = spectral
     if not np.all(np.isfinite(M)):
         return None
     # the spectrum pairs as mu <-> 1/mu (lambda <-> -lambda): the decaying

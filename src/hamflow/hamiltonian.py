@@ -170,10 +170,14 @@ def _klen(bm: BlockMap) -> int:
 
 def _matrix_from_json(obj) -> np.ndarray:
     if isinstance(obj, dict) and "re" in obj:
-        return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(
+        M = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(
             obj.get("im", np.zeros_like(obj["re"])), dtype=float
         )
-    M = np.asarray(obj, dtype=float)
+    else:
+        M = np.asarray(obj, dtype=float)
+    # JSON readers accept Infinity and NaN, which LAPACK does not
+    if not np.all(np.isfinite(M)):
+        raise SchemaError("matrix entries must be finite numbers")
     return np.atleast_2d(M)
 
 
@@ -589,9 +593,7 @@ def constant_field(
 def _block_from_json(obj, n: int, flow_dim: int) -> BlockMap:
     """Parse a block: bare matrix (constant) or list of trig-table entries
     {"k": multi-index, "cos": matrix, "sin": matrix}."""
-    if isinstance(obj, (int, float)):
-        return BlockMap.constant(np.array([[float(obj)]]))
-    if isinstance(obj, dict) and "re" in obj:
+    if isinstance(obj, (int, float)) or (isinstance(obj, dict) and "re" in obj):
         return BlockMap.constant(_matrix_from_json(obj))
     if isinstance(obj, list) and obj and isinstance(obj[0], dict) and "k" in obj[0]:
         const = np.zeros((n, n))

@@ -111,12 +111,12 @@ class LQProblem:
             flow = make_flow("autonomous")
         A = _as_block(A, n, "A")
         G = _as_block(G, n, "G")
-        if g is None:
-            g = np.zeros((n, m))
-        g = np.asarray(g, dtype=float).reshape(n, m)
-        if R is None:
-            R = np.eye(m)
-        R = np.atleast_2d(np.asarray(R, dtype=float))
+        g = np.zeros((n, m)) if g is None else np.asarray(g, dtype=float).reshape(n, m)
+        R = np.eye(m) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
+        x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+        for name, value in (("B", B), ("g", g), ("R", R), ("x0", x0)):
+            if not np.all(np.isfinite(value)):
+                raise InvalidCoefficients(f"{name} has entries that are not finite")
         if R.shape != (m, m):
             raise InvalidCoefficients(f"R must be {m}x{m}, got {R.shape}")
         if np.max(np.abs(R - R.T)) > _SYM_TOL:
@@ -128,9 +128,6 @@ class LQProblem:
             Gv = G(th)
             if np.max(np.abs(Gv - Gv.T)) > _SYM_TOL:
                 raise InvalidCoefficients("G must be symmetric at all sample points")
-        if x0 is None:
-            x0 = np.zeros(n)
-        x0 = np.asarray(x0, dtype=float).reshape(n)
         return LQProblem(n=n, m=m, A=A, B=B, G=G, g=g, R=R, flow=flow,
                          x0=x0, rho=rho)
 

@@ -1,17 +1,19 @@
 """Riccati flow, Weyl functions M+/M-, principal functions N+/N-, and
 real-axis boundary limits F+/F-.
 
-The Weyl functions are computed as graph representations of limiting
-Lagrange planes: a seed plane is carried backward from a large horizon T
-to time 0 (for M+; forward from -T for M-) with per-chunk
-re-orthonormalization, and the horizon is doubled until successive
-estimates agree.  Constant fields take the stable/unstable eigenspace of
-H instead, and periodic ones the stable/unstable subspace of the
-one-period monodromy matrix.  When the split is not clean, a periodic
-field falls back to horizon doubling; a constant one has an eigenvalue
-on the imaginary axis, no decaying plane, and raises at once.  The
-Riccati flow is the graph of a carried plane as well, and escapes in
-finite time exactly where that graph degenerates.
+The Weyl functions are graph representations of the invariant Lagrange
+planes of the dichotomy.  Constant and periodic fields split them off
+one matrix: H itself, or the one-period monodromy matrix.  Its ordered
+Schur forms give the decaying plane, the gap between the two halves of
+the spectrum, and a Stewart bound on the plane's error, the same split
+that ``detect_ed`` reads.  A constant field whose split is not clean has
+an eigenvalue on the imaginary axis, no decaying plane, and raises at
+once; a periodic one falls back to the frame route.  That route, and the
+only one on torus flows, carries a seed plane backward from a large
+horizon T to time 0 (for M+; forward from -T for M-) with per-chunk
+re-orthonormalization, and doubles the horizon until successive
+estimates agree.  The Riccati flow is the graph of a carried plane as
+well, and escapes in finite time exactly where that graph degenerates.
 
 The spectral parameter enters through the perturbation families: by
 default lambda shifts the lower-left block (H2 -> H2 - lambda Delta), the
@@ -56,6 +58,13 @@ _SYMMETRY_TOL = 1e-9
 # Integration tolerance of chunk transfer matrices and of the one-period
 # monodromy matrix.
 _PROPAGATION_TOL = 1e-11
+# Relative error floor, per half-dimension n, of a constant field's H in
+# the Stewart bound.  H is exact up to the rounding of its entries, so
+# its floor is a few machine epsilons: the integration floor of a
+# monodromy matrix would loosen the bound 10^4-fold on every constant
+# field, and with it the symmetry gate of the graph and the sweep bound
+# of synthesize.  4 eps alone falls short at n = 2.
+_GENERATOR_ROUNDING = 4.0 * np.finfo(float).eps
 # Smallest gap in log|multiplier| between the decaying and the growing
 # halves that counts as a clean Floquet split.  Multipliers on the unit
 # circle come out off it by the integration error, or by its square root
@@ -76,7 +85,8 @@ class WeylMatrix:
     [[I], [M]], with provenance.
 
     role: "M+", "M-", "N+", "N-", "F+", "F-", or "flow" (Riccati endpoint).
-    convergence_error: last horizon-doubling (or extrapolation) increment.
+    convergence_error: last horizon-doubling (or extrapolation) increment,
+    or the Stewart bound of a spectral split.
     ``real_limit`` is set by boundary limits: True when the imaginary part
     extrapolated away below tolerance.
     """
@@ -197,15 +207,10 @@ def plane_distance(F: np.ndarray, G: np.ndarray) -> float:
     return float(np.linalg.norm(PF - PG, 2))
 
 
-def _orthonormal_frame(F: np.ndarray) -> np.ndarray:
-    Q, _ = np.linalg.qr(F)
-    return Q
-
-
 def _seed_frame(M0: np.ndarray) -> np.ndarray:
     """The graph plane [[I], [M0]] of an n x n seed as an orthonormal
     2n x n frame."""
-    return _orthonormal_frame(np.vstack([np.eye(M0.shape[0], dtype=M0.dtype), M0]))
+    return np.linalg.qr(np.vstack([np.eye(M0.shape[0], dtype=M0.dtype), M0]))[0]
 
 
 def _limit_plane(
@@ -273,31 +278,18 @@ def _limit_plane(
     return out
 
 
-def _eig_plane(field: CoefficientField, side: str) -> tuple[np.ndarray, float]:
-    """Stable (side plus) / unstable (side minus) eigenspace frame of a
-    constant-coefficient field.  Raises NoConvergence when the spectral
-    split is not clean: an eigenvalue on the imaginary axis leaves no
-    decaying plane, and horizon doubling could only fail to settle."""
-    H = field.constant_matrix()
-    w, V = np.linalg.eig(H)
-    order = np.argsort(w.real)
-    n = field.n
-    if side == "plus":
-        sel = order[:n]
-        rest = order[n:]
-        gap = float(w.real[rest].min() - w.real[sel].max())
-    else:
-        sel = order[n:]
-        rest = order[:n]
-        gap = float(w.real[sel].min() - w.real[rest].max())
-    if gap <= 1e-12:
-        w0 = w[np.argmin(np.abs(w.real))]
-        raise NoConvergence(
-            f"no clean spectral split: eigenvalue {w0:.6g} of H lies on the "
-            "imaginary axis, so no decaying plane exists", T_max=float("inf"))
-    F = _orthonormal_frame(V[:, sel])
-    cond = np.linalg.cond(V)
-    return F, float(1e-15 * cond / max(gap, 1e-15))
+def _spectral_matrix(field: CoefficientField, omega: BasePoint, h: float = 1.0
+                     ) -> tuple[np.ndarray, float, bool] | None:
+    """The matrix whose ordered Schur forms split a field's invariant
+    planes, as (M, period, generator): a constant field's H, periodic
+    with any period h, or a periodic field's one-period monodromy matrix.
+    None on torus flows."""
+    if field.is_autonomous:
+        return field.constant_matrix(), h, True
+    if field.flow.kind == "periodic":
+        period = field.flow.period
+        return transfer_matrix(field, omega, 0.0, period, tol=_PROPAGATION_TOL), period, False
+    return None
 
 
 def _floquet_split(M: np.ndarray, side: str, generator: bool = False
@@ -308,10 +300,15 @@ def _floquet_split(M: np.ndarray, side: str, generator: bool = False
     the imaginary axis, from an ordered Schur form.  Returns (orthonormal
     frame, error bound, gap in log|multiplier| or real part between the
     two halves, the form's leading block); raises if M is not finite or
-    that side does not hold exactly half of the spectrum."""
+    that side does not hold exactly half of the spectrum.
+
+    The bound takes M's relative error as its symplectic (Hamiltonian)
+    defect, but never below the integration tolerance for a monodromy
+    matrix, or below ``_GENERATOR_ROUNDING`` per half-dimension for a
+    generator, which is exact up to rounding."""
     n = M.shape[0] // 2
     if not np.all(np.isfinite(M)):
-        raise ToolkitError("monodromy matrix is not finite")
+        raise ToolkitError("H or monodromy matrix is not finite")
     sort = ("lhp", "rhp") if generator else ("iuc", "ouc")
     T, Z, sdim = schur(M, output="complex" if np.iscomplexobj(M) else "real",
                        sort=sort[side != "plus"])
@@ -330,27 +327,12 @@ def _floquet_split(M: np.ndarray, side: str, generator: bool = False
     scale = float(np.linalg.norm(M, 2))
     J = J_matrix(n)
     defect = M.T @ J + J @ M if generator else M.T @ J @ M - J
-    rel = max(_PROPAGATION_TOL, float(np.linalg.norm(defect, 2)) / scale ** (1 if generator else 2))
+    floor = n * _GENERATOR_ROUNDING if generator else _PROPAGATION_TOL
+    rel = max(floor, float(np.linalg.norm(defect, 2)) / scale ** (1 if generator else 2))
     I = np.eye(n)
     sep = float(np.linalg.svd(np.kron(I, T11) - np.kron(T22.T, I), compute_uv=False)[-1])
     err = 2.0 * rel * scale / sep if sep > 0.0 else float("inf")
     return Z[:, :n], err, float(margin), T11
-
-
-def _floquet_plane(
-    field: CoefficientField, omega: BasePoint, side: str, tol: float
-) -> tuple[np.ndarray, float]:
-    """Stable (side plus) / unstable (side minus) subspace frame of the
-    one-period monodromy matrix of a periodic field; raises if the split
-    at the unit circle is not clean or the subspace error bound exceeds
-    ``tol``."""
-    Phi = transfer_matrix(field, omega, 0.0, field.flow.period, tol=_PROPAGATION_TOL)
-    F, err, margin, _ = _floquet_split(Phi, side)
-    if not margin > _FLOQUET_MARGIN:
-        raise ToolkitError("no clean Floquet split at the unit circle")
-    if not err <= tol:
-        raise ToolkitError(f"Floquet subspace error bound {err:.3g} above {tol:g}")
-    return F, err
 
 
 def _frame_to_weyl(
@@ -400,20 +382,27 @@ def _weyl(
     role = "M+" if side == "plus" else "M-"
     if method not in ("auto", "frame"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and (fam_field.is_autonomous
-                             or fam_field.flow.kind == "periodic"):
+    spectral = _spectral_matrix(fam_field, omega) if method == "auto" else None
+    if spectral is not None:
+        M, period, generator = spectral
         try:
-            if fam_field.is_autonomous:
-                F, err = _eig_plane(fam_field, side)
-                T_used = float("inf")
-            else:
-                F, err = _floquet_plane(fam_field, omega, side, tol)
-                T_used = fam_field.flow.period
-            return _frame_to_weyl(F, role, omega, lam, err, T_used)
-        except (WeylNonexistence, NoConvergence):
-            raise
+            F, err, margin, _ = _floquet_split(M, side, generator)
         except ToolkitError:
-            pass  # fall through to the frame route
+            if generator and not np.all(np.isfinite(M)):
+                raise
+            margin = -math.inf
+        if generator:
+            # no clean split leaves no decaying plane, and horizon
+            # doubling could only fail to settle
+            if not margin > 1e-12:
+                w = np.linalg.eigvals(M)
+                w0 = w[np.argmin(np.abs(w.real))]
+                raise NoConvergence(
+                    f"no clean spectral split: eigenvalue {w0:.6g} of H lies on the "
+                    "imaginary axis, so no decaying plane exists", T_max=math.inf)
+            return _frame_to_weyl(F, role, omega, lam, err, math.inf)
+        if margin > _FLOQUET_MARGIN and err <= tol:
+            return _frame_to_weyl(F, role, omega, lam, err, period)
 
     n = field.n
     if complex(lam).imag != 0:
@@ -463,13 +452,15 @@ def weyl_plus(
 
     Computed by carrying a seed plane backward from horizon T with
     T-doubling agreement (``method="frame"``).  Under ``method="auto"`` a
-    constant field takes the stable eigenspace of H and a periodic one
-    the stable subspace of its one-period monodromy matrix; tests check
-    both against the frame route.  A periodic field falls back to the
-    frame route when its split is not clean.  Raises WeylNonexistence
-    when the plane is vertical-degenerate and NoConvergence when
-    doubling never settles or, on a constant field, when H has an
-    eigenvalue on the imaginary axis (no dichotomy nearby).
+    constant field takes the stable invariant subspace of H (``T_used``
+    inf) and a periodic one that of its one-period monodromy matrix, both
+    from one ordered Schur split whose Stewart bound is the
+    ``convergence_error``; tests check both against the frame route, and
+    the constant one against an eigenvector reference.  A periodic field falls back to the frame
+    route when its split is not clean or its bound exceeds ``tol``.
+    Raises WeylNonexistence when the plane is vertical-degenerate and
+    NoConvergence when doubling never settles or, on a constant field,
+    when H has an eigenvalue on the imaginary axis (no dichotomy nearby).
     """
     return _weyl(field, omega, lam, "plus", tol, family, method, max_doublings)
 

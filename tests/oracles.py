@@ -62,12 +62,26 @@ def riccati_reference(field, omega, M0, t: float, rtol: float = 1e-12) -> np.nda
     return sol.y[:, -1].reshape(n, n)
 
 
+def eig_stable_weyl(H: np.ndarray) -> np.ndarray:
+    """Weyl matrix of the stable invariant subspace of a hyperbolic
+    constant Hamiltonian matrix, from the eigenvectors of its n
+    eigenvalues with the smallest real parts.
+
+    Independent of the ordered Schur split that the library and the
+    ``schur_*_weyl`` references use.
+    """
+    n = H.shape[0] // 2
+    w, V = np.linalg.eig(H)
+    F, _ = np.linalg.qr(V[:, np.argsort(w.real)[:n]])
+    return np.linalg.solve(F[:n, :].T, F[n:, :].T).T
+
+
 def schur_stable_weyl(H: np.ndarray) -> np.ndarray:
     """Weyl matrix of the stable invariant subspace of a hyperbolic
     constant Hamiltonian matrix, via an ordered real Schur form.
 
-    Independent of the eigenvector route: sorts the Schur form so the
-    leading block carries the eigenvalues with negative real part.
+    The library splits H by the same algorithm, so this checks its graph,
+    side and sort; ``eig_stable_weyl`` is the independent reference.
     """
     n = H.shape[0] // 2
     T, Z, sdim = schur(H, output="real", sort="lhp")
@@ -77,6 +91,8 @@ def schur_stable_weyl(H: np.ndarray) -> np.ndarray:
 
 
 def schur_unstable_weyl(H: np.ndarray) -> np.ndarray:
+    """The unstable counterpart of ``schur_stable_weyl``; it shares the
+    library's algorithm in the same way."""
     n = H.shape[0] // 2
     T, Z, sdim = schur(H, output="real", sort="rhp")
     assert sdim == n, f"unstable subspace has dimension {sdim}, want {n}"

@@ -237,6 +237,32 @@ def test_malformed_lq_block_is_an_error(tmp_path, capsys, A):
     assert "Traceback" not in err
 
 
+EX2_FILE = {"n": 1, "H1": [[-1.0]], "H2": [[0.0]], "H3": [[1.0]], "Delta": [[1.0]]}
+SCALAR_LQ = {"A": [[-0.5]], "B": [[1.0]], "G": [[1.0]], "x0": [1.0]}
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("command, problem", [
+    *[(command, {**EX2_FILE, "H1": [[bad]]})
+      for command in ("weyl", "classify", "scan", "herglotz") for bad in (INF, NAN)],
+    ("weyl", {**EX2_FILE, "flow": {"kind": "periodic", "period": 1.0},
+              "H1": [{"k": [0], "cos": [[-1.0]]}, {"k": [1], "cos": [[INF]]}]}),
+    ("lq", {**SCALAR_LQ, "R": [[NAN]]}),
+    ("lq", {**SCALAR_LQ, "B": [[INF]]}),
+    ("lq", {**SCALAR_LQ, "x0": [NAN]}),
+])
+def test_problem_file_entries_that_are_not_finite_are_an_error(tmp_path, capsys, command,
+                                                               problem):
+    # JSON readers take Infinity and NaN; they must end as an error
+    # message, not in LAPACK or in a nan answer
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main([command, str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_every_exported_function_is_toured_or_called():
     """Every function that ``hamflow`` exports is named in the README's
     library tour or called inside the package: the public surface holds

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ import hamflow.riccati_weyl as riccati_weyl
 from hamflow.base_flow import BasePoint, advance, make_flow
 from hamflow.errors import FiniteEscape, NoConvergence, ToolkitError, WeylNonexistence
 from hamflow.hamiltonian import BlockMap, CoefficientField, TrigTerm, constant_field, perturb_h2
+from hamflow.presets import get_preset
 from hamflow.riccati_weyl import (
     apply_family,
     boundary_limit,
@@ -17,7 +20,7 @@ from hamflow.riccati_weyl import (
 )
 
 from conftest import random_periodic_field, random_spn_field, random_trig_field
-from oracles import riccati_reference, schur_stable_weyl, schur_unstable_weyl
+from oracles import eig_stable_weyl, riccati_reference, schur_stable_weyl, schur_unstable_weyl
 
 
 @pytest.mark.parametrize("lam", [-2.0, -1.0, 0.0, 1.0, 5.0])
@@ -59,14 +62,17 @@ def test_eig_and_frame_routes_agree_on_random_hyperbolic_fields(monkeypatch):
         H = f.constant_matrix()
         if np.min(np.abs(np.real(np.linalg.eigvals(H)))) < 0.3:
             continue
-        # auto takes the eig route on constant fields: no horizon doubling
+        # auto splits H by one ordered Schur form on constant fields: no
+        # horizon doubling
+        splits = _counting(monkeypatch, riccati_weyl, "_floquet_split")
         doublings = _counting(monkeypatch, riccati_weyl, "_limit_plane")
         a = weyl_plus(f, method="auto")
         monkeypatch.undo()
-        assert len(doublings) == 0
+        assert (len(splits), len(doublings)) == (1, 0)
         b = weyl_plus(f, method="frame")
         np.testing.assert_allclose(a.M, b.M, atol=1e-7)
         np.testing.assert_allclose(np.real(a.M), schur_stable_weyl(H), atol=1e-8)
+        np.testing.assert_allclose(np.real(a.M), np.real(eig_stable_weyl(H)), atol=1e-8)
         done += 1
 
 
@@ -95,10 +101,11 @@ def test_floquet_and_frame_routes_agree_on_random_periodic_fields(monkeypatch, n
         for weyl in (weyl_plus, weyl_minus):
             b = weyl(f, om, lam=lam, method="frame")
             integrations = _counting(monkeypatch, riccati_weyl, "transfer_matrix")
+            splits = _counting(monkeypatch, riccati_weyl, "_floquet_split")
             doublings = _counting(monkeypatch, riccati_weyl, "_limit_plane")
             a = weyl(f, om, lam=lam)
             monkeypatch.undo()
-            assert (len(integrations), len(doublings)) == (1, 0)
+            assert (len(integrations), len(splits), len(doublings)) == (1, 1, 0)
             assert a.T_used == period
             np.testing.assert_allclose(a.M, b.M, atol=1e-9, rtol=0)
             dist = plane_distance(_graph_frame(a.M), _graph_frame(b.M))
@@ -127,24 +134,70 @@ def test_floquet_route_falls_back_on_unit_circle_multipliers(stiffness):
     assert errors[0] is errors[1]
 
 
-@pytest.mark.parametrize("case", ["ex2-critical", "elliptic"])
+@pytest.mark.parametrize("case", ["ex2-critical", "elliptic", "two-oscillators",
+                                  "ex2-critical+hyperbolic"])
 def test_constant_field_with_imaginary_eigenvalues_has_no_weyl_function(monkeypatch, ex2,
                                                                        case):
     # ex2 at alpha = 1 has a double eigenvalue 0 (a Jordan block); the
-    # oscillator x'' = -x has eigenvalues +-i.  No decaying plane exists:
-    # the eig route says so at once, horizon doubling by never settling.
+    # oscillator x'' = -x has eigenvalues +-i, and x'' = -diag(1, 4) x
+    # +-i and +-2i.  Next to ex2 at alpha = 0.5 (eigenvalues +-0.707) the
+    # Jordan pair leaves one sort of H short of n eigenvalues.  No
+    # decaying plane exists: the spectral route says so at once, horizon
+    # doubling by never settling.
     if case == "ex2-critical":
         f = perturb_h2(ex2, 1.0)
-    else:
+    elif case == "elliptic":
         f = constant_field([[0.0]], [[-1.0]], [[1.0]])
+    elif case == "two-oscillators":
+        f = constant_field(np.zeros((2, 2)), -np.diag([1.0, 4.0]), np.eye(2))
+    else:
+        f = constant_field(-np.eye(2), -np.diag([1.0, 0.5]), np.eye(2))
     doublings = _counting(monkeypatch, riccati_weyl, "_limit_plane")
-    with pytest.raises(NoConvergence, match="imaginary axis"):
+    with pytest.raises(NoConvergence, match="imaginary axis") as info:
         weyl_plus(f, family=None)
+    named = complex(re.search(r"eigenvalue (\S+) of H", str(info.value)).group(1))
+    assert abs(named.real) < 1e-12
     assert len(doublings) == 0
     with pytest.raises(NoConvergence):
         weyl_plus(f, family=None, method="frame", max_doublings=5)
     # one call carries both seeds
     assert len(doublings) == 1 and len(doublings[0][2]) == 2
+
+
+_NONREAL_LAMBDAS = (1j, -2 + 1j, 0.5 + 1j)
+
+
+@pytest.mark.parametrize("name, lam", [(name, lam) for name in ("ex1", "ex2", "ex3")
+                                       for lam in get_preset(name).weyl_lambdas
+                                       + _NONREAL_LAMBDAS])
+def test_constant_weyl_error_covers_the_closed_form(name, lam):
+    # the Stewart bound of H's split is an error bound: no slack added
+    preset = get_preset(name)
+    for weyl, law in ((weyl_plus, preset.weyl_plus_law), (weyl_minus, preset.weyl_minus_law)):
+        if law is None:
+            continue
+        W = weyl(preset.field, lam=lam, family="H2")
+        exact = np.array([[law(lam)]])
+        assert plane_distance(_graph_frame(W.M), _graph_frame(exact)) <= W.convergence_error
+
+
+@pytest.mark.parametrize("angle", [0.3, 1.1, 2.0])
+@pytest.mark.parametrize("lam", (-4.0, 0.0, 0.9) + _NONREAL_LAMBDAS)
+def test_rotated_direct_sum_weyl_error_covers_the_closed_form(angle, lam):
+    # P (ex2 (+) ex3) P^T for a rotation P: z -> diag(P, P) z is
+    # symplectic and keeps Delta = I, so M+- = P diag(m2+-, m3+-) P^T
+    c, s = np.cos(angle), np.sin(angle)
+    P = np.array([[c, -s], [s, c]])
+
+    def rotated(*diagonal):
+        return P @ np.diag(diagonal) @ P.T
+    f = constant_field(rotated(-1.0, 0.0), rotated(0.0, 1.0), rotated(1.0, 1.0),
+                       delta=np.eye(2))
+    root = np.sqrt(complex(1.0 - lam))
+    for weyl, exact in ((weyl_plus, rotated(1.0 - root, -root)),
+                        (weyl_minus, rotated(1.0 + root, root))):
+        W = weyl(f, lam=lam, family="H2")
+        assert plane_distance(_graph_frame(W.M), _graph_frame(exact)) <= W.convergence_error
 
 
 def test_weyl_seeds_share_one_chunk_cache(monkeypatch, torus_demo):
