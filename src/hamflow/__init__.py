@@ -8,7 +8,6 @@ from .base_flow import BaseFlow, BasePoint, advance, make_flow, sample_orbit
 from .hamiltonian import (
     BlockMap,
     CoefficientField,
-    PerturbationTag,
     constant_field,
     field_from_dict,
     general_perturb,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import InvalidArgument, SchemaError
 
 __all__ = [
     "BaseFlow",
@@ -119,6 +119,13 @@ def _has_small_integer_relation(nu: Sequence[float], order: int) -> bool:
     return False
 
 
+def _number(x, what: str) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{what} must be a number, not {x!r}") from e
+
+
 def make_flow(spec: dict | str) -> BaseFlow:
     """Build and validate a base flow from a descriptor.
 
@@ -133,12 +140,15 @@ def make_flow(spec: dict | str) -> BaseFlow:
     if kind == "autonomous":
         return BaseFlow(kind="autonomous")
     if kind == "periodic":
-        period = float(spec.get("period", 0.0))
+        period = _number(spec.get("period", 0.0), "periodic flow period")
         if not period > 0.0:
             raise SchemaError("periodic flow requires period > 0")
         return BaseFlow(kind="periodic", period=period)
     if kind == "torus":
-        nu = tuple(float(x) for x in spec.get("nu", ()))
+        nu = spec.get("nu", ())
+        if not isinstance(nu, (list, tuple)):
+            raise SchemaError(f"torus frequencies must be a list, not {nu!r}")
+        nu = tuple(_number(x, "torus frequency") for x in nu)
         if len(nu) == 0:
             raise SchemaError("torus flow requires a nonempty frequency vector")
         if not all(np.isfinite(nu)) or any(x == 0.0 for x in nu):
@@ -170,9 +180,9 @@ def advance(flow: BaseFlow, omega: BasePoint, t: float) -> BasePoint:
 def sample_orbit(flow: BaseFlow, omega0: BasePoint, N: int, dt: float) -> list[BasePoint]:
     """Return the orbit sample [omega0 . (k dt)] for k = 0..N-1."""
     if N < 1:
-        raise ValueError("N must be >= 1")
+        raise InvalidArgument("N must be >= 1")
     if not dt > 0:
-        raise ValueError("dt must be > 0")
+        raise InvalidArgument("dt must be > 0")
     return [advance(flow, omega0, k * dt) for k in range(N)]
 
 

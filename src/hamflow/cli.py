@@ -25,7 +25,7 @@ from . import __version__
 from ._json import Encodable, jsonable
 from .dichotomy import classify_family, detect_ed
 from .base_flow import make_flow
-from .errors import GoldenMismatch, SchemaError, ToolkitError, WeylNonexistence
+from .errors import GoldenMismatch, InvalidArgument, SchemaError, ToolkitError, WeylNonexistence
 from .hamiltonian import CoefficientField, _block_from_json, field_from_dict, perturb_h2
 from .lq_control import LQProblem, synthesize
 from .param_scan import (
@@ -60,22 +60,36 @@ class RunConfig(Encodable):
             raise ToolkitError("tolerances and horizons must be positive and finite")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip() != "")
+def _parse_floats(option: str, text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(",") if x.strip() != "")
+    except ValueError as e:
+        raise InvalidArgument(f"{option} needs comma-separated numbers, not {text!r}") from e
+
+
+def _read_problem(path: str) -> dict:
+    """The JSON object of a problem file."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as e:
+            # a JSONDecodeError, or a UnicodeDecodeError of a binary file
+            raise SchemaError(f"problem file is not valid JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise SchemaError("problem file must hold a JSON object")
+    return data
 
 
 def _load_field(spec: str) -> CoefficientField:
     if spec in PRESET_NAMES:
         return get_preset(spec).field
-    with open(spec) as fh:
-        return field_from_dict(json.load(fh))
+    return field_from_dict(_read_problem(spec))
 
 
 def _load_lq(spec: str) -> LQProblem:
     if spec == "lq-scalar":
         return scalar_lq_problem()
-    with open(spec) as fh:
-        data = json.load(fh)
+    data = _read_problem(spec)
     missing = [key for key in ("A", "B", "G") if key not in data]
     if missing:
         raise SchemaError(f"LQ problem file missing {', '.join(missing)}")
@@ -433,16 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    bracket = _parse_floats(args.bracket)
-    if len(bracket) != 2:
-        print("error: --bracket needs exactly two values", file=sys.stderr)
-        return EXIT_ERROR
     if args.T is None:
         args.T = 20.0 if args.command == "lq" else 64.0
     try:
+        bracket = _parse_floats("--bracket", args.bracket)
+        if len(bracket) != 2:
+            raise InvalidArgument("--bracket needs exactly two values")
         cfg = RunConfig(
             command=args.command, input=args.input, out=args.out,
-            tol=args.tol, grid=_parse_floats(args.grid), T=args.T,
+            tol=args.tol, grid=_parse_floats("--grid", args.grid), T=args.T,
             bracket=(bracket[0], bracket[1]), jobs=args.jobs,
         )
         return _COMMANDS[args.command](cfg)

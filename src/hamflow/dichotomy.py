@@ -15,8 +15,10 @@ that a finite computation can only support, never certify.  Every report
 embeds the thresholds it was judged against.  Every renormalized frame
 walk here, the plane and exponent walks, the η̂ walk, the disconjugacy
 scan and the witness scan, is one ``ChunkedPropagator.carry`` over the
-whole chunks, on any field; on a constant field the whole chunks of the
-Gram scan are one congruence sum.
+whole chunks, on any field, as is ``riccati_flow``'s walk.  The
+disconjugacy and witness scans walk their horizon by ``_walk``, which
+takes a partial last chunk as a block of its own.  On a constant field
+the whole chunks of the Gram scan are one congruence sum.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from ._json import Encodable
 from .base_flow import BasePoint
-from .errors import InvalidCoefficients, ToolkitError
+from .errors import InvalidArgument, InvalidCoefficients, ToolkitError
 from .hamiltonian import (
     CoefficientField,
     _with_delta,
@@ -146,7 +148,7 @@ def _analyze_point(
     th: EDThresholds,
 ) -> PointEvidence:
     if th.T0 > T_max:
-        raise ValueError("T0 exceeds T_max")
+        raise InvalidArgument("T0 exceeds T_max")
     prop = ChunkedPropagator(field, omega, h=1.0, tol=_PROPAGATION_TOL)
     return _spectral_point(prop, th) or _doubling_point(prop, T_max, th)
 
@@ -410,7 +412,7 @@ def _as_grid(field: CoefficientField, omega_grid) -> list[BasePoint]:
         return [omega_grid]
     grid = list(omega_grid)
     if not grid:
-        raise ValueError("omega_grid must be nonempty")
+        raise InvalidArgument("omega_grid must be nonempty")
     return grid
 
 
@@ -428,7 +430,7 @@ def nonoscillation_check(report: DichotomyReport) -> NonoscillationReport:
     top block), and the Weyl samples M+ = L2 L1^{-1} are returned.
     """
     if report.verdict != "ED":
-        raise ValueError("nonoscillation_check requires an ED verdict")
+        raise InvalidArgument("nonoscillation_check requires an ED verdict")
     samples = []
     smin_all = float("inf")
     holds = True
@@ -483,10 +485,9 @@ def uwd_test(
     The plane is carried by one sampled chunk propagator per base point
     and is re-orthonormalized chunkwise with a positive-diagonal QR, which
     rescales the determinant by a positive factor and so preserves its
-    zeros and (real case) sign changes.  The whole chunks of every field
-    are one ``ChunkedPropagator.carry`` of the frames, with one product
-    and one determinant call per block; a partial last chunk goes on its
-    own.  Suspects are sign changes and near-zero dips; the verdict is
+    zeros and (real case) sign changes.  The walk over [0, t_max] is one
+    ``_walk``, with one product and one determinant call per block.
+    Suspects are sign changes and near-zero dips; the verdict is
     true when the final half of [0, t_max] is clean, and t0_hat is the
     last suspect time.
     """
@@ -503,16 +504,8 @@ def uwd_test(
     for omega in grid:
         prop = ChunkedPropagator(field, omega, h=1.0, tol=tol)
         F = np.vstack([np.zeros((n, n)), np.eye(n)])
-        whole = int(t_max // prop.h)
-        for lo, frames, _, S in prop.carry(F, range(whole), per_unit):
-            ts = _whole_chunk_times(prop, lo, len(frames) - 1, per_unit)
-            _uwd_scan(field, omega, ts, _at_samples(S, frames[:-1]), lo == 0, tol,
-                      suspects, profile)
-            F = frames[-1]
-        for ts, S in _chunks(prop, t_max, "forward", per_unit, start=whole):
-            # the partial last chunk
-            _uwd_scan(field, omega, ts[None], (S @ F)[None], whole == 0, tol,
-                      suspects, profile)
+        for b, (ts, frames, S) in enumerate(_walk(prop, F, t_max, "forward", per_unit)):
+            _uwd_scan(field, omega, ts, _at_samples(S, frames), b == 0, tol, suspects, profile)
     suspects.sort()
     t0_hat = suspects[-1] if suspects else 0.0
     verdict = not any(s > 0.5 * t_max for s in suspects)
@@ -533,8 +526,9 @@ def _uwd_scan(field: CoefficientField, omega: BasePoint, ts: np.ndarray,
     each chunk from its renormalized start frame Fs[k, 0], whose top
     determinant is the one its first sample is compared with.  A sign
     change is refined by bisection, a dip below the determinant tolerance
-    is a suspect at its sample; the first sample of the walk (``first``)
-    has no predecessor and counts only as a dip after 2 dt."""
+    is a suspect at its sample.  In the first block of the walk
+    (``first``), the first sample has no predecessor and counts only as a
+    dip after 2 dt."""
     n = field.n
     dets = np.linalg.det(Fs[..., :n, :])
     prev, cur = dets[:, :-1], dets[:, 1:]
@@ -599,11 +593,27 @@ def _chunks(prop: ChunkedPropagator, horizon: float, direction: str,
         j += 1
 
 
-def _whole_chunk_times(prop: ChunkedPropagator, lo: int, b: int, m: int,
-                       sign: float = 1.0) -> np.ndarray:
-    """Sample times of whole chunks lo .. lo + b - 1 going ``sign`` from
-    t = 0, m intervals each, as ``_chunks`` gives them: a (b, m + 1) array."""
-    return sign * ((lo + np.arange(b))[:, None] * prop.h + prop.h * np.arange(m + 1) / m)
+def _walk(prop: ChunkedPropagator, F0: np.ndarray, horizon: float, direction: str,
+          per_unit: int, timed: bool = True):
+    """The renormalized walk of the frame (or stack of frames) F0 over the
+    chunks of ``_chunks``, from t = 0 to +-horizon.  Yields (ts, frames,
+    S) per block of b chunks: frames the (b, *F0.shape) stack of their
+    start frames, S their samples as ``_at_samples(S, frames)`` takes
+    them, and ts the (b, m + 1) sample times, or None unless ``timed``.
+    The whole chunks are the blocks of one ``ChunkedPropagator.carry``; a
+    partial last chunk is a block of its own, b = 1."""
+    sign = 1.0 if direction == "forward" else -1.0
+    whole = int(horizon // prop.h)
+    m = max(2, math.ceil(prop.h * per_unit))
+    # the sample offsets of a whole chunk, each block adding its chunk starts
+    step, offsets = sign * prop.h, sign * (prop.h * np.arange(m + 1) / m)
+    chunks = range(whole) if sign > 0 else range(-1, -whole - 1, -1)
+    for lo, frames, _, S in prop.carry(F0, chunks, m, direction):
+        F0 = frames[-1]
+        ts = (lo + np.arange(len(frames) - 1))[:, None] * step + offsets if timed else None
+        yield ts, frames[:-1], S
+    for ts, S in _chunks(prop, horizon, direction, per_unit, start=whole):
+        yield (ts[None] if timed else None), F0[None], S[None]
 
 
 def _rows(n: int, rows: str | None) -> slice:
@@ -741,8 +751,10 @@ def _witness_residual(
     timed = use_delta and not prop.field.delta.is_constant
     for direction in ("forward", "backward"):
         log_scale = np.zeros(c)
-        for ts, Zs in _witness_samples(prop, Z0 / np.linalg.norm(Z0, axis=0),
-                                       horizon, direction, timed):
+        # the unit columns, each walked as a single-column frame
+        Z = (Z0 / np.linalg.norm(Z0, axis=0)).T[:, :, None]
+        for ts, frames, S in _walk(prop, Z, horizon, direction, _SAMPLES_PER_UNIT, timed):
+            Zs = _at_samples(S, np.swapaxes(frames[..., 0], 1, 2))
             blk = Zs[..., sel, :]
             if use_delta:
                 blk = _delta_at(prop, ts) @ blk
@@ -757,26 +769,6 @@ def _witness_residual(
             log_scale = scale[-1]
     res = np.where(np.isfinite(max_log_res), 10.0 ** max_log_res, 0.0)
     return res, max_log_growth
-
-
-def _witness_samples(prop: ChunkedPropagator, Z: np.ndarray, horizon: float,
-                     direction: str, timed: bool):
-    """The unit columns of Z over [0, +-horizon], renormalized at every
-    chunk start: (ts, Zs) per batch, Zs[k, j] the columns at ts[k, j],
-    sample j of chunk k.  The whole chunks of every field go as
-    single-column frames through ``carry``, one product per block, with
-    per-chunk sample times, or None for them unless ``timed``; a partial
-    last chunk goes on its own."""
-    sign = 1.0 if direction == "forward" else -1.0
-    whole = int(horizon // prop.h)
-    m = max(2, math.ceil(prop.h * _SAMPLES_PER_UNIT))
-    chunks = range(whole) if sign > 0 else range(-1, -whole - 1, -1)
-    for lo, frames, _, S in prop.carry(Z.T[:, :, None], chunks, m, direction):
-        ts = _whole_chunk_times(prop, lo, len(frames) - 1, m, sign) if timed else None
-        yield ts, _at_samples(S, np.swapaxes(frames[:-1, :, :, 0], 1, 2))
-        Z = frames[-1, :, :, 0].T
-    for ts, S in _chunks(prop, horizon, direction, _SAMPLES_PER_UNIT, start=whole):
-        yield ts[None], (S @ Z)[None]
 
 
 def atkinson_check(
@@ -870,7 +862,7 @@ def bounded_solution_witness(
     the orbit.
     """
     if shape not in ("any", "(z1,0)", "(0,z2)"):
-        raise ValueError(f"unknown shape {shape!r}")
+        raise InvalidArgument(f"unknown shape {shape!r}")
     n = field.n
     rng = np.random.default_rng(3)
     if shape == "(z1,0)":
@@ -938,7 +930,7 @@ def classify_family(
     and no probe yields a dichotomy.  Otherwise undetermined.
     """
     if which not in ("H3", "H2"):
-        raise ValueError("which must be 'H3' or 'H2'")
+        raise InvalidArgument("which must be 'H3' or 'H2'")
     field = _with_delta(field, delta)
     if omega is None:
         omega = field.flow.origin()

@@ -11,6 +11,11 @@ class ToolkitError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidArgument(ToolkitError, ValueError):
+    """An argument is malformed or out of range.  It is a ValueError too,
+    so callers that catch ValueError keep working."""
+
+
 class InvalidCoefficients(ToolkitError):
     """Coefficient field violates a structural requirement (symmetry, shape)."""
 

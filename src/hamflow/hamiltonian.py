@@ -18,6 +18,7 @@ Perturbations:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -32,7 +33,6 @@ __all__ = [
     "TrigTerm",
     "BlockMap",
     "CoefficientField",
-    "PerturbationTag",
     "perturb_h3",
     "perturb_h2",
     "regularize",
@@ -181,33 +181,6 @@ def _matrix_from_json(obj) -> np.ndarray:
     return np.atleast_2d(M)
 
 
-@dataclass(frozen=True)
-class PerturbationTag:
-    """Record of a perturbation applied to a field.
-
-    kind is one of "H3-type", "H2-type", "regularized", "general"; the
-    parameter values actually applied ride along for report embedding.
-    """
-
-    kind: str
-    lam: complex | None = None
-    eps: float | None = None
-    gamma: float | None = None
-    non_regularizing: bool = False
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.lam is not None:
-            out["lambda"] = jsonable(complex(self.lam))
-        if self.eps is not None:
-            out["eps"] = float(self.eps)
-        if self.gamma is not None:
-            out["gamma"] = float(self.gamma)
-        if self.non_regularizing:
-            out["non_regularizing"] = True
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
     """The four block maps of a linear Hamiltonian family over a base flow.
@@ -225,7 +198,6 @@ class CoefficientField:
     H3: BlockMap
     delta: BlockMap | None = None
     flags: frozenset[str] = frozenset()
-    tags: tuple[PerturbationTag, ...] = ()
     name: str = ""
 
     @cached_property
@@ -318,9 +290,12 @@ class CoefficientField:
         return self.H_of_t(self.flow.origin())(0.0)
 
     def validate(self, sample_points: Sequence[BasePoint] | None = None) -> None:
-        """Check that H2, H3 and Delta are symmetric coefficient by merged
-        coefficient, so H^T J + J H = 0 at every point, as the reverse
-        chunks need; verify declared flags on sample points."""
+        """Check that every coefficient is finite and that H2, H3 and Delta
+        are symmetric coefficient by merged coefficient, so H^T J + J H = 0
+        at every point, as the reverse chunks need; verify declared flags
+        on sample points."""
+        for name, bm in (("H1", self.H1), ("H2", self.H2), ("H3", self.H3), ("Delta", self.delta)):
+            _check_finite(bm, name)
         for name, bm in (("H2", self.H2), ("H3", self.H3), ("Delta", self.delta)):
             if bm is None:
                 continue
@@ -355,8 +330,6 @@ class CoefficientField:
             out["Delta"] = self.delta.to_dict()
         if self.flags:
             out["flags"] = sorted(self.flags)
-        if self.tags:
-            out["tags"] = [t.to_dict() for t in self.tags]
         if self.name:
             out["name"] = self.name
         return out
@@ -460,9 +433,25 @@ def _assemble(H1, H2, H3, dtype) -> np.ndarray:
     return out
 
 
+def _check_finite(bm: BlockMap | None, what: str) -> None:
+    """InvalidCoefficients unless every coefficient of the block map bm
+    (if any) is finite."""
+    coefficients = [] if bm is None else [bm.const, *(
+        M for t in bm.terms for M in (t.cos, t.sin) if M is not None)]
+    if not all(np.all(np.isfinite(M)) for M in coefficients):
+        raise InvalidCoefficients(f"{what} has entries that are not finite")
+
+
+def _finite(x, what: str):
+    """x, a float or complex parameter, when it is finite."""
+    if not cmath.isfinite(x):
+        raise InvalidCoefficients(f"{what} = {x} is not finite")
+    return x
+
+
 def _as_scalar(lam) -> float | complex:
     """Real floats stay real so real fields stay real."""
-    lam = complex(lam)
+    lam = _finite(complex(lam), "lambda")
     return lam.real if lam.imag == 0.0 else lam
 
 
@@ -473,11 +462,7 @@ def perturb_h3(field: CoefficientField, lam: complex) -> CoefficientField:
     if field.delta is None:
         raise InvalidCoefficients("perturb_h3 needs a perturbation direction Delta")
     lam = _as_scalar(lam)
-    return replace(
-        field,
-        H3=field.H3 + field.delta.scaled(lam),
-        tags=field.tags + (PerturbationTag("H3-type", lam=lam),),
-    )
+    return replace(field, H3=field.H3 + field.delta.scaled(lam))
 
 
 def perturb_h2(field: CoefficientField, lam: complex) -> CoefficientField:
@@ -487,11 +472,7 @@ def perturb_h2(field: CoefficientField, lam: complex) -> CoefficientField:
     if field.delta is None:
         raise InvalidCoefficients("perturb_h2 needs a perturbation direction Delta")
     lam = _as_scalar(lam)
-    return replace(
-        field,
-        H2=field.H2 + field.delta.scaled(-lam),
-        tags=field.tags + (PerturbationTag("H2-type", lam=lam),),
-    )
+    return replace(field, H2=field.H2 + field.delta.scaled(-lam))
 
 
 def _with_delta(field: CoefficientField, delta=None) -> CoefficientField:
@@ -504,21 +485,16 @@ def _with_delta(field: CoefficientField, delta=None) -> CoefficientField:
         return field
     if not isinstance(delta, BlockMap):
         delta = BlockMap.constant(np.atleast_2d(np.asarray(delta, dtype=float)))
+    _check_finite(delta, "Delta")
     return replace(field, delta=delta)
 
 
 def regularize(field: CoefficientField, eps: float) -> CoefficientField:
-    """H3 -> H3 + eps * I.  Negative eps is allowed but flagged."""
+    """H3 -> H3 + eps * I.  Negative eps is allowed."""
     if eps == 0:
         return field
-    eps = float(eps)
-    bump = BlockMap.constant(eps * np.eye(field.n))
-    return replace(
-        field,
-        H3=field.H3 + bump,
-        tags=field.tags
-        + (PerturbationTag("regularized", eps=eps, non_regularizing=eps < 0),),
-    )
+    eps = _finite(float(eps), "eps")
+    return replace(field, H3=field.H3 + BlockMap.constant(eps * np.eye(field.n)))
 
 
 def swap_variables(field: CoefficientField) -> CoefficientField:
@@ -555,13 +531,12 @@ def general_perturb(field: CoefficientField, gamma: float, Gamma_blocks) -> Coef
     # Symmetry of Gamma requires G12 = G21^T; checked on the constant part.
     if not np.allclose(G12.const, G21.const.T, atol=1e-12):
         raise InvalidCoefficients("Gamma off-diagonal blocks must be transposes")
-    gamma = float(gamma)
+    gamma = _finite(float(gamma), "gamma")
     return replace(
         field,
         H1=field.H1 + G21.scaled(gamma),
         H3=field.H3 + G22.scaled(gamma),
         H2=field.H2 + G11.scaled(-gamma),
-        tags=field.tags + (PerturbationTag("general", gamma=gamma),),
     )
 
 
@@ -612,6 +587,8 @@ def _block_from_json(obj, n: int, flow_dim: int) -> BlockMap:
                 raise SchemaError(
                     f"trig index length {len(k)} != flow dimension {flow_dim}"
                 )
+            if any(M is not None and M.shape != (n, n) for M in (cosM, sinM)):
+                raise SchemaError(f"trig term matrices must be {n} x {n}")
             if all(x == 0 for x in k):
                 if cosM is not None:
                     const = const + cosM
@@ -634,7 +611,7 @@ def _block_from_json(obj, n: int, flow_dim: int) -> BlockMap:
 def field_from_dict(data: dict) -> CoefficientField:
     """Build a validated CoefficientField from the problem-file schema:
     {"n": ..., "flow": ..., "H1": ..., "H2": ..., "H3": ..., "Delta": ...,
-     "flags": {...}}."""
+     "flags": [...]}."""
     try:
         n = int(data["n"])
     except (KeyError, TypeError, ValueError) as e:
@@ -647,7 +624,9 @@ def field_from_dict(data: dict) -> CoefficientField:
             raise SchemaError(f"problem file missing block {key!r}")
         blocks[key] = _block_from_json(data[key], n, d)
     delta = _block_from_json(data["Delta"], n, d) if "Delta" in data else None
-    flags = frozenset(data.get("flags", ()))
+    flags = data.get("flags", [])
+    if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+        raise SchemaError("'flags' must be a list of names")
     fld = CoefficientField(
         n=n,
         flow=flow,
@@ -655,7 +634,7 @@ def field_from_dict(data: dict) -> CoefficientField:
         H2=blocks["H2"],
         H3=blocks["H3"],
         delta=delta,
-        flags=flags,
+        flags=frozenset(flags),
         name=str(data.get("name", "")),
     )
     fld.validate()

@@ -35,7 +35,7 @@ from ._json import Encodable, jsonable
 from .base_flow import BaseFlow, advance, make_flow
 from .dichotomy import DichotomyReport, detect_ed, nonoscillation_check
 from .errors import InvalidCoefficients, NotSolvable, SingularR, ToolkitError
-from .hamiltonian import BlockMap, CoefficientField, CompiledField, _real_form
+from .hamiltonian import BlockMap, CoefficientField, CompiledField, _check_finite, _real_form
 from .propagator import ChunkedPropagator, _magnus_chunk, _symplectic_inverse
 from .riccati_weyl import _PROPAGATION_TOL, WeylMatrix, weyl_plus
 
@@ -70,15 +70,26 @@ _COST_KNOTS = 64
 _COST_CHUNKS = 4
 
 
+def _floats(value, what: str, shape: tuple | None = None) -> np.ndarray:
+    """value as an array of floats, reshaped to ``shape`` if given."""
+    try:
+        x = np.asarray(value, dtype=float)
+        return x if shape is None else x.reshape(shape)
+    except (TypeError, ValueError) as e:
+        raise InvalidCoefficients(
+            f"{what} must be numbers" + ("" if shape is None else f" of shape {shape}")) from e
+
+
 def _as_block(M, n: int, what: str) -> BlockMap:
-    if isinstance(M, BlockMap):
-        if M.n != n:
-            raise InvalidCoefficients(f"{what} must be {n}x{n}, got {M.n}x{M.n}")
-        return M
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape != (n, n):
-        raise InvalidCoefficients(f"{what} must be {n}x{n}, got {M.shape}")
-    return BlockMap.constant(M)
+    if not isinstance(M, BlockMap):
+        M = np.atleast_2d(_floats(M, what))
+        if M.shape != (n, n):
+            raise InvalidCoefficients(f"{what} must be {n}x{n}, got {M.shape}")
+        M = BlockMap.constant(M)
+    elif M.n != n:
+        raise InvalidCoefficients(f"{what} must be {n}x{n}, got {M.n}x{M.n}")
+    _check_finite(M, what)
+    return M
 
 
 def _angle_samples(flow: BaseFlow) -> list[np.ndarray]:
@@ -101,19 +112,20 @@ class LQProblem:
     R: np.ndarray
     flow: BaseFlow
     x0: np.ndarray
-    rho: float = 0.0
 
     @staticmethod
     def from_data(A, B, G, g=None, R=None, x0=None, flow=None) -> "LQProblem":
-        B = np.atleast_2d(np.asarray(B, dtype=float))
+        B = np.atleast_2d(_floats(B, "B"))
+        if B.ndim != 2:
+            raise InvalidCoefficients(f"B must be a matrix, got shape {B.shape}")
         n, m = B.shape
         if flow is None:
             flow = make_flow("autonomous")
         A = _as_block(A, n, "A")
         G = _as_block(G, n, "G")
-        g = np.zeros((n, m)) if g is None else np.asarray(g, dtype=float).reshape(n, m)
-        R = np.eye(m) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
-        x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+        g = np.zeros((n, m)) if g is None else _floats(g, "g", (n, m))
+        R = np.eye(m) if R is None else np.atleast_2d(_floats(R, "R"))
+        x0 = np.zeros(n) if x0 is None else _floats(x0, "x0", (n,))
         for name, value in (("B", B), ("g", g), ("R", R), ("x0", x0)):
             if not np.all(np.isfinite(value)):
                 raise InvalidCoefficients(f"{name} has entries that are not finite")
@@ -128,8 +140,7 @@ class LQProblem:
             Gv = G(th)
             if np.max(np.abs(Gv - Gv.T)) > _SYM_TOL:
                 raise InvalidCoefficients("G must be symmetric at all sample points")
-        return LQProblem(n=n, m=m, A=A, B=B, G=G, g=g, R=R, flow=flow,
-                         x0=x0, rho=rho)
+        return LQProblem(n=n, m=m, A=A, B=B, G=G, g=g, R=R, flow=flow, x0=x0)
 
 
 def build_hamiltonian(problem: LQProblem, name: str = "lq") -> CoefficientField:

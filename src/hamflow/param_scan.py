@@ -23,7 +23,7 @@ import numpy as np
 from ._json import Encodable
 from .base_flow import BasePoint
 from .dichotomy import detect_ed, nonoscillation_check, uwd_test
-from .errors import DivergentLimit, SignViolation, ToolkitError
+from .errors import DivergentLimit, InvalidArgument, SignViolation, ToolkitError
 from .hamiltonian import CoefficientField, _with_delta, perturb_h2, regularize
 from .riccati_weyl import _HALVING_BETAS, _neville_halving, weyl_minus, weyl_plus
 
@@ -61,12 +61,6 @@ class ScanResult(Encodable):
     tol: float
     flags: tuple[str, ...] = ()
     probes: tuple[tuple[float, str, float, str], ...] = ()
-
-    def csv_rows(self) -> list[tuple[float, float, str]]:
-        """(alpha, rho, verdict) rows for serialization."""
-        return [
-            (r["alpha"], r["rho"], r.get("verdict", "")) for r in self.rho_table
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +352,7 @@ def weyl_monotonicity_check(
     the grid; the family's Weyl function must not decrease as alpha
     grows."""
     if alpha2 < alpha1:
-        raise ValueError("alpha1 <= alpha2 required")
+        raise InvalidArgument("alpha1 <= alpha2 required")
     field = _with_delta(field, delta)
     grid = list(omega_grid) if omega_grid is not None else [field.flow.origin()]
     worst = float("inf")
@@ -387,18 +381,18 @@ def left_halfline_check(
     field = _with_delta(field, delta)
     if omega is None:
         omega = field.flow.origin()
-    H2a = field.H2(field.flow.origin().as_array()) - alpha0 * field.eval_delta(omega, 0.0)
+    H2a = field.eval_blocks(omega)[1] - alpha0 * field.eval_delta(omega)
     if np.linalg.eigvalsh(0.5 * (H2a + H2a.T)).min() <= 0.0:
         raise ToolkitError("H2 - alpha0 Delta must be positive definite")
     alphas = sorted(float(a) for a in test_alphas)
     if any(a > alpha0 + 1e-12 for a in alphas):
-        raise ValueError("test alphas must lie at or below alpha0")
+        raise InvalidArgument("test alphas must lie at or below alpha0")
     per_alpha = []
     ok = True
     prev_M = None
     for a in alphas:
         f_a = perturb_h2(field, a)
-        rep = detect_ed(f_a, T_max=T_max)
+        rep = detect_ed(f_a, omega, T_max=T_max)
         entry = {"alpha": a, "ed": rep.verdict}
         if rep.verdict != "ED":
             ok = False
@@ -531,7 +525,7 @@ def stieltjes_invert(
     from scipy.integrate import quad_vec
 
     if not alpha1 < alpha2:
-        raise ValueError("alpha1 < alpha2 required")
+        raise InvalidArgument("alpha1 < alpha2 required")
     vals = []
     for b in _HALVING_BETAS:
         integral, _ = quad_vec(

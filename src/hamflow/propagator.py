@@ -72,18 +72,6 @@ class CocycleValue:
     def n(self) -> int:
         return self.U.shape[0] // 2
 
-    def block(self, which: int) -> np.ndarray:
-        """Blocks numbered 1..4: top-left, bottom-left, top-right,
-        bottom-right (the two left blocks propagate [[I],[0]], the two
-        right ones [[0],[I]])."""
-        n = self.n
-        return {
-            1: self.U[:n, :n],
-            2: self.U[n:, :n],
-            3: self.U[:n, n:],
-            4: self.U[n:, n:],
-        }[which]
-
 
 @dataclass(frozen=True, eq=False)
 class SolutionFrame:

@@ -35,13 +35,14 @@ from .base_flow import BasePoint
 from .errors import (
     DivergentLimit,
     FiniteEscape,
+    InvalidArgument,
     NoConvergence,
     NonInvertibleTopBlock,
     ToolkitError,
     WeylNonexistence,
 )
 from .hamiltonian import CoefficientField, J_matrix, perturb_h2, perturb_h3
-from .propagator import ChunkedPropagator, _positive_qr, transfer_matrix
+from .propagator import ChunkedPropagator, transfer_matrix
 
 __all__ = [
     "WeylMatrix",
@@ -119,13 +120,13 @@ def apply_family(field: CoefficientField, lam: complex, family: str | None) -> C
     """Map the spectral parameter into a concrete field."""
     if lam == 0 or family is None:
         if lam != 0:
-            raise ValueError("family=None requires lam=0")
+            raise InvalidArgument("family=None requires lam=0")
         return field
     if family == "H2":
         return perturb_h2(field, lam)
     if family == "H3":
         return perturb_h3(field, lam)
-    raise ValueError(f"unknown family {family!r}")
+    raise InvalidArgument(f"unknown family {family!r}")
 
 
 def riccati_flow(
@@ -147,10 +148,10 @@ def riccati_flow(
     M0 = np.atleast_2d(np.asarray(M0))
     n = field.n
     if M0.shape != (n, n):
-        raise ValueError(f"M0 shape {M0.shape} != ({n}, {n})")
+        raise InvalidArgument(f"M0 shape {M0.shape} != ({n}, {n})")
     sym_defect = np.linalg.norm(M0 - M0.T, 2)
     if sym_defect > 1e-10 * max(1.0, np.linalg.norm(M0, 2)):
-        raise ValueError("M0 must be symmetric")
+        raise InvalidArgument("M0 must be symmetric")
 
     def graph(F):
         # M, ||M|| and det X of a stack of frames [[X], [Y]]; ||M|| is inf
@@ -168,32 +169,33 @@ def riccati_flow(
     direction = "forward" if t >= 0 else "backward"
     chunks = range(pieces) if t >= 0 else range(-1, -pieces - 1, -1)
     prop = ChunkedPropagator(field, omega, h=h, tol=tol)
-    prop.fill(chunks, direction, m)
     real = not (field.is_complex or np.iscomplexobj(M0))
-    F = np.vstack([np.eye(n), M0])
-    for j, k in enumerate(chunks):
-        Fs = prop.sampled(k, m, direction) @ F
-        M, norms, det = graph(Fs)
-        hits = norms[1:] >= _ESCAPE_NORM
+    # the frames are renormalized after every chunk; the positive diagonal
+    # of R keeps the sign of det X
+    for start, frames, _, S in prop.carry(np.vstack([np.eye(n), M0]), chunks, m, direction):
+        Fs = S @ frames[:-1, None]
+        M, norms, det = (x.reshape(Fs.shape[:2] + x.shape[1:])
+                         for x in graph(Fs.reshape((-1,) + Fs.shape[2:])))
+        hits = norms[:, 1:] >= _ESCAPE_NORM
         if real:
-            hits |= np.sign(det[1:]) != np.sign(det[:-1])
+            hits |= np.sign(det[:, 1:]) != np.sign(det[:, :-1])
         if hits.any():
-            i = int(np.argmax(hits))
+            # the first escape, in chunk order and then sample order
+            k, i = map(int, np.argwhere(hits)[0])
+            j = start + k
             t_i = lo = math.copysign(h * (j + i / m), t)
             hi = math.copysign(h * (j + (i + 1) / m), t)
             while abs(hi - lo) > 1e-14 * max(1.0, abs(hi)):
                 mid = 0.5 * (lo + hi)
                 U = transfer_matrix(field, omega, t_i, mid, tol=tol)
-                _, norm, d = graph((U @ Fs[i])[None])
-                if norm[0] >= _ESCAPE_NORM or (real and np.sign(d[0]) != np.sign(det[i])):
+                _, norm, d = graph((U @ Fs[k, i])[None])
+                if norm[0] >= _ESCAPE_NORM or (real and np.sign(d[0]) != np.sign(det[k, i])):
                     hi = mid
                 else:
                     lo = mid
             raise FiniteEscape(f"Riccati solution left the chart near t = {hi:.6g}",
                                t_escape=float(hi))
-        # QR after every chunk; the positive diagonal of R keeps the sign of det X
-        F, _ = _positive_qr(Fs[-1])
-    M, defect = _symmetrized(M[-1])
+    M, defect = _symmetrized(M[-1, -1])
     return WeylMatrix(M=M, role="flow", omega=omega, lam=0.0,
                       convergence_error=float(tol), T_used=float(t),
                       symmetry_defect=defect)
@@ -381,7 +383,7 @@ def _weyl(
     fam_field = apply_family(field, lam, family)
     role = "M+" if side == "plus" else "M-"
     if method not in ("auto", "frame"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidArgument(f"unknown method {method!r}")
     spectral = _spectral_matrix(fam_field, omega) if method == "auto" else None
     if spectral is not None:
         M, period, generator = spectral
@@ -548,7 +550,7 @@ def boundary_limit(
     the imaginary part vanished below tol.
     """
     if role not in ("F+", "F-"):
-        raise ValueError("role must be 'F+' or 'F-'")
+        raise InvalidArgument("role must be 'F+' or 'F-'")
     evaluate = weyl_plus if role == "F+" else weyl_minus
     vals = []
     for b in _HALVING_BETAS:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._json import Encodable
 from .base_flow import BasePoint
-from .errors import InvalidCoefficients, ToolkitError, UnwrapFailure
+from .errors import InvalidArgument, InvalidCoefficients, ToolkitError, UnwrapFailure
 from .hamiltonian import CoefficientField, _with_delta, perturb_h2
 from .propagator import ChunkedPropagator, _at_samples
 
@@ -214,7 +214,7 @@ def rotation_profile(
     the summed error bars) reported."""
     alphas = [float(a) for a in alpha_grid]
     if sorted(alphas) != alphas:
-        raise ValueError("alpha_grid must be nondecreasing")
+        raise InvalidArgument("alpha_grid must be nondecreasing")
     field = _with_delta(field, delta)
     estimates = []
     for a in alphas:

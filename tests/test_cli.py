@@ -263,6 +263,43 @@ def test_problem_file_entries_that_are_not_finite_are_an_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+PERIODIC_EX2 = {**EX2_FILE, "flow": {"kind": "periodic", "period": 1.0}}
+
+
+@pytest.mark.parametrize("command, problem, args", [
+    ("weyl", "{not json", []),
+    ("lq", "{not json", []),
+    ("weyl", {**EX2_FILE, "flow": {"kind": "periodic", "period": "x"}}, []),
+    ("weyl", {**EX2_FILE, "flow": {"kind": "periodic", "period": None}}, []),
+    ("weyl", {**EX2_FILE, "flow": {"kind": "torus", "nu": "ab"}}, []),
+    ("weyl", {**EX2_FILE, "flow": {"kind": "torus", "nu": [1, "x"]}}, []),
+    ("weyl", {**EX2_FILE, "flags": 5}, []),
+    ("weyl", {**EX2_FILE, "flags": "H3_psd"}, []),
+    ("weyl", {**PERIODIC_EX2, "H2": [{"k": [1], "cos": [[0.1, 0.2]]}]}, []),
+    ("weyl", {**PERIODIC_EX2, "n": 2, "H1": (-np.eye(2)).tolist(), "H3": np.eye(2).tolist(),
+              "H2": [{"k": [0], "cos": [[1.0]]}], "Delta": np.eye(2).tolist()}, []),
+    ("lq", {**SCALAR_LQ, "g": [1, 2, 3]}, []),
+    ("lq", {**SCALAR_LQ, "x0": [1, 2]}, []),
+    ("lq", {**SCALAR_LQ, "R": "abc"}, []),
+    ("weyl", "ex2", ["--grid", "abc"]),
+    ("scan", "ex2", ["--bracket", "a,b"]),
+    ("rotation", "ex3", ["--grid", "2,1"]),
+    ("herglotz", "ex3", ["--bracket", "2,1"]),
+])
+def test_malformed_input_is_an_error(tmp_path, capsys, command, problem, args):
+    # a preset name, the text of a problem file, or its JSON
+    if isinstance(problem, dict):
+        problem = json.dumps(problem)
+    if problem.startswith("{"):
+        path = tmp_path / "problem.json"
+        path.write_text(problem)
+        problem = str(path)
+    assert main([command, problem, "--out", str(tmp_path), *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_every_exported_function_is_toured_or_called():
     """Every function that ``hamflow`` exports is named in the README's
     library tour or called inside the package: the public surface holds

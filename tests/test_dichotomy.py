@@ -469,14 +469,27 @@ def test_uwd_constant_path_matches_the_chunk_by_chunk_walk(name, t_max):
 
 
 @pytest.mark.parametrize("name,alpha", [("ex3", -2.0), ("ex3", 1.0), ("ex4", 0.5)])
-def test_uwd_of_a_long_horizon_goes_in_blocks_of_the_same_walk(monkeypatch, name, alpha):
+@pytest.mark.parametrize("t_max,n_blocks", [(40.0, 14), (40.5, 15)])
+def test_uwd_of_a_long_horizon_goes_in_blocks_of_the_same_walk(monkeypatch, name, alpha,
+                                                              t_max, n_blocks):
     f = perturb_h2(get_preset(name).field, alpha)
     # three chunks of 21 samples of the 2n x n frame per block
     monkeypatch.setattr(propagator, "_CARRY_BUDGET", 3 * 21 * 2 * f.n ** 2)
     blocks = count_calls(monkeypatch, dichotomy, "_at_samples")
-    _assert_uwd_matches_the_walk(f, 40.0)
-    # ceil(40 / 3) blocks
-    assert len(blocks) == 14
+    _assert_uwd_matches_the_walk(f, t_max)
+    # ceil(40 / 3) blocks, and a partial last chunk as a block of its own
+    assert len(blocks) == n_blocks
+
+
+def test_uwd_refines_a_sign_change_at_the_start_of_a_later_block(monkeypatch):
+    # det of the top block is sin(c t), which changes sign at t = 3.02 and
+    # 6.04, in the first sample interval of chunks 3 and 6; with one chunk
+    # per block only the walk's first block has an exempt first sample
+    c = np.pi / 3.02
+    monkeypatch.setattr(propagator, "_CARRY_BUDGET", 1)
+    f = constant_field([[0.0]], [[-c]], [[c]])
+    _assert_uwd_matches_the_walk(f, 8.0)
+    assert np.allclose(uwd_test(f, t_max=8.0).suspects, [3.02, 6.04], rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("name,alpha", [("ex3", 0.0), ("ex4", 0.5)])

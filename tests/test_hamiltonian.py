@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamflow.base_flow import make_flow
+from hamflow.dichotomy import atkinson_check, detect_ed, uwd_test
 from hamflow.errors import InvalidCoefficients, SchemaError
 from hamflow.hamiltonian import (
     BlockMap,
@@ -20,7 +21,31 @@ from hamflow.hamiltonian import (
     regularize,
     swap_variables,
 )
+from hamflow.lq_control import LQProblem, synthesize
+from hamflow.param_scan import find_alpha_star
 from hamflow.presets import get_preset
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: detect_ed(constant_field([[_INF]], [[0.0]], [[1.0]])),
+    lambda: atkinson_check(constant_field([[-1.0]], [[0.0]], [[1.0]], delta=[[_NAN]])),
+    lambda: find_alpha_star(get_preset("ex2").field, delta=[[_NAN]]),
+    lambda: synthesize(LQProblem.from_data(A=_NAN, B=1.0, G=1.0, x0=[1.0])),
+    lambda: synthesize(LQProblem.from_data(A=-1.0, B=1.0, G=_INF, x0=[1.0])),
+    lambda: uwd_test(constant_field([[-1.0]], [[0.0]], [[_NAN]])),
+    lambda: perturb_h2(get_preset("ex2").field, _NAN),
+    lambda: perturb_h3(get_preset("ex2").field, complex(0.0, _INF)),
+    lambda: regularize(get_preset("ex2").field, _NAN),
+    lambda: general_perturb(get_preset("ex2").field, _INF, ((1.0, 0.0), (0.0, 1.0))),
+])
+def test_coefficients_that_are_not_finite_are_invalid(call):
+    # from the Python API too, not only from problem files: they must not
+    # reach LAPACK or come back as an answer
+    with pytest.raises(InvalidCoefficients, match="not finite"):
+        call()
 
 
 def test_eval_H_has_hamiltonian_block_structure():

@@ -87,6 +87,23 @@ def test_left_halfline_check_on_ex2(ex2):
         assert row["negative_definite"]
 
 
+def test_left_halfline_check_reads_one_base_point():
+    # H2 = 0.5 + 0.4 cos 2 pi theta: H2 - 0.5 Delta is 0.4 at theta = 0
+    # and -0.4 at theta = 0.5
+    from hamflow.base_flow import BasePoint, make_flow
+    from hamflow.hamiltonian import BlockMap, CoefficientField, TrigTerm
+
+    c = lambda x: BlockMap.constant(np.array([[x]]))
+    H2 = BlockMap(n=1, const=np.array([[0.5]]),
+                  terms=(TrigTerm(k=(1,), cos=np.array([[0.4]]), sin=None),))
+    f = CoefficientField(n=1, flow=make_flow({"kind": "periodic", "period": 1.0}),
+                         H1=c(-1.0), H2=H2, H3=c(1.0), delta=c(1.0))
+    assert left_halfline_check(f, alpha0=0.5, test_alphas=[0.0, 0.25],
+                               omega=BasePoint((0.0,)))["passed"]
+    with pytest.raises(ToolkitError, match="positive definite"):
+        left_halfline_check(f, alpha0=0.5, test_alphas=[0.0, 0.25], omega=BasePoint((0.5,)))
+
+
 def test_herglotz_fit_linear_weyl_function(ex1):
     # M+(lam) = lam/2: pure linear growth, no measure mass
     data = herglotz_fit(weyl_sampler(ex1))

@@ -294,6 +294,19 @@ def test_no_hamflow_module_holds_an_integrator():
     assert [name for name, src in sources.items() if "quad_vec" in src] == ["param_scan"]
 
 
+def test_only_the_propagator_binds_the_positive_qr():
+    """Every renormalized frame walk is a ``ChunkedPropagator.carry``, so
+    no other hamflow module binds ``_positive_qr``."""
+    import importlib
+    import pkgutil
+
+    import hamflow
+
+    modules = [importlib.import_module(f"hamflow.{name}")
+               for _, name, _ in pkgutil.iter_modules(hamflow.__path__)]
+    assert [m.__name__ for m in modules if hasattr(m, "_positive_qr")] == ["hamflow.propagator"]
+
+
 def test_torus_answers_make_no_integrator_call(torus_demo, monkeypatch):
     from hamflow import detect_ed, rotation_number, weyl_minus, weyl_plus
 

@@ -282,6 +282,26 @@ def test_riccati_flow_escapes_where_the_tangent_reaches_the_bound(M0):
     assert abs(escape.value.t_escape - (np.arctan(M0) + np.arctan(1e6))) <= 1e-9
 
 
+@pytest.mark.parametrize("t", [-3.5, 3.0, 7.5])
+def test_riccati_flow_in_blocks_of_one_chunk_is_the_same_walk(monkeypatch, torus_demo, ex2, t):
+    # M bit for bit, and an escape past the first chunk, so in a later
+    # block, at the same time
+    tangent = tangent_field()
+    M0 = 0.7 if t > 0 else -2.0
+
+    def run():
+        Ms = [riccati_flow(f, f.flow.origin(), [[0.2]], t).M for f in (torus_demo, ex2)]
+        with pytest.raises(FiniteEscape) as escape:
+            riccati_flow(tangent, tangent.flow.origin(), [[M0]], t)
+        return Ms, escape.value.t_escape
+
+    want, want_escape = run()
+    monkeypatch.setattr(propagator, "_CARRY_BUDGET", 1)
+    got, got_escape = run()
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got_escape == want_escape and abs(got_escape) > 1.0
+
+
 @pytest.mark.parametrize("t", [-3.0, 3.0])
 def test_riccati_flow_matches_the_dop853_reference(torus_demo, t):
     flow = make_flow({"kind": "torus", "nu": [1.0, 2.0 ** 0.5]})
