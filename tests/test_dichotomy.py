@@ -468,17 +468,26 @@ def test_uwd_constant_path_matches_the_chunk_by_chunk_walk(name, t_max):
         _assert_uwd_matches_the_walk(perturb_h2(f0, a), t_max)
 
 
-@pytest.mark.parametrize("name,alpha", [("ex3", -2.0), ("ex3", 1.0), ("ex4", 0.5)])
-@pytest.mark.parametrize("t_max,n_blocks", [(40.0, 14), (40.5, 15)])
-def test_uwd_of_a_long_horizon_goes_in_blocks_of_the_same_walk(monkeypatch, name, alpha,
-                                                              t_max, n_blocks):
+def _uwd_blocks_of_three_chunks(monkeypatch, name, alpha, t_max):
     f = perturb_h2(get_preset(name).field, alpha)
     # three chunks of 21 samples of the 2n x n frame per block
     monkeypatch.setattr(propagator, "_CARRY_BUDGET", 3 * 21 * 2 * f.n ** 2)
     blocks = count_calls(monkeypatch, dichotomy, "_at_samples")
     _assert_uwd_matches_the_walk(f, t_max)
-    # ceil(40 / 3) blocks, and a partial last chunk as a block of its own
-    assert len(blocks) == n_blocks
+    return len(blocks)
+
+
+@pytest.mark.parametrize("name,alpha", [("ex3", -2.0), ("ex3", 1.0), ("ex4", 0.5)])
+def test_uwd_of_a_long_horizon_goes_in_blocks_of_the_same_walk(monkeypatch, name, alpha):
+    # ceil(40 / 3) blocks
+    assert _uwd_blocks_of_three_chunks(monkeypatch, name, alpha, 40.0) == 14
+
+
+@pytest.mark.parametrize("name,alpha", [("ex3", -2.0), ("ex3", 1.0), ("ex4", 0.5)])
+def test_uwd_of_a_long_horizon_takes_a_partial_last_chunk_as_a_block(monkeypatch, name,
+                                                                     alpha):
+    # ceil(40 / 3) blocks, and the partial last chunk as a block of its own
+    assert _uwd_blocks_of_three_chunks(monkeypatch, name, alpha, 40.5) == 15
 
 
 def test_uwd_refines_a_sign_change_at_the_start_of_a_later_block(monkeypatch):
