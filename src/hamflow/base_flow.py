@@ -89,13 +89,6 @@ class BaseFlow:
     def origin(self) -> BasePoint:
         return BasePoint((0.0,) * self.dim)
 
-    def to_dict(self) -> dict:
-        if self.kind == "torus":
-            return {"kind": "torus", "nu": list(self.nu)}
-        if self.kind == "periodic":
-            return {"kind": "periodic", "period": self.period}
-        return {"kind": "autonomous"}
-
 
 def _has_small_integer_relation(nu: Sequence[float], order: int) -> bool:
     """Exhaustively check whether k . nu = 0 for a nonzero integer vector

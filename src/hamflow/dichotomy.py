@@ -626,8 +626,7 @@ def _delta_at(prop: ChunkedPropagator, times: np.ndarray) -> np.ndarray:
     delta = prop.field.delta
     if delta.is_constant:
         return delta.const
-    D = np.stack([prop.field.eval_delta(prop.omega, t) for t in np.ravel(times)])
-    return D.reshape(np.shape(times) + D.shape[1:])
+    return prop.field.delta_at(prop.omega, times)
 
 
 def _simpson_gram(prop: ChunkedPropagator, ts: np.ndarray, Us: np.ndarray,
@@ -788,7 +787,7 @@ def atkinson_check(
     """
     if field.delta is None:
         raise InvalidCoefficients("atkinson_check needs a perturbation direction")
-    D0 = field.eval_delta(field.flow.origin(), 0.0)
+    D0 = field.delta_at(field.flow.origin(), 0.0)
     if np.linalg.eigvalsh(0.5 * (D0 + D0.conj().T)).min() < -1e-10:
         raise InvalidCoefficients("atkinson_check requires Delta >= 0")
     grid = _as_grid(field, omega_grid)

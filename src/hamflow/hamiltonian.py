@@ -7,6 +7,10 @@ The assembled matrix is infinitesimally symplectic: H^T J + J H = 0 with
 J = [[0, -I], [I, 0]], which holds automatically for exact block structure
 and is validated to roundoff on every coefficient.
 
+Evaluation: H and Delta compile once per field into ``CompiledField``
+tables, whose ``at`` is the library's one evaluator; the tests hold it to
+the per-point route (``BlockMap.__call__``, ``eval_blocks``, ``H_of_t``).
+
 Perturbations:
   * perturb_h3(field, lam):  H3 -> H3 + lam * Delta
   * perturb_h2(field, lam):  H2 -> H2 - lam * Delta
@@ -25,7 +29,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._json import jsonable
 from .base_flow import BaseFlow, BasePoint, advance, make_flow
 from .errors import InvalidCoefficients, SchemaError
 
@@ -148,25 +151,6 @@ class BlockMap:
     def negated_transpose(self) -> "BlockMap":
         return self._mapped(lambda M: -M.T)
 
-    def to_dict(self) -> list | dict:
-        if self.is_constant:
-            return jsonable(self.const)
-        out = []
-        if np.any(self.const != 0):
-            out.append({"k": [0] * _klen(self), "cos": jsonable(self.const)})
-        for t in self.terms:
-            entry: dict = {"k": list(t.k)}
-            if t.cos is not None:
-                entry["cos"] = jsonable(t.cos)
-            if t.sin is not None:
-                entry["sin"] = jsonable(t.sin)
-            out.append(entry)
-        return out
-
-
-def _klen(bm: BlockMap) -> int:
-    return len(bm.terms[0].k) if bm.terms else 0
-
 
 def _matrix_from_json(obj) -> np.ndarray:
     if isinstance(obj, dict) and "re" in obj:
@@ -188,7 +172,7 @@ class CoefficientField:
     ``delta`` is the (optional) symmetric perturbation direction used by
     the parametric families.  ``flags`` carries declared definiteness
     properties ({"H3_psd", "delta_pd", "H2_pd", ...}) which are
-    spot-verified on sample grids by ``validate``.
+    spot-verified at the origin by ``validate``.
     """
 
     n: int
@@ -217,11 +201,6 @@ class CoefficientField:
         th = self.angles(omega, t)
         return self.H1(th), self.H2(th), self.H3(th)
 
-    def eval_delta(self, omega: BasePoint, t: float = 0.0) -> np.ndarray:
-        if self.delta is None:
-            raise InvalidCoefficients("field has no perturbation direction Delta")
-        return self.delta(self.angles(omega, t))
-
     def H_of_t(self, omega: BasePoint) -> Callable[[float], np.ndarray]:
         """The matrix-valued map t -> H(omega . t)."""
 
@@ -242,16 +221,20 @@ class CoefficientField:
         """H(omega . t) at every time of the array ``ts``, stacked to shape
         ts.shape + (2n, 2n), from the compiled coefficients.  ``H_of_t``
         is the reference."""
-        c = self.compiled
-        ts = np.asarray(ts, dtype=float)
-        if len(c.K) == 0:
-            return np.broadcast_to(c.const, ts.shape + c.const.shape)
-        k0, rate = c.phase_rates(self.flow, omega)
-        trig = _cos_sin(k0 + np.multiply.outer(ts, rate))
-        # one product for all times, not one per leading index
-        H = (trig.reshape(-1, len(c.CS)) @ c.CS).reshape(ts.shape + c.const.shape)
-        H += c.const
-        return H
+        return self.compiled.at(self.flow, omega, ts)
+
+    @cached_property
+    def _delta_table(self) -> CompiledField:
+        return CompiledField.compile((self.delta,), lambda D: D, self.flow.dim,
+                                     complex if self.delta.is_complex else float)
+
+    def delta_at(self, omega: BasePoint, ts) -> np.ndarray:
+        """Delta(omega . t) at every time of ``ts``, stacked to shape
+        ts.shape + (n, n), from a Delta table compiled once per field.
+        ``delta(angles(omega, t))`` is the reference."""
+        if self.delta is None:
+            raise InvalidCoefficients("field has no perturbation direction Delta")
+        return self._delta_table.at(self.flow, omega, ts)
 
     @cached_property
     def _real_table(self) -> CompiledField:
@@ -289,50 +272,29 @@ class CoefficientField:
             raise InvalidCoefficients("field is not autonomous")
         return self.H_of_t(self.flow.origin())(0.0)
 
-    def validate(self, sample_points: Sequence[BasePoint] | None = None) -> None:
+    def validate(self) -> None:
         """Check that every coefficient is finite and that H2, H3 and Delta
-        are symmetric coefficient by merged coefficient, so H^T J + J H = 0
-        at every point, as the reverse chunks need; verify declared flags
-        on sample points."""
+        are symmetric (``_check_symmetric``); verify declared flags at the
+        origin."""
         for name, bm in (("H1", self.H1), ("H2", self.H2), ("H3", self.H3), ("Delta", self.delta)):
             _check_finite(bm, name)
         for name, bm in (("H2", self.H2), ("H3", self.H3), ("Delta", self.delta)):
-            if bm is None:
-                continue
-            c = CompiledField.compile((bm,), lambda M: M, self.flow.dim, complex)
-            M = np.vstack([c.const.reshape(1, -1), c.CS]).reshape(-1, bm.n, bm.n)
-            if np.abs(M - M.swapaxes(-1, -2)).max() > _SYM_TOL * max(1.0, np.abs(M).max()):
-                raise InvalidCoefficients(f"{name} not symmetric")
-        for om in list(sample_points) if sample_points else [self.flow.origin()]:
-            H1, H2, H3 = self.eval_blocks(om)
-            if "H3_psd" in self.flags:
-                w = np.linalg.eigvalsh(np.real(H3))
-                if w.min() < -1e-10:
-                    raise InvalidCoefficients("declared H3 >= 0 fails on sample")
-            if "H2_pd" in self.flags:
-                w = np.linalg.eigvalsh(np.real(H2))
-                if w.min() <= 0:
-                    raise InvalidCoefficients("declared H2 > 0 fails on sample")
-            if "delta_pd" in self.flags and self.delta is not None:
-                w = np.linalg.eigvalsh(np.real(self.eval_delta(om)))
-                if w.min() <= 0:
-                    raise InvalidCoefficients("declared Delta > 0 fails on sample")
-
-    def to_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "flow": self.flow.to_dict(),
-            "H1": self.H1.to_dict(),
-            "H2": self.H2.to_dict(),
-            "H3": self.H3.to_dict(),
-        }
-        if self.delta is not None:
-            out["Delta"] = self.delta.to_dict()
-        if self.flags:
-            out["flags"] = sorted(self.flags)
-        if self.name:
-            out["name"] = self.name
-        return out
+            if bm is not None:
+                _check_symmetric(bm, name, self.flow.dim)
+        n, om = self.n, self.flow.origin()
+        H = self.H_at(om, 0.0)
+        if "H3_psd" in self.flags:
+            w = np.linalg.eigvalsh(np.real(H[:n, n:]))
+            if w.min() < -1e-10:
+                raise InvalidCoefficients("declared H3 >= 0 fails on sample")
+        if "H2_pd" in self.flags:
+            w = np.linalg.eigvalsh(np.real(H[n:, :n]))
+            if w.min() <= 0:
+                raise InvalidCoefficients("declared H2 > 0 fails on sample")
+        if "delta_pd" in self.flags and self.delta is not None:
+            w = np.linalg.eigvalsh(np.real(self.delta_at(om, 0.0)))
+            if w.min() <= 0:
+                raise InvalidCoefficients("declared Delta > 0 fails on sample")
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,6 +331,8 @@ class CompiledField:
         for b, bm in enumerate(blocks):
             for term in bm.terms:
                 k = np.asarray(term.k, dtype=int)
+                if len(k) != dim:
+                    raise InvalidCoefficients(f"trig index length {len(k)} != flow dimension {dim}")
                 nonzero = np.flatnonzero(k)
                 if len(nonzero) == 0:
                     if term.cos is not None:  # sin(0) vanishes
@@ -389,6 +353,20 @@ class CompiledField:
         return CompiledField(const=const,
                              K=np.array(keys, dtype=int).reshape(len(keys), dim),
                              CS=CS)
+
+    def at(self, flow: BaseFlow, omega: BasePoint, ts) -> np.ndarray:
+        """The matrix at omega . t for every time of the array ``ts``,
+        stacked to shape ts.shape + const.shape; the table of a constant
+        matrix gives a read-only broadcast of it."""
+        ts = np.asarray(ts, dtype=float)
+        if len(self.K) == 0:
+            return np.broadcast_to(self.const, ts.shape + self.const.shape)
+        k0, rate = self.phase_rates(flow, omega)
+        trig = _cos_sin(k0 + np.multiply.outer(ts, rate))
+        # one product for all times, not one per leading index
+        out = (trig.reshape(-1, len(self.CS)) @ self.CS).reshape(ts.shape + self.const.shape)
+        out += self.const
+        return out
 
     def phase_rates(self, flow: BaseFlow, omega: BasePoint) -> tuple[np.ndarray, np.ndarray]:
         """K . omega and K . nu: the phase of each row at t = 0, in
@@ -431,6 +409,16 @@ def _assemble(H1, H2, H3, dtype) -> np.ndarray:
     out[n:, :n] = H2
     out[n:, n:] = -H1.T
     return out
+
+
+def _check_symmetric(bm: BlockMap, what: str, dim: int) -> None:
+    """InvalidCoefficients unless the block map bm, over a flow of
+    dimension dim, is symmetric coefficient by merged coefficient, so that
+    H^T J + J H = 0 at every point, as the reverse chunks need."""
+    c = CompiledField.compile((bm,), lambda M: M, dim, complex)
+    M = np.vstack([c.const.reshape(1, -1), c.CS]).reshape(-1, bm.n, bm.n)
+    if np.abs(M - M.swapaxes(-1, -2)).max() > _SYM_TOL * max(1.0, np.abs(M).max()):
+        raise InvalidCoefficients(f"{what} not symmetric")
 
 
 def _check_finite(bm: BlockMap | None, what: str) -> None:
@@ -486,6 +474,7 @@ def _with_delta(field: CoefficientField, delta=None) -> CoefficientField:
     if not isinstance(delta, BlockMap):
         delta = BlockMap.constant(np.atleast_2d(np.asarray(delta, dtype=float)))
     _check_finite(delta, "Delta")
+    _check_symmetric(delta, "Delta", field.flow.dim)
     return replace(field, delta=delta)
 
 
@@ -587,6 +576,8 @@ def _block_from_json(obj, n: int, flow_dim: int) -> BlockMap:
                 raise SchemaError(
                     f"trig index length {len(k)} != flow dimension {flow_dim}"
                 )
+            if cosM is None and sinM is None:
+                raise SchemaError("trig term with neither cos nor sin part")
             if any(M is not None and M.shape != (n, n) for M in (cosM, sinM)):
                 raise SchemaError(f"trig term matrices must be {n} x {n}")
             if all(x == 0 for x in k):

@@ -35,7 +35,8 @@ from ._json import Encodable, jsonable
 from .base_flow import BaseFlow, advance, make_flow
 from .dichotomy import DichotomyReport, detect_ed, nonoscillation_check
 from .errors import InvalidCoefficients, NotSolvable, SingularR, ToolkitError
-from .hamiltonian import BlockMap, CoefficientField, CompiledField, _check_finite, _real_form
+from .hamiltonian import (BlockMap, CoefficientField, CompiledField, _check_finite,
+                          _check_symmetric, _real_form)
 from .propagator import ChunkedPropagator, _magnus_chunk, _symplectic_inverse
 from .riccati_weyl import _PROPAGATION_TOL, WeylMatrix, weyl_plus
 
@@ -92,11 +93,6 @@ def _as_block(M, n: int, what: str) -> BlockMap:
     return M
 
 
-def _angle_samples(flow: BaseFlow) -> list[np.ndarray]:
-    w0 = flow.origin()
-    return [advance(flow, w0, t).as_array() for t in (0.0, 0.9, 2.7, 6.1)]
-
-
 @dataclass(frozen=True, eq=False)
 class LQProblem:
     """Control data on a base flow.  B, g, R must be constant in time:
@@ -123,23 +119,21 @@ class LQProblem:
             flow = make_flow("autonomous")
         A = _as_block(A, n, "A")
         G = _as_block(G, n, "G")
-        g = np.zeros((n, m)) if g is None else _floats(g, "g", (n, m))
+        g = np.zeros((n, m)) if g is None else np.atleast_2d(_floats(g, "g"))
         R = np.eye(m) if R is None else np.atleast_2d(_floats(R, "R"))
         x0 = np.zeros(n) if x0 is None else _floats(x0, "x0", (n,))
         for name, value in (("B", B), ("g", g), ("R", R), ("x0", x0)):
             if not np.all(np.isfinite(value)):
                 raise InvalidCoefficients(f"{name} has entries that are not finite")
-        if R.shape != (m, m):
-            raise InvalidCoefficients(f"R must be {m}x{m}, got {R.shape}")
+        for name, value, (rows, cols) in (("g", g, (n, m)), ("R", R, (m, m))):
+            if value.shape != (rows, cols):
+                raise InvalidCoefficients(f"{name} must be {rows}x{cols}, got {value.shape}")
         if np.max(np.abs(R - R.T)) > _SYM_TOL:
             raise InvalidCoefficients("R must be symmetric")
         rho = float(np.linalg.eigvalsh(R).min())
         if rho <= 0.0:
             raise SingularR(f"R must be uniformly positive definite (min eig {rho:.3g})")
-        for th in _angle_samples(flow):
-            Gv = G(th)
-            if np.max(np.abs(Gv - Gv.T)) > _SYM_TOL:
-                raise InvalidCoefficients("G must be symmetric at all sample points")
+        _check_symmetric(G, "G", flow.dim)
         return LQProblem(n=n, m=m, A=A, B=B, G=G, g=g, R=R, flow=flow, x0=x0)
 
 
@@ -408,8 +402,8 @@ def _cost_system(problem: LQProblem, solution: LQSolution, delta_u) -> SimpleNam
       x' = A x + (B u) 1,
       c' = tr(G x x') / 2 + x' g u + (u' R u / 2) 1,
     so c is the running cost.  ``H_at`` reads A and G from one table
-    compiled per call, and u_hat by Horner on the spline pieces;
-    ``moments`` sums its values with the kernel's weights."""
+    compiled per call (``CompiledField.at``), and u_hat by Horner on the
+    spline pieces; ``moments`` sums its values with the kernel's weights."""
     from scipy.interpolate import CubicSpline
 
     n, m = problem.n, problem.m
@@ -431,10 +425,9 @@ def _cost_system(problem: LQProblem, solution: LQSolution, delta_u) -> SimpleNam
 
     dtype = complex if problem.A.is_complex or problem.G.is_complex else float
     zero, O = np.zeros(n), np.zeros((n, n))
-    # the part of L linear in A and G, evaluated by the code of
-    # CoefficientField.H_at, which reads only .compiled and .flow
-    table = SimpleNamespace(flow=problem.flow, compiled=CompiledField.compile(
-        (problem.A, problem.G), lambda A, G: lift(A, G, zero, zero), problem.flow.dim, dtype))
+    # the part of L linear in A and G
+    table = CompiledField.compile(
+        (problem.A, problem.G), lambda A, G: lift(A, G, zero, zero), problem.flow.dim, dtype)
     # the part of L linear in u, one d x d slice per input
     Lu = np.array([lift(O, O, problem.B[:, k], problem.g[:, k])
                    for k in range(m)]).reshape(m, d * d)
@@ -448,7 +441,7 @@ def _cost_system(problem: LQProblem, solution: LQSolution, delta_u) -> SimpleNam
         times = flat.tolist()
         u = (((c[0] * h + c[1]) * h + c[2]) * h + c[3]
              + _perturbation([delta_u(t) for t in times], times, m))
-        L = CoefficientField.H_at(table, omega, ts) + (u @ Lu).reshape(ts.shape + (d, d))
+        L = table.at(problem.flow, omega, ts) + (u @ Lu).reshape(ts.shape + (d, d))
         L[..., -1, one] += 0.5 * np.einsum("si,ij,sj->s", u, problem.R, u).reshape(ts.shape)
         return L
 

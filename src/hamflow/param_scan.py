@@ -73,11 +73,9 @@ class MonotonicityCertificate(Encodable):
 
 
 def _check_delta_pd(field: CoefficientField) -> None:
-    w = field.flow.origin()
-    for t in (0.0, 0.73, 2.9):
-        D = field.eval_delta(w, t)
-        if np.linalg.eigvalsh(0.5 * (D + D.T)).min() <= 0.0:
-            raise ToolkitError("Delta must be positive definite on samples")
+    D = field.delta_at(field.flow.origin(), [0.0, 0.73, 2.9])
+    if np.linalg.eigvalsh(0.5 * (D + np.swapaxes(D, -1, -2))).min() <= 0.0:
+        raise ToolkitError("Delta must be positive definite on samples")
 
 
 def _ed_nc_predicate(
@@ -381,7 +379,7 @@ def left_halfline_check(
     field = _with_delta(field, delta)
     if omega is None:
         omega = field.flow.origin()
-    H2a = field.eval_blocks(omega)[1] - alpha0 * field.eval_delta(omega)
+    H2a = field.H_at(omega, 0.0)[field.n:, :field.n] - alpha0 * field.delta_at(omega, 0.0)
     if np.linalg.eigvalsh(0.5 * (H2a + H2a.T)).min() <= 0.0:
         raise ToolkitError("H2 - alpha0 Delta must be positive definite")
     alphas = sorted(float(a) for a in test_alphas)

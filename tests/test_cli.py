@@ -285,6 +285,9 @@ PERIODIC_EX2 = {**EX2_FILE, "flow": {"kind": "periodic", "period": 1.0}}
     ("scan", "ex2", ["--bracket", "a,b"]),
     ("rotation", "ex3", ["--grid", "2,1"]),
     ("herglotz", "ex3", ["--bracket", "2,1"]),
+    ("weyl", {**PERIODIC_EX2, "H2": [{"k": [1]}]}, []),
+    ("lq", {**SCALAR_LQ, "A": (-np.eye(2)).tolist(), "B": [[1.0], [0.5]],
+            "G": np.eye(2).tolist(), "x0": [1.0, 0.0], "g": [[0.1, 0.2]]}, []),
 ])
 def test_malformed_input_is_an_error(tmp_path, capsys, command, problem, args):
     # a preset name, the text of a problem file, or its JSON

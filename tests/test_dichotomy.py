@@ -207,7 +207,8 @@ def _oracle_gram(field, omega, horizon, per_unit=16, growth_cap=1e3):
             start = advance(field.flow, omega, sign * k)
             for j in range(per_unit + 1):
                 Uj = ivp_transfer(field, start, sign * j / per_unit) @ U
-                K = field.eval_delta(omega, sign * (k + j / per_unit)) @ Uj[n:, :]
+                D = field.delta(field.angles(omega, sign * (k + j / per_unit)))
+                K = D @ Uj[n:, :]
                 G += w[j] * K.T @ K
             U = Uj
             if np.linalg.norm(U, 2) > growth_cap:

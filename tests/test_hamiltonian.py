@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ def test_perturb_h2_shifts_only_the_h2_block(ex2):
     H1b, H2b, H3b = g.eval_blocks(om)
     np.testing.assert_allclose(H1b, H1a, atol=1e-14)
     np.testing.assert_allclose(H3b, H3a, atol=1e-14)
-    np.testing.assert_allclose(H2b, H2a - 0.7 * ex2.eval_delta(om), atol=1e-14)
+    np.testing.assert_allclose(H2b, H2a - 0.7 * ex2.delta(ex2.angles(om, 0.0)), atol=1e-14)
 
 
 def test_perturb_h3_shifts_only_the_h3_block(ex2):
@@ -91,7 +92,7 @@ def test_perturb_h3_shifts_only_the_h3_block(ex2):
     _, H2a, H3a = ex2.eval_blocks(om)
     _, H2b, H3b = g.eval_blocks(om)
     np.testing.assert_allclose(H2b, H2a, atol=1e-14)
-    np.testing.assert_allclose(H3b, H3a + 0.3 * ex2.eval_delta(om), atol=1e-14)
+    np.testing.assert_allclose(H3b, H3a + 0.3 * ex2.delta(ex2.angles(om, 0.0)), atol=1e-14)
 
 
 def test_regularize_adds_identity_to_h3(ex1):
@@ -126,7 +127,7 @@ def test_perturbations_commute_with_evaluation(lam, eps):
     g = regularize(perturb_h2(f, lam), eps)
     H = g.H_of_t(om)(0.0)
     H1, H2, H3 = f.eval_blocks(om)
-    D = f.eval_delta(om)
+    D = f.delta(f.angles(om, 0.0))
     np.testing.assert_allclose(H[:1, :1], H1, atol=1e-12)
     np.testing.assert_allclose(H[1:, 1:], -H1.T, atol=1e-12)
     np.testing.assert_allclose(H[:1, 1:], H3 + eps * np.eye(1), atol=1e-12)
@@ -159,9 +160,20 @@ def test_an_antisymmetric_sin_term_is_rejected(block, im):
         field_from_dict(data)
 
 
+TORUS_DEMO_FILE = {
+    "n": 1, "name": "torus-demo",
+    "flow": {"kind": "torus", "nu": [1.0, 0.5 * (1.0 + 5.0 ** 0.5)]},
+    "H1": [{"k": [0, 0], "cos": [[-1.0]]}, {"k": [1, 0], "cos": [[0.25]]},
+           {"k": [0, 1], "sin": [[0.2]]}],
+    "H2": [{"k": [0, 0], "cos": [[0.3]]}, {"k": [1, -1], "cos": [[0.1]]}],
+    "H3": [{"k": [0, 0], "cos": [[0.5]]}, {"k": [0, 1], "cos": [[0.2]]}],
+    "Delta": [[1.0]],
+}
+
+
 def test_field_from_dict_roundtrip():
     f = get_preset("torus-demo").field
-    g = field_from_dict(json.loads(json.dumps(f.to_dict())))
+    g = field_from_dict(json.loads(json.dumps(TORUS_DEMO_FILE)))
     om = f.flow.origin()
     for t in (0.0, 1.3):
         for a, b in zip(f.eval_blocks(om, t), g.eval_blocks(om, t)):
@@ -202,7 +214,7 @@ def test_attaching_delta_keeps_the_blocks_and_requires_a_direction(ex2):
 
     g = _with_delta(ex2, 2.0)
     om = g.flow.origin()
-    np.testing.assert_array_equal(g.eval_delta(om), [[2.0]])
+    np.testing.assert_array_equal(g.delta(g.angles(om, 0.0)), [[2.0]])
     np.testing.assert_array_equal(g.H_of_t(om)(0.0), ex2.H_of_t(om)(0.0))
     assert g.name == ex2.name and _with_delta(ex2) is ex2
     bare = constant_field([[-1.0]], [[0.0]], [[1.0]])
@@ -210,6 +222,16 @@ def test_attaching_delta_keeps_the_blocks_and_requires_a_direction(ex2):
                  classify_family):
         with pytest.raises(InvalidCoefficients):
             call(bare)
+    # H3 + lam Delta must stay symmetric, so H stays Hamiltonian
+    ex4 = get_preset("ex4").field
+    for call in (_with_delta, find_alpha_star, rho_curve, rotation_profile,
+                 classify_family):
+        with pytest.raises(InvalidCoefficients, match="Delta not symmetric"):
+            call(ex4, delta=[[0.0, 1.0], [0.0, 0.0]])
+    # a trig Delta must be indexed by the torus' two angles
+    one_angle = BlockMap(n=1, const=np.eye(1), terms=(TrigTerm(k=(1,), cos=np.eye(1), sin=None),))
+    with pytest.raises(InvalidCoefficients, match="flow dimension"):
+        _with_delta(get_preset("torus-demo").field, one_angle)
 
 
 def _random_block(rng, n, d, n_terms):
@@ -260,6 +282,13 @@ def test_compiled_coefficients_match_blockmap_assembly(seed, n, flow_dim, nonrea
     for t, H in zip(ts, got):
         want = f.H_of_t(omega)(t)
         assert np.max(np.abs(H - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    # the compiled Delta against the per-point one, a complex Delta too
+    g = replace(f, delta=f.delta.scaled(complex(*rng.uniform(0.1, 2, 2)))) if nonreal else f
+    got = g.delta_at(omega, ts)
+    assert got.dtype == (complex if nonreal else float)
+    for t, D in zip(ts, got):
+        want = g.delta(g.angles(omega, t))
+        assert np.max(np.abs(D - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
     # one row of K per frequency up to sign, its first nonzero entry positive
     def canonical(k):
         lead = next(x for x in k if x)

@@ -163,6 +163,16 @@ def test_asymmetric_g_is_rejected():
         )
 
 
+@pytest.mark.parametrize("g", [[[0.1, 0.2]], [0.1, 0.2], [[0.1], [0.2], [0.3]]])
+def test_a_cross_term_of_the_wrong_shape_is_rejected(g):
+    # at n = 2, m = 1 g is a 2 x 1 column; no other shape is reinterpreted
+    A, B, G = -np.eye(2), [[1.0], [0.5]], np.eye(2)
+    p = LQProblem.from_data(A, B, G, g=[[0.1], [0.2]])
+    np.testing.assert_array_equal(p.g, [[0.1], [0.2]])
+    with pytest.raises(InvalidCoefficients, match="g must be 2x1"):
+        LQProblem.from_data(A, B, G, g=g)
+
+
 def test_periodic_problem_synthesizes_a_feasible_feedback():
     p = periodic_lq_problem()
     s = synthesize(p)

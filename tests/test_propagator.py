@@ -294,6 +294,26 @@ def test_no_hamflow_module_holds_an_integrator():
     assert [name for name, src in sources.items() if "quad_vec" in src] == ["param_scan"]
 
 
+def test_only_hamiltonian_evaluates_coefficients_point_by_point():
+    """Every coefficient evaluation outside ``hamiltonian`` reads a
+    compiled table (``H_at``, ``delta_at``, ``CompiledField.at``); the
+    per-point route stays the reference of the tests."""
+    import importlib
+    import inspect
+    import pkgutil
+    import re
+
+    import hamflow
+    from hamflow.hamiltonian import CoefficientField
+
+    sources = {name: inspect.getsource(importlib.import_module(f"hamflow.{name}"))
+               for _, name, _ in pkgutil.iter_modules(hamflow.__path__)}
+    assert [name for name, src in sources.items()
+            if re.search(r"\.(eval_blocks|H_of_t|angles)\(", src)] == ["hamiltonian"]
+    assert not hasattr(CoefficientField, "eval_delta")
+    assert not hasattr(CoefficientField, "to_dict")
+
+
 def test_only_the_propagator_binds_the_positive_qr():
     """Every renormalized frame walk is a ``ChunkedPropagator.carry``, so
     no other hamflow module binds ``_positive_qr``."""
