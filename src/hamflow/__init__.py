@@ -20,7 +20,6 @@ from .hamiltonian import (
 from .propagator import (
     ChunkedPropagator,
     CocycleValue,
-    SolutionFrame,
     cocycle_check,
     fundamental_matrix,
     transfer_matrix,

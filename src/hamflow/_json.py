@@ -2,8 +2,9 @@
 
 Real arrays become nested lists, complex arrays the {"re", "im"} pair
 that problem files accept, complex scalars [re, im] and numpy scalars
-Python scalars; base points become their coordinate list and solution
-frames {"L1", "L2"}.  Report dataclasses encode every field this way.
+Python scalars, and base points become their coordinate list.  A
+Lagrange plane is its orthonormal 2n x n array, so it encodes as any
+other array.  Report dataclasses encode every field this way.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ def jsonable(x):
         return [x.real, x.imag]
     if isinstance(x, BasePoint):
         return list(x.coordinates)
-    # propagator imports hamiltonian, which imports this module
-    from .propagator import SolutionFrame
-    if isinstance(x, SolutionFrame):
-        return {"L1": jsonable(x.L1), "L2": jsonable(x.L2)}
     return x
 
 

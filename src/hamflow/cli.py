@@ -26,7 +26,7 @@ from ._json import Encodable, jsonable
 from .dichotomy import classify_family, detect_ed
 from .base_flow import make_flow
 from .errors import GoldenMismatch, InvalidArgument, SchemaError, ToolkitError, WeylNonexistence
-from .hamiltonian import CoefficientField, _block_from_json, field_from_dict, perturb_h2
+from .hamiltonian import CoefficientField, _block_from_json, _checked, field_from_dict, perturb_h2
 from .lq_control import LQProblem, synthesize
 from .param_scan import (
     find_alpha_star,
@@ -56,8 +56,8 @@ class RunConfig(Encodable):
     jobs: int
 
     def __post_init__(self):
-        if not (0.0 < self.tol < np.inf and 0.0 < self.T < np.inf):
-            raise ToolkitError("tolerances and horizons must be positive and finite")
+        _checked(self.tol, "--tol", True)
+        _checked(self.T, "--T", True)
 
 
 def _parse_floats(option: str, text: str) -> tuple[float, ...]:

@@ -34,19 +34,15 @@ from .base_flow import BasePoint
 from .errors import InvalidArgument, InvalidCoefficients, ToolkitError
 from .hamiltonian import (
     CoefficientField,
+    _checked,
     _with_delta,
     perturb_h2,
     perturb_h3,
     swap_variables,
 )
-from .propagator import (
-    ChunkedPropagator,
-    SolutionFrame,
-    _at_samples,
-    expm,
-    transfer_matrix,
-)
-from .riccati_weyl import _PROPAGATION_TOL, _floquet_split, _spectral_matrix, plane_distance
+from .propagator import ChunkedPropagator, _at_samples, expm, transfer_matrix
+from .riccati_weyl import (_PROPAGATION_TOL, _TOP_BLOCK_TOL, _floquet_split, _graph,
+                           _spectral_matrix, plane_distance)
 
 __all__ = [
     "EDThresholds",
@@ -81,7 +77,9 @@ class EDThresholds(Encodable):
 
 @dataclass(frozen=True, eq=False)
 class PointEvidence(Encodable):
-    """Per-base-point evidence backing a dichotomy verdict."""
+    """Per-base-point evidence backing a dichotomy verdict.  l_plus and
+    l_minus are the decaying and growing planes at the base point, as
+    orthonormal 2n x n arrays, after an ED verdict."""
 
     omega: BasePoint
     verdict: str
@@ -90,8 +88,8 @@ class PointEvidence(Encodable):
     frame_agreement: float
     principal_angle: float
     T_used: float
-    l_plus: SolutionFrame | None
-    l_minus: SolutionFrame | None
+    l_plus: np.ndarray | None
+    l_minus: np.ndarray | None
     reason: str = ""
     beta_point: float = 0.0
     eta_point: float = 1.0
@@ -110,8 +108,6 @@ class DichotomyReport(Encodable):
         return {**super().to_dict(), "n_samples": len(self.samples)}
 
 
-# Smallest singular value of a top block that still counts as invertible
-_SV_THRESHOLD = 1e-8
 # Sample step of uwd_test, and |det| of the top block below which it
 # counts a dip as a suspect
 _UWD_DT = 0.05
@@ -207,8 +203,7 @@ def _spectral_point(prop: ChunkedPropagator, th: EDThresholds) -> PointEvidence 
     return PointEvidence(
         omega=omega, verdict="ED", exponents=tuple(chi), margin_history=history,
         frame_agreement=agree, principal_angle=angle, T_used=float(period),
-        l_plus=SolutionFrame.from_stacked(lp, 0.0, omega),
-        l_minus=SolutionFrame.from_stacked(lm, 0.0, omega),
+        l_plus=lp, l_minus=lm,
         reason="Floquet multipliers split off the unit circle",
         beta_point=beta,
         eta_point=eta,
@@ -292,8 +287,7 @@ def _doubling_point(
                     omega=omega, verdict="ED", exponents=tuple(chi),
                     margin_history=tuple(history), frame_agreement=last_agree,
                     principal_angle=last_angle, T_used=float(m),
-                    l_plus=SolutionFrame.from_stacked(lp, 0.0, omega),
-                    l_minus=SolutionFrame.from_stacked(lm, 0.0, omega),
+                    l_plus=lp, l_minus=lm,
                     reason=f"margin stable over {len(history)} horizons",
                     beta_point=beta, eta_point=eta,
                 )
@@ -379,6 +373,7 @@ def detect_ed(
     planes stabilize and remain transversal (ED).  Anything else is
     inconclusive, with the reason recorded.
     """
+    T_max = _checked(T_max, "T_max", True)
     th = _as_thresholds(thresholds)
     grid = _as_grid(field, omega_grid)
     samples = tuple(_analyze_point(field, w, T_max, th) for w in grid)
@@ -438,15 +433,15 @@ def nonoscillation_check(report: DichotomyReport) -> NonoscillationReport:
         if ev.l_plus is None:
             holds = False
             continue
-        smin = float(np.linalg.svd(ev.l_plus.L1, compute_uv=False)[-1])
+        smin, M = _graph(ev.l_plus)
         smin_all = min(smin_all, smin)
-        if smin <= _SV_THRESHOLD:
+        if M is None:
             holds = False
-            continue
-        samples.append(ev.l_plus.weyl_matrix())
+        else:
+            samples.append(M)
     return NonoscillationReport(
         holds=holds, M_plus_samples=tuple(samples),
-        smallest_top_singular_value=smin_all, threshold=_SV_THRESHOLD,
+        smallest_top_singular_value=smin_all, threshold=_TOP_BLOCK_TOL,
     )
 
 
@@ -477,7 +472,6 @@ def uwd_test(
     field: CoefficientField,
     omega_grid: Sequence[BasePoint] | BasePoint | None = None,
     t_max: float = 40.0,
-    tol: float = 1e-10,
 ) -> UWDReport:
     """Uniform weak disconjugacy probe: propagate the vertical plane and
     track the determinant of its top block.
@@ -493,8 +487,7 @@ def uwd_test(
     """
     if field.is_complex:
         raise InvalidCoefficients("uwd_test requires a real field")
-    if not 0.0 < t_max < np.inf:
-        raise ToolkitError(f"uwd_test needs a finite positive horizon, not t_max = {t_max}")
+    t_max = _checked(t_max, "t_max", True)
     grid = _as_grid(field, omega_grid)
     flagged = not _h3_psd_spotcheck(field, grid)
     n = field.n
@@ -502,10 +495,10 @@ def uwd_test(
     suspects: list[float] = []
     profile: list[tuple[float, float]] = []
     for omega in grid:
-        prop = ChunkedPropagator(field, omega, h=1.0, tol=tol)
+        prop = ChunkedPropagator(field, omega)
         F = np.vstack([np.zeros((n, n)), np.eye(n)])
         for b, (ts, frames, S) in enumerate(_walk(prop, F, t_max, "forward", per_unit)):
-            _uwd_scan(field, omega, ts, _at_samples(S, frames), b == 0, tol, suspects, profile)
+            _uwd_scan(field, omega, ts, _at_samples(S, frames), b == 0, suspects, profile)
     suspects.sort()
     t0_hat = suspects[-1] if suspects else 0.0
     verdict = not any(s > 0.5 * t_max for s in suspects)
@@ -520,8 +513,7 @@ def uwd_test(
 
 
 def _uwd_scan(field: CoefficientField, omega: BasePoint, ts: np.ndarray,
-              Fs: np.ndarray, first: bool, tol: float,
-              suspects: list, profile: list) -> None:
+              Fs: np.ndarray, first: bool, suspects: list, profile: list) -> None:
     """Record the samples of K chunks: Fs[k, j] is the plane at ts[k, j],
     each chunk from its renormalized start frame Fs[k, 0], whose top
     determinant is the one its first sample is compared with.  A sign
@@ -538,7 +530,7 @@ def _uwd_scan(field: CoefficientField, omega: BasePoint, ts: np.ndarray,
         cross[0, 0] = False
         dip[0, 0] = abs(cur[0, 0]) < _DET_TOL and ts[0, 1] > 2.0 * _UWD_DT
     for k, j in zip(*np.nonzero(cross)):
-        suspects.append(_refine_crossing(field, omega, Fs[k, j], ts[k, j], ts[k, j + 1], tol))
+        suspects.append(_refine_crossing(field, omega, Fs[k, j], ts[k, j], ts[k, j + 1]))
     suspects.extend(ts[:, 1:][dip].tolist())
     profile.extend(zip(ts[:, 1:].ravel().tolist(), cur.ravel().tolist()))
 
@@ -548,10 +540,10 @@ def _top_det(F: np.ndarray) -> float:
 
 
 def _refine_crossing(field: CoefficientField, omega: BasePoint, F_a: np.ndarray,
-                     ta: float, tb: float, tol: float) -> float:
+                     ta: float, tb: float) -> float:
     """Bisect a sign change of det(top block) between ta and tb, carrying
     the frame F_a at ta by one transfer matrix per probe."""
-    det = lambda t: _top_det(transfer_matrix(field, omega, ta, t, tol=tol) @ F_a)
+    det = lambda t: _top_det(transfer_matrix(field, omega, ta, t) @ F_a)
     fa = _top_det(F_a)
     t_lo = ta
     for _ in range(40):
@@ -785,6 +777,7 @@ def atkinson_check(
     check over twice the horizon; small-but-unconfirmed minima yield
     satisfied=None (undetermined).
     """
+    horizon = _checked(horizon, "horizon", True)
     if field.delta is None:
         raise InvalidCoefficients("atkinson_check needs a perturbation direction")
     D0 = field.delta_at(field.flow.origin(), 0.0)
@@ -860,6 +853,7 @@ def bounded_solution_witness(
     (z1, 0) or (0, z2) and reports the worst off-shape component along
     the orbit.
     """
+    T = _checked(T, "T", True)
     if shape not in ("any", "(z1,0)", "(0,z2)"):
         raise InvalidArgument(f"unknown shape {shape!r}")
     n = field.n
@@ -918,7 +912,6 @@ def classify_family(
     which: str = "H3",
     probes: Sequence[complex] | None = None,
     omega: BasePoint | None = None,
-    T_max: float = 256.0,
 ) -> ClassificationReport:
     """Sort a perturbation family into the two dynamical alternatives.
 
@@ -939,7 +932,7 @@ def classify_family(
     results = []
     any_ed = False
     for lam in probes:
-        rep = detect_ed(perturb(field, lam), omega, T_max=T_max)
+        rep = detect_ed(perturb(field, lam), omega, T_max=256.0)
         results.append({"lam": complex(lam), "ed": rep.verdict, "beta_hat": rep.beta_hat})
         if rep.verdict == "ED":
             any_ed = True

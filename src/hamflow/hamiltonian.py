@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .base_flow import BaseFlow, BasePoint, advance, make_flow
-from .errors import InvalidCoefficients, SchemaError
+from .errors import InvalidArgument, InvalidCoefficients, SchemaError
 
 __all__ = [
     "TrigTerm",
@@ -411,12 +411,15 @@ def _assemble(H1, H2, H3, dtype) -> np.ndarray:
     return out
 
 
-def _check_symmetric(bm: BlockMap, what: str, dim: int) -> None:
-    """InvalidCoefficients unless the block map bm, over a flow of
-    dimension dim, is symmetric coefficient by merged coefficient, so that
-    H^T J + J H = 0 at every point, as the reverse chunks need."""
-    c = CompiledField.compile((bm,), lambda M: M, dim, complex)
-    M = np.vstack([c.const.reshape(1, -1), c.CS]).reshape(-1, bm.n, bm.n)
+def _check_symmetric(bm: BlockMap | CompiledField, what: str, dim: int) -> None:
+    """InvalidCoefficients unless the block map bm, or a compiled table,
+    over a flow of dimension dim, is symmetric coefficient by merged
+    coefficient, so that H^T J + J H = 0 at every point, as the reverse
+    chunks need."""
+    c = bm if isinstance(bm, CompiledField) else CompiledField.compile(
+        (bm,), lambda M: M, dim, complex)
+    k = c.const.shape[0]
+    M = np.vstack([c.const.reshape(1, -1), c.CS]).reshape(-1, k, k)
     if np.abs(M - M.swapaxes(-1, -2)).max() > _SYM_TOL * max(1.0, np.abs(M).max()):
         raise InvalidCoefficients(f"{what} not symmetric")
 
@@ -434,6 +437,18 @@ def _finite(x, what: str):
     """x, a float or complex parameter, when it is finite."""
     if not cmath.isfinite(x):
         raise InvalidCoefficients(f"{what} = {x} is not finite")
+    return x
+
+
+def _checked(x, what: str, positive: bool) -> float:
+    """x as a float when it is finite and, if ``positive``, above 0: a
+    tolerance, horizon, time or count that the caller passed."""
+    try:
+        x = float(x)
+    except (TypeError, ValueError) as e:
+        raise InvalidArgument(f"{what} must be a real number, not {x!r}") from e
+    if not (cmath.isfinite(x) and (x > 0.0 or not positive)):
+        raise InvalidArgument(f"{what} = {x:g} must be {'positive and ' * positive}finite")
     return x
 
 
@@ -507,7 +522,9 @@ def general_perturb(field: CoefficientField, gamma: float, Gamma_blocks) -> Coef
     ``Gamma_blocks`` is ((G11, G12), (G21, G22)) of BlockMap or constant
     matrices with G12 = G21^T for symmetry.  With J^{-1} = [[0, I], [-I, 0]]:
       H1 += gamma*G21,  H3 += gamma*G22,  H2 -= gamma*G11
-    and the -H1^T block stays consistent (G12 = G21^T).
+    and the -H1^T block stays consistent (G12 = G21^T).  Gamma must be
+    finite and symmetric coefficient by coefficient, as ``validate``
+    holds H2 and H3.
     """
     if gamma == 0:
         return field
@@ -516,10 +533,13 @@ def general_perturb(field: CoefficientField, gamma: float, Gamma_blocks) -> Coef
         return b if isinstance(b, BlockMap) else BlockMap.constant(np.asarray(b, dtype=float))
 
     (G11, G12), (G21, G22) = Gamma_blocks
-    G11, G12, G21, G22 = map(as_map, (G11, G12, G21, G22))
-    # Symmetry of Gamma requires G12 = G21^T; checked on the constant part.
-    if not np.allclose(G12.const, G21.const.T, atol=1e-12):
-        raise InvalidCoefficients("Gamma off-diagonal blocks must be transposes")
+    blocks = G11, G12, G21, G22 = tuple(map(as_map, (G11, G12, G21, G22)))
+    for bm in blocks:
+        _check_finite(bm, "Gamma")
+        if bm.n != field.n:
+            raise InvalidCoefficients(f"Gamma blocks must be {field.n}x{field.n}, got {bm.n}")
+    _check_symmetric(CompiledField.compile(blocks, lambda a, b, c, d: np.block([[a, b], [c, d]]),
+                                           field.flow.dim, complex), "Gamma", field.flow.dim)
     gamma = _finite(float(gamma), "gamma")
     return replace(
         field,

@@ -34,7 +34,7 @@ import numpy as np
 from ._json import Encodable, jsonable
 from .base_flow import BaseFlow, advance, make_flow
 from .dichotomy import DichotomyReport, detect_ed, nonoscillation_check
-from .errors import InvalidCoefficients, NotSolvable, SingularR, ToolkitError
+from .errors import InvalidArgument, InvalidCoefficients, NotSolvable, SingularR, ToolkitError
 from .hamiltonian import (BlockMap, CoefficientField, CompiledField, _check_finite,
                           _check_symmetric, _real_form)
 from .propagator import ChunkedPropagator, _magnus_chunk, _symplectic_inverse
@@ -49,7 +49,6 @@ __all__ = [
     "compare_control",
 ]
 
-_SYM_TOL = 1e-12
 # With rate = max ||H||: panels of four sub-steps, at most _PANEL_RATE /
 # rate long, keep Boole's rule near 1e-11 relative error at any rate;
 # segments, the unit of the sweep and the restarts, at most _SEGMENT_RATE /
@@ -128,8 +127,7 @@ class LQProblem:
         for name, value, (rows, cols) in (("g", g, (n, m)), ("R", R, (m, m))):
             if value.shape != (rows, cols):
                 raise InvalidCoefficients(f"{name} must be {rows}x{cols}, got {value.shape}")
-        if np.max(np.abs(R - R.T)) > _SYM_TOL:
-            raise InvalidCoefficients("R must be symmetric")
+        _check_symmetric(BlockMap.constant(R), "R", flow.dim)
         rho = float(np.linalg.eigvalsh(R).min())
         if rho <= 0.0:
             raise SingularR(f"R must be uniformly positive definite (min eig {rho:.3g})")
@@ -137,7 +135,7 @@ class LQProblem:
         return LQProblem(n=n, m=m, A=A, B=B, G=G, g=g, R=R, flow=flow, x0=x0)
 
 
-def build_hamiltonian(problem: LQProblem, name: str = "lq") -> CoefficientField:
+def build_hamiltonian(problem: LQProblem) -> CoefficientField:
     """H1 = A - B R^{-1} g', H3 = B R^{-1} B', H2 = G - g R^{-1} g'."""
     Rinv = np.linalg.inv(problem.R)
     B, g = problem.B, problem.g
@@ -150,20 +148,18 @@ def build_hamiltonian(problem: LQProblem, name: str = "lq") -> CoefficientField:
     return CoefficientField(
         n=problem.n, flow=problem.flow,
         H1=H1, H2=H2, H3=BlockMap.constant(H3c),
-        delta=None, name=name,
+        delta=None, name="lq",
     )
 
 
-def solvability_check(
-    problem: LQProblem, T_max: float = 256.0
-) -> dict:
+def solvability_check(problem: LQProblem) -> dict:
     """ED plus nonoscillation of the induced Hamiltonian family.
 
     solvable is True, False, or None when the dichotomy detector stays
     inconclusive at its horizon cap.
     """
     field = build_hamiltonian(problem)
-    rep = detect_ed(field, T_max=T_max)
+    rep = detect_ed(field, T_max=256.0)
     out = {"solvable": None, "ed_report": rep, "nc_report": None}
     if rep.verdict == "noED":
         out["solvable"] = False
@@ -244,8 +240,8 @@ def synthesize(
     only.  The state-equation residual of the feedback control is
     recorded.
     """
-    if not (T_report > 0.0 and n_samples >= 2):
-        raise ToolkitError("synthesize needs T_report > 0 and n_samples >= 2")
+    if not (0.0 < T_report < math.inf and n_samples >= 2):
+        raise InvalidArgument("synthesize needs a finite T_report > 0 and n_samples >= 2")
     sol_check = solvability_check(problem)
     if sol_check["solvable"] is not True:
         raise NotSolvable(

@@ -24,7 +24,7 @@ from ._json import Encodable
 from .base_flow import BasePoint
 from .dichotomy import detect_ed, nonoscillation_check, uwd_test
 from .errors import DivergentLimit, InvalidArgument, SignViolation, ToolkitError
-from .hamiltonian import CoefficientField, _with_delta, perturb_h2, regularize
+from .hamiltonian import CoefficientField, _checked, _with_delta, perturb_h2, regularize
 from .riccati_weyl import _HALVING_BETAS, _neville_halving, weyl_minus, weyl_plus
 
 __all__ = [
@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 Sampler = Callable[[complex], np.ndarray]
+
+# How far an eigenvalue of a Weyl-function difference, or of M+, may
+# stray past 0 in the monotonicity and left-half-line checks
+_ORDER_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +82,10 @@ def _check_delta_pd(field: CoefficientField) -> None:
         raise ToolkitError("Delta must be positive definite on samples")
 
 
-def _ed_nc_predicate(
-    field: CoefficientField, T_max: float, out: list | None = None
-) -> bool | None:
+def _ed_nc_predicate(field: CoefficientField, out: list | None = None) -> bool | None:
     """"ED and NC" as pass / fail / inconclusive; the detect_ed report is
     appended to ``out`` when given."""
-    rep = detect_ed(field, T_max=T_max)
+    rep = detect_ed(field)
     if out is not None:
         out.append(rep)
     if rep.verdict == "noED":
@@ -224,7 +226,6 @@ def find_alpha_star(
     delta=None,
     alpha_bracket: tuple[float, float] = (0.0, 1e3),
     tol: float = 1e-3,
-    T_max: float = 512.0,
 ) -> ScanResult:
     """Critical coupling of the family H2 - alpha Delta: the supremum of
     the half-line of alpha where the dichotomy and nonoscillation both
@@ -236,11 +237,12 @@ def find_alpha_star(
     reports alpha* = +inf with the cap flagged.  boundary_behavior
     records the detector output just above the located alpha*.
     """
+    tol = _checked(tol, "tol", True)
     field = _with_delta(field, delta)
     _check_delta_pd(field)
     lo, hi = float(alpha_bracket[0]), float(alpha_bracket[1])
     pred = _Probes(
-        lambda a, out: _ed_nc_predicate(perturb_h2(field, a), T_max, out)
+        lambda a, out: _ed_nc_predicate(perturb_h2(field, a), out)
     )
 
     if pred(lo) is not True:
@@ -264,7 +266,7 @@ def find_alpha_star(
     if widened:
         flags.append("widened_by_inconclusive")
     probe = mid + max(2.0 * tol, 1e-2)
-    probe_rep = detect_ed(perturb_h2(field, probe), T_max=T_max)
+    probe_rep = detect_ed(perturb_h2(field, probe))
     boundary = {
         "alpha_probe": probe,
         "verdict": probe_rep.verdict,
@@ -294,6 +296,7 @@ def rho_curve(
     A passing upper cap reports rho = +inf for that alpha.  If no
     passing lower probe is found the row is flagged "no_lower_pass".
     """
+    tol = _checked(tol, "tol", True)
     field = _with_delta(field, delta)
     _check_delta_pd(field)
     eps_lo0, eps_hi = float(eps_bracket[0]), float(eps_bracket[1])
@@ -344,11 +347,10 @@ def weyl_monotonicity_check(
     alpha1: float = 0.0,
     alpha2: float = 1.0,
     omega_grid: Sequence[BasePoint] | None = None,
-    tol: float = 1e-7,
 ) -> MonotonicityCertificate:
     """Smallest eigenvalue of M+(omega, alpha2) - M+(omega, alpha1) over
     the grid; the family's Weyl function must not decrease as alpha
-    grows."""
+    grows, so the check passes above -1e-7."""
     if alpha2 < alpha1:
         raise InvalidArgument("alpha1 <= alpha2 required")
     field = _with_delta(field, delta)
@@ -360,7 +362,7 @@ def weyl_monotonicity_check(
         worst = min(worst, float(np.linalg.eigvalsh(np.real(m2 - m1)).min()))
     return MonotonicityCertificate(
         min_eigenvalue=worst, alpha1=float(alpha1), alpha2=float(alpha2),
-        passed=worst > -tol, n_points=len(grid),
+        passed=worst > -_ORDER_TOL, n_points=len(grid),
     )
 
 
@@ -370,12 +372,11 @@ def left_halfline_check(
     alpha0: float = 0.0,
     test_alphas: Sequence[float] = (),
     omega: BasePoint | None = None,
-    tol: float = 1e-7,
-    T_max: float = 512.0,
 ) -> dict:
     """On alpha <= alpha0 with H2 - alpha0 Delta positive definite, the
     family must have ED and NC with M+ negative definite and ordered
-    (smaller alpha gives the more negative M+)."""
+    (smaller alpha gives the more negative M+), each up to 1e-7, the
+    report's "tol"."""
     field = _with_delta(field, delta)
     if omega is None:
         omega = field.flow.origin()
@@ -390,7 +391,7 @@ def left_halfline_check(
     prev_M = None
     for a in alphas:
         f_a = perturb_h2(field, a)
-        rep = detect_ed(f_a, omega, T_max=T_max)
+        rep = detect_ed(f_a, omega)
         entry = {"alpha": a, "ed": rep.verdict}
         if rep.verdict != "ED":
             ok = False
@@ -400,18 +401,18 @@ def left_halfline_check(
         entry["nc"] = nc.holds
         M = weyl_plus(f_a, omega, lam=0.0, family=None).M
         entry["M_plus_max_eig"] = float(np.linalg.eigvalsh(np.real(M)).max())
-        entry["negative_definite"] = entry["M_plus_max_eig"] < tol
+        entry["negative_definite"] = entry["M_plus_max_eig"] < _ORDER_TOL
         if not (nc.holds and entry["negative_definite"]):
             ok = False
         if prev_M is not None:
             gap = float(np.linalg.eigvalsh(np.real(M - prev_M)).min())
             entry["ordering_gap"] = gap
-            if gap < -tol:
+            if gap < -_ORDER_TOL:
                 ok = False
         prev_M = M
         per_alpha.append(entry)
     return {"passed": ok, "alpha0": float(alpha0), "entries": per_alpha,
-            "tol": tol}
+            "tol": _ORDER_TOL}
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,11 +30,10 @@ import scipy.linalg
 
 from .base_flow import BasePoint, advance
 from .errors import StiffnessError
-from .hamiltonian import CoefficientField, J_matrix
+from .hamiltonian import CoefficientField, J_matrix, _checked
 
 __all__ = [
     "CocycleValue",
-    "SolutionFrame",
     "fundamental_matrix",
     "cocycle_check",
     "transfer_matrix",
@@ -71,33 +70,6 @@ class CocycleValue:
     @property
     def n(self) -> int:
         return self.U.shape[0] // 2
-
-
-@dataclass(frozen=True, eq=False)
-class SolutionFrame:
-    """A 2n x n solution frame [[L1], [L2]] at a time along an orbit."""
-
-    L1: np.ndarray
-    L2: np.ndarray
-    t: float
-    omega: BasePoint
-
-    @property
-    def n(self) -> int:
-        return self.L1.shape[1]
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.L1, self.L2])
-
-    def weyl_matrix(self) -> np.ndarray:
-        """Graph representation L2 L1^{-1}."""
-        return np.linalg.solve(self.L1.T, self.L2.T).T
-
-    @staticmethod
-    def from_stacked(F: np.ndarray, t: float, omega: BasePoint) -> "SolutionFrame":
-        n = F.shape[1]
-        return SolutionFrame(L1=F[:n, :], L2=F[n:, :], t=t, omega=omega)
 
 
 # Higham (SIAM J. Matrix Anal. Appl. 26, 2005): the largest 1-norm for
@@ -354,6 +326,8 @@ def transfer_matrix(
     """The operator mapping z(t0) to z(t1) along the orbit of omega: the
     matrix exponential when the field is constant, the Magnus kernel over
     pieces of at most unit length otherwise."""
+    _checked(t0, "t0", False)
+    _checked(t1, "t1", False)
     if field.is_autonomous:
         return expm((t1 - t0) * field.constant_matrix())
     dtype = complex if field.is_complex else float
@@ -369,10 +343,9 @@ def fundamental_matrix(
     field: CoefficientField,
     omega: BasePoint,
     t: float,
-    tol: float = 1e-10,
 ) -> CocycleValue:
     """U(t, omega): solution of U' = H(omega . s) U, U(0) = I."""
-    U = transfer_matrix(field, omega, 0.0, t, tol=tol)
+    U = transfer_matrix(field, omega, 0.0, t)
     defect = symplectic_defect(U)
     degraded = bool(np.isfinite(defect) and defect > _DEFECT_TOL)
     return CocycleValue(U=U, t=float(t), omega=omega,
@@ -384,14 +357,13 @@ def cocycle_check(
     omega: BasePoint,
     s: float,
     t: float,
-    tol: float = 1e-10,
 ) -> dict:
     """Report the defect of U(t+s, omega) = U(t, omega . s) U(s, omega),
     relative to max(||U(t+s)||, ||U(t, omega.s)|| ||U(s)||)."""
-    U_ts = transfer_matrix(field, omega, 0.0, t + s, tol=tol)
-    U_s = transfer_matrix(field, omega, 0.0, s, tol=tol)
+    U_ts = transfer_matrix(field, omega, 0.0, t + s)
+    U_s = transfer_matrix(field, omega, 0.0, s)
     omega_s = advance(field.flow, omega, s)
-    U_t_shift = transfer_matrix(field, omega_s, 0.0, t, tol=tol)
+    U_t_shift = transfer_matrix(field, omega_s, 0.0, t)
     raw = np.linalg.norm(U_ts - U_t_shift @ U_s, 2)
     # the product is assembled from the factors, so their norm product is
     # the attainable accuracy scale even when U(t+s) itself is small

@@ -41,7 +41,7 @@ from .errors import (
     ToolkitError,
     WeylNonexistence,
 )
-from .hamiltonian import CoefficientField, J_matrix, perturb_h2, perturb_h3
+from .hamiltonian import CoefficientField, J_matrix, _checked, perturb_h2, perturb_h3
 from .propagator import ChunkedPropagator, transfer_matrix
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "plane_distance",
 ]
 
+# Smallest singular value of a top block that still counts as invertible
 _TOP_BLOCK_TOL = 1e-8
 _SYMMETRY_TOL = 1e-9
 # Integration tolerance of chunk transfer matrices and of the one-period
@@ -78,6 +79,11 @@ _HALVING_BETAS = tuple(0.1 * 0.5 ** k for k in range(6))
 # samples per unit of time and of max ||H||
 _ESCAPE_NORM = 1e6
 _RICCATI_SAMPLES = 8
+# Integration tolerance of the Riccati flow's transfer matrices, reported
+# as its convergence_error
+_RICCATI_TOL = 1e-10
+# Relative size of the imaginary part below which a boundary limit is real
+_BOUNDARY_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +140,6 @@ def riccati_flow(
     omega: BasePoint,
     M0: np.ndarray,
     t: float,
-    tol: float = 1e-10,
 ) -> WeylMatrix:
     """Carry M0 along the orbit by M' = -M H3 M - M H1 - H1^T M + H2.
 
@@ -145,10 +150,13 @@ def riccati_flow(
     lasts only about 2e-6 around a pole); the caller may continue in the
     inverse chart.
     """
+    t = _checked(t, "t", False)
     M0 = np.atleast_2d(np.asarray(M0))
     n = field.n
     if M0.shape != (n, n):
         raise InvalidArgument(f"M0 shape {M0.shape} != ({n}, {n})")
+    if not np.all(np.isfinite(M0)):
+        raise InvalidArgument("M0 has entries that are not finite")
     sym_defect = np.linalg.norm(M0 - M0.T, 2)
     if sym_defect > 1e-10 * max(1.0, np.linalg.norm(M0, 2)):
         raise InvalidArgument("M0 must be symmetric")
@@ -168,7 +176,7 @@ def riccati_flow(
     m = _RICCATI_SAMPLES * math.ceil(max(1.0, float(np.max(np.linalg.norm(H, 2, axis=(1, 2))))))
     direction = "forward" if t >= 0 else "backward"
     chunks = range(pieces) if t >= 0 else range(-1, -pieces - 1, -1)
-    prop = ChunkedPropagator(field, omega, h=h, tol=tol)
+    prop = ChunkedPropagator(field, omega, h=h, tol=_RICCATI_TOL)
     real = not (field.is_complex or np.iscomplexobj(M0))
     # the frames are renormalized after every chunk; the positive diagonal
     # of R keeps the sign of det X
@@ -187,7 +195,7 @@ def riccati_flow(
             hi = math.copysign(h * (j + (i + 1) / m), t)
             while abs(hi - lo) > 1e-14 * max(1.0, abs(hi)):
                 mid = 0.5 * (lo + hi)
-                U = transfer_matrix(field, omega, t_i, mid, tol=tol)
+                U = transfer_matrix(field, omega, t_i, mid, tol=_RICCATI_TOL)
                 _, norm, d = graph((U @ Fs[k, i])[None])
                 if norm[0] >= _ESCAPE_NORM or (real and np.sign(d[0]) != np.sign(det[k, i])):
                     hi = mid
@@ -197,7 +205,7 @@ def riccati_flow(
                                t_escape=float(hi))
     M, defect = _symmetrized(M[-1, -1])
     return WeylMatrix(M=M, role="flow", omega=omega, lam=0.0,
-                      convergence_error=float(tol), T_used=float(t),
+                      convergence_error=_RICCATI_TOL, T_used=float(t),
                       symmetry_defect=defect)
 
 
@@ -337,6 +345,18 @@ def _floquet_split(M: np.ndarray, side: str, generator: bool = False
     return Z[:, :n], err, float(margin), T11
 
 
+def _graph(F: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """The smallest singular value of the top block L1 of a 2n x n plane
+    [[L1], [L2]], and the plane's graph L2 L1^{-1}, unsymmetrized; the
+    graph is None where that value is at most ``_TOP_BLOCK_TOL``."""
+    n = F.shape[1]
+    L1, L2 = F[:n], F[n:]
+    smin = float(np.linalg.svd(L1, compute_uv=False)[-1])
+    if smin <= _TOP_BLOCK_TOL:
+        return smin, None
+    return smin, np.linalg.solve(L1.T, L2.T).T
+
+
 def _frame_to_weyl(
     F: np.ndarray,
     role: str,
@@ -345,16 +365,13 @@ def _frame_to_weyl(
     err: float,
     T_used: float,
 ) -> WeylMatrix:
-    n = F.shape[1]
-    L1, L2 = F[:n, :], F[n:, :]
-    smin = float(np.linalg.svd(L1, compute_uv=False)[-1])
-    if smin <= _TOP_BLOCK_TOL:
+    smin, M = _graph(F)
+    if M is None:
         raise WeylNonexistence(
             f"limiting plane for {role} has no graph representation "
             f"(top-block smallest singular value {smin:.3g})",
             smallest_singular_value=smin,
         )
-    M = np.linalg.solve(L1.T, L2.T).T
     M, defect = _symmetrized(M)
     if defect > max(_SYMMETRY_TOL, 100.0 * err) * max(1.0, np.linalg.norm(M, 2)):
         raise ToolkitError(
@@ -378,6 +395,7 @@ def _weyl(
     method: str,
     max_doublings: int,
 ) -> WeylMatrix:
+    _checked(max_doublings, "max_doublings", True)
     if omega is None:
         omega = field.flow.origin()
     fam_field = apply_family(field, lam, family)
@@ -484,11 +502,10 @@ def weyl_minus(
 def principal_functions(
     field: CoefficientField,
     omega: BasePoint | None = None,
-    T_max: float = 4096.0,
-    tol: float = 1e-8,
 ) -> tuple[WeylMatrix, WeylMatrix]:
     """(N+, N-): limits of the finite-horizon frames through the vertical
-    plane at +-T, read back at 0 as graphs.
+    plane at +-T, read back at 0 as graphs, for T doubling from 4 up to
+    4096 until the plane moves by at most 1e-8.
 
     Raises NonInvertibleTopBlock when the readback top block is singular
     and NoConvergence when horizon doubling stalls; checks N+ <= N-."""
@@ -496,11 +513,9 @@ def principal_functions(
         omega = field.flow.origin()
     n = field.n
     vertical = np.vstack([np.zeros((n, n)), np.eye(n)])
-    T0 = 4.0
-    max_doublings = max(3, int(np.ceil(np.log2(T_max / T0))))
     out = []
     for side, role in (("plus", "N+"), ("minus", "N-")):
-        limit = _limit_plane(field, omega, [vertical], side, tol, T0, max_doublings)[0]
+        limit = _limit_plane(field, omega, [vertical], side, 1e-8, 4.0, 10)[0]
         if isinstance(limit, NoConvergence):
             raise limit
         F, err, T_used = limit
@@ -537,9 +552,7 @@ def boundary_limit(
     omega: BasePoint | None = None,
     alpha: float = 0.0,
     role: str = "F+",
-    tol: float = 1e-6,
     family: str | None = "H2",
-    method: str = "auto",
 ) -> WeylMatrix:
     """Real-axis boundary value of the Weyl function at alpha.
 
@@ -547,26 +560,25 @@ def boundary_limit(
     beta = 0.1, 0.05, ..., 0.1 / 32 and Richardson-extrapolates to
     beta -> 0 (orders 1 and 2; the imaginary part decays linearly where a
     dichotomy persists on the real axis).  ``real_limit`` reports whether
-    the imaginary part vanished below tol.
+    the imaginary part vanished below 1e-6 relative.
     """
     if role not in ("F+", "F-"):
         raise InvalidArgument("role must be 'F+' or 'F-'")
     evaluate = weyl_plus if role == "F+" else weyl_minus
     vals = []
     for b in _HALVING_BETAS:
-        wm = evaluate(field, omega, complex(alpha, b), tol=1e-9,
-                      family=family, method=method)
+        wm = evaluate(field, omega, complex(alpha, b), tol=1e-9, family=family)
         vals.append(wm.M.astype(complex))
     F, diffs = _neville_halving(vals)
     scale = max(1.0, float(np.linalg.norm(F, 2)))
-    if diffs[-1] > max(2.0 * diffs[-2], 10.0 * tol * scale):
+    if diffs[-1] > max(2.0 * diffs[-2], 10.0 * _BOUNDARY_TOL * scale):
         raise DivergentLimit(
             f"boundary extrapolation diverging at alpha = {alpha:g}: "
             f"increments {diffs[-2]:.3g} -> {diffs[-1]:.3g}"
         )
     F, sym_defect = _symmetrized(F)
     imag_norm = float(np.linalg.norm(np.imag(F), 2))
-    is_real = imag_norm <= tol * max(1.0, float(np.linalg.norm(F, 2)))
+    is_real = imag_norm <= _BOUNDARY_TOL * max(1.0, float(np.linalg.norm(F, 2)))
     M = np.real(F) if is_real else F
     return WeylMatrix(
         M=M, role=role, omega=omega, lam=complex(alpha),

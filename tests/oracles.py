@@ -100,12 +100,12 @@ def schur_unstable_weyl(H: np.ndarray) -> np.ndarray:
     return np.linalg.solve(F[:n, :].T, F[n:, :].T).T
 
 
-def uwd_walk_reference(field, omega, t_max: float, tol: float = 1e-10):
+def uwd_walk_reference(field, omega, t_max: float):
     """The uwd_test scan of one base point, walked one chunk at a time
     with a sample-by-sample loop: (suspects, [(t, det)] profile).  The
     library scans the whole chunks of a constant field in one batch."""
     n = field.n
-    prop = ChunkedPropagator(field, omega, h=1.0, tol=tol)
+    prop = ChunkedPropagator(field, omega, h=1.0, tol=1e-10)
     F = np.vstack([np.zeros((n, n)), np.eye(n)])
     suspects, profile = [], []
     prev = None
@@ -115,7 +115,7 @@ def uwd_walk_reference(field, omega, t_max: float, tol: float = 1e-10):
         for j in range(1, len(ts)):
             t, d = float(ts[j]), float(dets[j])
             if prev is not None and prev * d < 0.0:
-                suspects.append(_refine_crossing(field, omega, Fs[j - 1], ts[j - 1], t, tol))
+                suspects.append(_refine_crossing(field, omega, Fs[j - 1], ts[j - 1], t))
             elif abs(d) < 1e-9 and (prev is not None or t > 0.1):
                 suspects.append(t)
             prev = d

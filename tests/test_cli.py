@@ -322,3 +322,36 @@ def test_every_exported_function_is_toured_or_called():
               and not re.search(rf"\b{name}\b", tour)
               and not re.search(rf"(?<!def )\b{name}\(", source)]
     assert unused == []
+
+
+def test_every_float_option_of_an_exported_function_is_set_somewhere():
+    """Every float-valued keyword option of a function that ``hamflow``
+    exports is set, by keyword or by position, by some call in the
+    package, the benchmark or the tests: an option that nothing sets is a
+    constant."""
+    import ast
+    import inspect
+    from pathlib import Path
+
+    import hamflow
+
+    root = Path(hamflow.__file__).resolve().parents[2]
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(p for d in ("src", "perfbench", "tests") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call: ast.Call, i: int, option: str) -> bool:
+        return (any(k.arg in (option, None) for k in call.keywords)
+                or len(call.args) > i
+                or any(isinstance(a, ast.Starred) for a in call.args))
+
+    unset = [f"{name}.{p.name}" for name, obj in vars(hamflow).items()
+             if inspect.isfunction(obj)
+             for i, p in enumerate(inspect.signature(obj).parameters.values())
+             if type(p.default) is float
+             and not any(sets(c, i, p.name) for c in calls.get(name, []))]
+    assert unset == []

@@ -387,7 +387,7 @@ def _assert_routes_agree(spectral, doubling):
     slack = max(1e-5 * spectral.beta_point, abs(m_last - m_prev))
     assert abs(spectral.beta_point - doubling.beta_point) <= slack
     for a, b in ((spectral.l_plus, doubling.l_plus), (spectral.l_minus, doubling.l_minus)):
-        assert plane_distance(a.stacked, b.stacked) <= 1e-6
+        assert plane_distance(a, b) <= 1e-6
 
 
 _CONSTANT_CASES = [(name, 0.0) for name in ("ex1", "ex2", "ex3", "ex4")] + [
@@ -562,7 +562,7 @@ def test_eta_estimate_beyond_the_float_range_is_inf(ex2):
     # without an overflow warning
     prop = ChunkedPropagator(ex2, ex2.flow.origin(), h=1.0, tol=1e-11)
     ev = _spectral_point(prop, EDThresholds())
-    eta = _eta_estimate(prop, ev.l_plus.stacked, ev.l_minus.stacked, 800.0, 16)
+    eta = _eta_estimate(prop, ev.l_plus, ev.l_minus, 800.0, 16)
     assert eta == float("inf")
 
 
@@ -585,5 +585,5 @@ def test_eta_of_the_constant_presets_matches_the_plane_walk(name):
     f = get_preset(name).field
     prop = ChunkedPropagator(f, f.flow.origin(), h=1.0, tol=1e-11)
     ev = _spectral_point(prop, EDThresholds())
-    walked = _eta_estimate(prop, ev.l_plus.stacked, ev.l_minus.stacked, ev.beta_point, 16)
+    walked = _eta_estimate(prop, ev.l_plus, ev.l_minus, ev.beta_point, 16)
     assert abs(ev.eta_point - walked) <= 1e-12

@@ -28,16 +28,14 @@ from hamflow.presets import scalar_lq_problem
 
 def test_encodings_are_pinned(ex3, abnormal):
     report = detect_ed(perturb_h3(ex3, 1j))
-    L1, L2 = report.samples[0].l_plus.L1, report.samples[0].l_plus.L2
-    assert np.iscomplexobj(L1) and np.iscomplexobj(L2)
+    plane = report.samples[0].l_plus
+    assert np.iscomplexobj(plane)
     rep = report.to_dict()
     probe = classify_family(abnormal).to_dict()["probe_results"][2]
     witness = atkinson_check(abnormal).to_dict()["witness"]
     cases = [
         # (encoded value, expected JSON form)
-        (rep["samples"][0]["l_plus"],
-         {"L1": {"re": L1.real.tolist(), "im": L1.imag.tolist()},
-          "L2": {"re": L2.real.tolist(), "im": L2.imag.tolist()}}),
+        (rep["samples"][0]["l_plus"], {"re": plane.real.tolist(), "im": plane.imag.tolist()}),
         (probe["lam"], [0.0, 1.0]),
         (witness["omega"], []),
         (jsonable(np.array([[1.0, 2.0]])), [[1.0, 2.0]]),

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamflow.base_flow import make_flow
-from hamflow.dichotomy import atkinson_check, detect_ed, uwd_test
-from hamflow.errors import InvalidCoefficients, SchemaError
+from hamflow.base_flow import BasePoint, make_flow
+from hamflow.dichotomy import atkinson_check, bounded_solution_witness, detect_ed, uwd_test
+from hamflow.errors import InvalidArgument, InvalidCoefficients, SchemaError
 from hamflow.hamiltonian import (
     BlockMap,
     _with_delta,
@@ -25,6 +25,8 @@ from hamflow.hamiltonian import (
 from hamflow.lq_control import LQProblem, synthesize
 from hamflow.param_scan import find_alpha_star
 from hamflow.presets import get_preset
+from hamflow.propagator import transfer_matrix
+from hamflow.riccati_weyl import riccati_flow, weyl_plus
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -41,12 +43,35 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: perturb_h3(get_preset("ex2").field, complex(0.0, _INF)),
     lambda: regularize(get_preset("ex2").field, _NAN),
     lambda: general_perturb(get_preset("ex2").field, _INF, ((1.0, 0.0), (0.0, 1.0))),
+    lambda: general_perturb(get_preset("ex2").field, 1.0, ((_NAN, 0.0), (0.0, 1.0))),
 ])
 def test_coefficients_that_are_not_finite_are_invalid(call):
     # from the Python API too, not only from problem files: they must not
     # reach LAPACK or come back as an answer
     with pytest.raises(InvalidCoefficients, match="not finite"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, om: detect_ed(f, T_max=_NAN),
+    lambda f, om: riccati_flow(get_preset("ex2").field, BasePoint(()), [[0.0]], _NAN),
+    lambda f, om: riccati_flow(get_preset("ex2").field, BasePoint(()), [[0.0]], _INF),
+    lambda f, om: riccati_flow(get_preset("ex2").field, BasePoint(()), [[_NAN]], 1.0),
+    lambda f, om: transfer_matrix(f, om, 0.0, _INF),
+    lambda f, om: transfer_matrix(f, om, 0.0, _NAN),
+    lambda f, om: bounded_solution_witness(f, om, T=_NAN),
+    lambda f, om: atkinson_check(get_preset("ex2").field, horizon=_INF),
+    lambda f, om: synthesize(LQProblem.from_data(A=-1.0, B=1.0, G=1.0, x0=[1.0]),
+                             T_report=_INF),
+    lambda f, om: weyl_plus(f, om, max_doublings=-1),
+], ids=["detect_ed-T_max", "riccati_flow-t-nan", "riccati_flow-t-inf", "riccati_flow-M0",
+        "transfer_matrix-t1-inf", "transfer_matrix-t1-nan", "witness-T", "atkinson-horizon",
+        "synthesize-T_report", "weyl_plus-max_doublings"])
+def test_times_and_horizons_that_are_not_finite_are_invalid(torus_demo, call):
+    # each of these raised IndexError, ValueError, OverflowError or
+    # LinAlgError from inside the walks
+    with pytest.raises(InvalidArgument):
+        call(torus_demo, torus_demo.flow.origin())
 
 
 def test_eval_H_has_hamiltonian_block_structure():
@@ -205,6 +230,27 @@ def test_general_perturb_rejects_asymmetric_gamma(ex3):
             ((np.array([[0.2]]), np.array([[0.1]])),
              (np.array([[0.4]]), np.array([[0.3]]))),
         )
+
+
+def _trig(const, cos, k):
+    return BlockMap(n=1, const=np.array([[const]]),
+                    terms=(TrigTerm(k=k, cos=np.array([[cos]]), sin=None),))
+
+
+def test_gamma_is_symmetric_coefficient_by_coefficient(ex4, torus_demo):
+    # an asymmetric G11 makes H non-Hamiltonian (||H^T J + J H|| = 1.41 on
+    # ex4), and G12 = G21^T must hold for every trig coefficient, not only
+    # for the constant parts
+    Z = np.zeros((2, 2))
+    with pytest.raises(InvalidCoefficients, match="Gamma not symmetric"):
+        general_perturb(ex4, 1.0, ((np.array([[0.0, 1.0], [0.0, 0.0]]), Z), (Z, Z)))
+    one = BlockMap.constant(np.eye(1))
+    with pytest.raises(InvalidCoefficients, match="Gamma not symmetric"):
+        general_perturb(torus_demo, 1.0, ((one, _trig(0.1, 0.2, (1, 0))),
+                                          (BlockMap.constant([[0.1]]), one)))
+    # opposite frequencies are one coefficient
+    general_perturb(torus_demo, 1.0, ((one, _trig(0.1, 0.2, (1, 0))),
+                                      (_trig(0.1, 0.2, (-1, 0)), one)))
 
 
 def test_attaching_delta_keeps_the_blocks_and_requires_a_direction(ex2):

@@ -163,6 +163,15 @@ def test_asymmetric_g_is_rejected():
         )
 
 
+def test_r_is_held_to_the_symmetry_tolerance_of_g():
+    # 1e-12 relative to the largest entry, for R as for G: an R off by
+    # 1e-10 at scale 1e4 is symmetric to rounding, one off by 1e-6 is not
+    A, B, G = np.zeros((2, 2)), np.eye(2), np.eye(2)
+    LQProblem.from_data(A, B, G, R=[[1e4, 1.0 + 1e-10], [1.0, 1e4]])
+    with pytest.raises(InvalidCoefficients, match="R not symmetric"):
+        LQProblem.from_data(A, B, G, R=[[1.0, 1e-6], [0.0, 1.0]])
+
+
 @pytest.mark.parametrize("g", [[[0.1, 0.2]], [0.1, 0.2], [[0.1], [0.2], [0.3]]])
 def test_a_cross_term_of_the_wrong_shape_is_rejected(g):
     # at n = 2, m = 1 g is a 2 x 1 column; no other shape is reinterpreted

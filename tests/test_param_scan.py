@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hamflow import param_scan
 from hamflow._json import jsonable
 from hamflow.dichotomy import EDThresholds
-from hamflow.errors import SignViolation, ToolkitError
+from hamflow.errors import InvalidArgument, SignViolation, ToolkitError
 from hamflow.hamiltonian import constant_field, perturb_h2
 from hamflow.param_scan import (
     _bisect_three_valued,
@@ -165,6 +165,22 @@ def test_rho_curve_uncertainty_covers_the_closed_form(ex2):
                     T_max=1024).rho_table[0]
     assert row["verdict"] == "ok"
     assert abs(row["rho"] - 3.0) <= row["uncertainty"]
+
+
+@pytest.mark.parametrize("scan", [
+    lambda f, tol: find_alpha_star(f, tol=tol),
+    lambda f, tol: rho_curve(f, alpha_grid=[0.5], tol=tol),
+], ids=["find_alpha_star", "rho_curve"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, "abc"])
+def test_a_bisection_tolerance_that_is_not_positive_and_finite_is_rejected(
+        ex2, monkeypatch, scan, tol):
+    # before any probe: a tolerance of 0 or below never closes the bracket
+    def probe(*args, **kwargs):
+        raise AssertionError("the scan probed with a bad tolerance")
+
+    monkeypatch.setattr(param_scan, "detect_ed", probe)
+    with pytest.raises(InvalidArgument, match="tol"):
+        scan(ex2, tol)
 
 
 def test_alpha_star_on_a_constant_field_doubles_no_horizon(ex2, monkeypatch):

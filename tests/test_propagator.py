@@ -8,7 +8,6 @@ from hamflow.hamiltonian import J_matrix, constant_field
 from hamflow.presets import get_preset
 from hamflow.propagator import (
     ChunkedPropagator,
-    SolutionFrame,
     cocycle_check,
     fundamental_matrix,
     transfer_matrix,
@@ -82,11 +81,10 @@ def test_determinant_is_one(torus_demo):
 def test_frame_carried_in_two_legs_follows_one_transfer(ex2):
     # a frame carried in two legs spans the line of one transfer over both
     om = ex2.flow.origin()
-    fr = SolutionFrame(L1=np.array([[1.0]]), L2=np.array([[0.5]]),
-                       t=0.0, omega=om)
-    mid = transfer_matrix(ex2, om, 0.0, 0.75) @ fr.stacked
+    fr = np.array([[1.0], [0.5]])
+    mid = transfer_matrix(ex2, om, 0.0, 0.75) @ fr
     got = (transfer_matrix(ex2, om, 0.75, 2.0) @ mid)[:, 0]
-    want = (expm_transfer(ex2, 2.0) @ fr.stacked)[:, 0]
+    want = (expm_transfer(ex2, 2.0) @ fr)[:, 0]
     cos = abs(got @ want) / (np.linalg.norm(got) * np.linalg.norm(want))
     assert 1.0 - cos <= 1e-10
 
@@ -340,8 +338,7 @@ def test_torus_answers_make_no_integrator_call(torus_demo, monkeypatch):
     rotation_number(torus_demo, om, T=16.0)
     assert cocycle_check(torus_demo, om, 3.0, 4.5)["defect"] <= 1e-8
     assert not fundamental_matrix(torus_demo, om, 5.0).degraded
-    frame = SolutionFrame(L1=np.eye(1), L2=np.eye(1), t=0.0, omega=om)
-    transfer_matrix(torus_demo, om, frame.t, frame.t + 2.0) @ frame.stacked
+    transfer_matrix(torus_demo, om, 0.0, 2.0) @ np.ones((2, 1))
     assert starts == []
 
 
