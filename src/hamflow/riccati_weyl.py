@@ -65,8 +65,13 @@ _PROPAGATION_TOL = 1e-11
 # its floor is a few machine epsilons: the integration floor of a
 # monodromy matrix would loosen the bound 10^4-fold on every constant
 # field, and with it the symmetry gate of the graph and the sweep bound
-# of synthesize.  4 eps alone falls short at n = 2.
+# of synthesize.  4 eps alone falls short at n = 2.  The frame route's
+# increments are floored at it too: a plane settled to rounding moves by
+# a few eps per horizon, or by none.
 _GENERATOR_ROUNDING = 4.0 * np.finfo(float).eps
+# Fall of the frame route's increment, against the one before it, that
+# lets a plane settle at the third horizon rather than the fourth
+_SETTLE_FALL = 1e-3
 # Smallest gap in log|multiplier| between the decaying and the growing
 # halves that counts as a clean Floquet split.  Multipliers on the unit
 # circle come out off it by the integration error, or by its square root
@@ -92,8 +97,11 @@ class WeylMatrix:
     [[I], [M]], with provenance.
 
     role: "M+", "M-", "N+", "N-", "F+", "F-", or "flow" (Riccati endpoint).
-    convergence_error: last horizon-doubling (or extrapolation) increment,
-    or the Stewart bound of a spectral split.
+    convergence_error: the Stewart bound of a spectral split; on the frame
+    route the horizon-doubling increment that accepted the plane (the
+    largest over the seeds, or their spread if larger), floored at 4n
+    machine epsilons; the last extrapolation increment of a boundary
+    limit.
     ``real_limit`` is set by boundary limits: True when the imaginary part
     extrapolated away below tolerance.
     """
@@ -233,17 +241,24 @@ def _limit_plane(
     max_doublings: int,
 ) -> list[tuple[np.ndarray, float, float] | NoConvergence]:
     """Carry each seed plane from horizon +-T to 0, doubling T until the
-    plane at 0 stabilizes over three successive doublings.
+    plane at 0 stops moving.
 
     side "plus": seeds sit at +T, carried backward (the forward-decaying
     plane is backward-dominant, so generic seeds converge to it).
-    side "minus": seeds at -T, carried forward.  The seeds share one
-    chunk cache.  Every seed that settles needs the first four horizons,
-    so those are one stacked walk of every seed; each later doubling is
-    one stacked walk of the seeds still open.
+    side "minus": seeds at -T, carried forward.  A seed settles at the
+    first horizon, the third or later, whose increment (the plane distance
+    to the previous horizon's plane) is at most ``tol``; at the third it
+    must also have fallen to ``_SETTLE_FALL`` times the increment before
+    it.  Under a dichotomy of rate beta the increments fall like
+    e^{-2 beta T}, each doubling squaring them, so a fall that steep puts
+    the tail far below the accepted increment; a slow fall goes on to the
+    fourth horizon.  The seeds share one chunk cache.  The first three
+    horizons are one stacked walk of every seed; each later one is one
+    stacked walk of the seeds still open.
 
-    Returns per seed (orthonormal frame at 0, last increment, T used), or
-    the NoConvergence of a seed that never settled.
+    Returns per seed (orthonormal frame at 0, accepted increment floored
+    at ``_GENERATOR_ROUNDING`` per half-dimension, T used), or the
+    NoConvergence of a seed that never settled.
     """
     prop = ChunkedPropagator(field, omega, h=1.0, tol=_PROPAGATION_TOL)
     m0 = max(2, int(np.ceil(T0)))
@@ -259,9 +274,10 @@ def _limit_plane(
                              joins=[top - m for m in ms[::-1] for _ in frames])
         return F.reshape(len(ms), len(frames), *F.shape[1:])[::-1]
 
-    first = planes_at_zero(list(seeds), horizons[:4])
+    first = planes_at_zero(list(seeds), horizons[:3])
     prev = list(first[0])
     last = [float("inf")] * len(seeds)
+    floor = field.n * _GENERATOR_ROUNDING
     out: list = [None] * len(seeds)
     live = list(range(len(seeds)))
     for j in range(1, len(horizons)):
@@ -271,9 +287,9 @@ def _limit_plane(
             cur = list(planes_at_zero([seeds[s] for s in live], [horizons[j]])[0])
         still = []
         for s, plane in zip(live, cur):
-            last[s] = plane_distance(prev[s], plane)
-            if last[s] <= tol and j >= 3:
-                out[s] = (plane, last[s], float(horizons[j]))
+            before, last[s] = last[s], plane_distance(prev[s], plane)
+            if last[s] <= tol and (j >= 3 or (j == 2 and last[s] <= _SETTLE_FALL * before)):
+                out[s] = (plane, max(last[s], floor), float(horizons[j]))
             else:
                 prev[s] = plane
                 still.append(s)
@@ -471,7 +487,13 @@ def weyl_plus(
     """M+(omega, lam): graph of the forward-decaying plane.
 
     Computed by carrying a seed plane backward from horizon T with
-    T-doubling agreement (``method="frame"``).  Under ``method="auto"`` a
+    T-doubling agreement (``method="frame"``), T = 8, 16, 32, ...  The
+    plane is accepted at the first T, from 32 on, whose increment over the
+    plane at T / 2 is at most ``tol``; at T = 32 only if that increment is
+    also at most 1e-3 times the one before it, a fall that bounds the tail
+    below it.  The increment, floored at 4n machine epsilons, is the
+    ``convergence_error``.  Torus fields typically settle at ``T_used``
+    32.  Under ``method="auto"`` a
     constant field takes the stable invariant subspace of H (``T_used``
     inf) and a periodic one that of its one-period monodromy matrix, both
     from one ordered Schur split whose Stewart bound is the

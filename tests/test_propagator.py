@@ -500,11 +500,12 @@ def test_batched_stack_expm_takes_each_stack_alone():
 
 def test_one_stack_exponential_and_one_H_evaluation_per_accepted_attempt(monkeypatch,
                                                                          torus_demo):
-    # weyl_plus(torus-demo) carries two seeds over 64 unit chunks backward;
-    # every chunk settles on its first N = 32 / 2N = 64 attempt.  The 64
-    # chunks are one range of forward chunks, inverted, computed once each
-    # in two kernel calls: 42 chunks of 96 steps of 2 x 2 fill the
-    # 16384-entry budget.  Each call takes its moments in one evaluation.
+    # weyl_plus(torus-demo) carries two seeds over 32 unit chunks backward,
+    # settling at T = 32; every chunk settles on its first N = 32 / 2N = 64
+    # attempt.  The 32 chunks are one range of forward chunks, inverted,
+    # computed once each in one kernel call, as 42 chunks of 96 steps of
+    # 2 x 2 fill the 16384-entry budget.  The call takes its moments in
+    # one evaluation.
     import hamflow.propagator as propagator
     from hamflow import weyl_plus
     from hamflow.hamiltonian import CoefficientField
@@ -529,10 +530,10 @@ def test_one_stack_exponential_and_one_H_evaluation_per_accepted_attempt(monkeyp
     monkeypatch.setattr(CoefficientField, "moments", counted_moments)
     monkeypatch.setattr(propagator, "_magnus_steps", counted_steps)
     W = weyl_plus(torus_demo, torus_demo.flow.origin(), lam=0.0)
-    assert W.T_used == 64.0
+    assert W.T_used == 32.0
     # backward chunk k is the inverse of forward chunk k, which starts at k
-    assert sorted(starts) == [float(k) for k in range(64)]
-    assert calls == {"expm": 2, "moments": 2}
+    assert sorted(starts) == [float(k) for k in range(32)]
+    assert calls == {"expm": 1, "moments": 1}
 
 
 def _node_sums(weights, H):

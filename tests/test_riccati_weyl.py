@@ -19,8 +19,14 @@ from hamflow.riccati_weyl import (
     weyl_plus,
 )
 
-from conftest import random_periodic_field, random_spn_field, random_trig_field
-from oracles import eig_stable_weyl, riccati_reference, schur_stable_weyl, schur_unstable_weyl
+from conftest import near_jordan_field, random_periodic_field, random_spn_field, random_trig_field
+from oracles import (
+    eig_stable_weyl,
+    riccati_reference,
+    schur_stable_weyl,
+    schur_unstable_weyl,
+    unit_walk_reference,
+)
 
 
 @pytest.mark.parametrize("lam", [-2.0, -1.0, 0.0, 1.0, 5.0])
@@ -201,15 +207,109 @@ def test_rotated_direct_sum_weyl_error_covers_the_closed_form(angle, lam):
 
 
 def test_weyl_seeds_share_one_chunk_cache(monkeypatch, torus_demo):
-    # two random seeds, T doubled to 64: one stacked walk over the first
-    # four horizons, whose 64 chunks are one kernel call, each chunk once;
+    # two random seeds, settled at T = 32: one stacked walk over the first
+    # three horizons, whose 32 chunks are one kernel call, each chunk once;
     # the walk runs backward over the inverses of the forward chunks
     integrations = _counting(monkeypatch, propagator, "_magnus_chunk")
     W = weyl_plus(torus_demo, torus_demo.flow.origin(), lam=0.0)
-    assert W.T_used == 64.0
+    assert W.T_used == 32.0
     assert len(integrations) == 1
     starts = integrations[0][2]
-    assert sorted(starts) == [float(k) for k in range(64)]
+    assert sorted(starts) == [float(k) for k in range(32)]
+
+
+def test_slowly_settling_field_walks_every_horizon_in_order(monkeypatch):
+    # at beta = 0.05 the increments fall too slowly to settle at the third
+    # horizon: one stacked walk over 8, 16 and 32, then one walk per
+    # doubling until the increment is below tol
+    f = near_jordan_field(1, [0.05], [3.0], [(1.2, 0.3, -0.4)])
+    walks = _counting(monkeypatch, propagator.ChunkedPropagator, "frame_chain")
+    W = weyl_plus(f, method="frame")
+    tops = [len(args[2]) for args in walks]
+    assert W.T_used >= 64.0
+    assert tops == [32 * 2 ** j for j in range(len(tops))] and tops[-1] == W.T_used
+
+
+def _rotated_pair(angle):
+    """P (torus-demo (+) S) P^T for the rotation P by ``angle``, with S a
+    scalar field on torus-demo's frequencies (H1 < 0 and H2, H3 > 0, so
+    the sum stays hyperbolic) and Delta = I."""
+    demo = get_preset("torus-demo").field
+    c, s = np.cos(angle), np.sin(angle)
+    P = np.array([[c, -s], [s, c]])
+
+    def scalar(const, *terms):
+        return BlockMap(n=1, const=np.array([[const]]), terms=tuple(
+            TrigTerm(k=k, cos=None if a is None else np.array([[a]]),
+                     sin=None if b is None else np.array([[b]])) for k, a, b in terms))
+    second = {"H1": scalar(-0.7, ((1, 0), 0.15, None), ((0, 1), None, 0.1)),
+              "H2": scalar(0.4, ((1, -1), None, 0.1)),
+              "H3": scalar(0.8, ((0, 1), 0.2, None))}
+
+    def rotated(x, y):
+        return P @ np.diag([x, y]) @ P.T
+
+    def entry(term, part):
+        value = None if term is None else getattr(term, part)
+        return 0.0 if value is None else value[0, 0]
+
+    def block(a, b):
+        ta, tb = {t.k: t for t in a.terms}, {t.k: t for t in b.terms}
+        return BlockMap(n=2, const=rotated(a.const[0, 0], b.const[0, 0]), terms=tuple(
+            TrigTerm(k=k, cos=rotated(entry(ta.get(k), "cos"), entry(tb.get(k), "cos")),
+                     sin=rotated(entry(ta.get(k), "sin"), entry(tb.get(k), "sin")))
+            for k in sorted(set(ta) | set(tb))))
+    return CoefficientField(n=2, flow=demo.flow,
+                            **{name: block(getattr(demo, name), second[name])
+                               for name in ("H1", "H2", "H3")},
+                            delta=BlockMap.constant(np.eye(2)), name="rotated-pair")
+
+
+def _torus_field(name):
+    sqrt2 = make_flow({"kind": "torus", "nu": [1.0, 2.0 ** 0.5]})
+    if name == "torus-demo":
+        return get_preset("torus-demo").field
+    if name == "rotated-pair":
+        return _rotated_pair(0.7)
+    return random_trig_field(np.random.default_rng(10 + int(name[-1])), int(name[-1]), sqrt2)
+
+
+@pytest.mark.parametrize("name", ["torus-demo", "rotated-pair", "trig-n1", "trig-n2"])
+def test_torus_weyl_error_covers_a_long_horizon_reference(name):
+    # the plane at 0 of the horizontal plane carried from +-256, one
+    # chunk at a time, against the answer's convergence_error, whatever
+    # horizon the answer settled at
+    f = _torus_field(name)
+    n = f.n
+    # the reference plane and the distance carry rounding of their own,
+    # one machine epsilon per half-dimension; no computed plane is known
+    # closer than that, so no answer may claim a smaller error
+    slack = n * np.finfo(float).eps
+    for omega in (BasePoint((0.0, 0.0)), BasePoint((0.3, 0.6)), BasePoint((0.71, 0.19))):
+        for lam in (0.0, 0.5 + 1j, -0.3 + 0.2j):
+            for weyl, side in ((weyl_plus, "plus"), (weyl_minus, "minus")):
+                W = weyl(f, omega, lam=lam)
+                prop = propagator.ChunkedPropagator(apply_family(f, lam, "H2"), omega)
+                chunks, direction = ((range(255, -1, -1), "backward") if side == "plus"
+                                     else (range(-256, 0), "forward"))
+                prop.fill(chunks, direction)
+                F, _ = unit_walk_reference(prop, np.eye(2 * n, n), chunks, direction)
+                dist = plane_distance(_graph_frame(W.M), np.linalg.qr(F)[0])
+                assert slack < W.convergence_error, (omega, lam, side)
+                assert dist <= W.convergence_error + slack, (omega, lam, side, W.T_used)
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.2, 0.5])
+def test_near_jordan_frame_error_covers_the_schur_plane(beta):
+    f = near_jordan_field(1, [beta], [3.0], [(1.2, 0.3, -0.4)])
+    H = f.constant_matrix()
+    W = weyl_plus(f, method="frame")
+    # the Schur oracle is backward stable: its plane is exact for some
+    # H + E with ||E|| a few eps ||H||, which moves the plane by at most
+    # 2 ||E|| / sep, and sep = 2 beta here (Stewart)
+    slack = 4.0 * np.finfo(float).eps * np.linalg.norm(H, 2) / beta
+    dist = plane_distance(_graph_frame(W.M), _graph_frame(schur_stable_weyl(H)))
+    assert dist <= W.convergence_error + slack
 
 
 def test_weyl_minus_matches_unstable_schur_oracle():
