@@ -266,12 +266,13 @@ def _rotated_pair(angle):
 
 
 def _torus_field(name):
-    sqrt2 = make_flow({"kind": "torus", "nu": [1.0, 2.0 ** 0.5]})
     if name == "torus-demo":
         return get_preset("torus-demo").field
     if name == "rotated-pair":
         return _rotated_pair(0.7)
-    return random_trig_field(np.random.default_rng(10 + int(name[-1])), int(name[-1]), sqrt2)
+    n = int(name.removeprefix("trig-n"))
+    return random_trig_field(np.random.default_rng(10 + n), n,
+                             make_flow({"kind": "torus", "nu": [1.0, 2.0 ** 0.5]}))
 
 
 @pytest.mark.parametrize("name", ["torus-demo", "rotated-pair", "trig-n1", "trig-n2"])
